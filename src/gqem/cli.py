@@ -142,6 +142,11 @@ def parse_config_text(text: str) -> RunConfig:
         )
     if "r" in raw:
         cfg.r = parse_float(raw["r"])
+    for key, values in (("tau", cfg.tau_list), ("r", [cfg.r])):
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"'{key}' must be finite, got {raw[key]!r}")
+    if any(math.isnan(v) for v in cfg.m_list):
+        raise ConfigError(f"'m' must be a positive number or 'inf', got {raw['m']!r}")
     if "chart" in raw:
         cfg.chart = raw["chart"]
     if "v_axis" in raw:
@@ -169,6 +174,8 @@ def parse_config_text(text: str) -> RunConfig:
     ):
         if key in raw:
             cfg.tolerances[slot] = parse_float(raw[key])
+            if not cfg.tolerances[slot] > 0:
+                raise ConfigError(f"'{key}' must be a positive number, got {raw[key]!r}")
     return cfg
 
 

@@ -18,6 +18,11 @@ import numpy as np
 
 MAX_ORDER = 4
 
+# Broadcast batch size from which `Jet.__mul__` switches from the gather /
+# `np.add.reduceat` product to the coefficient-major one. Measured crossover:
+# 256..512 for every (dim, order) from (2, 2) to (5, 4).
+_BIG_BATCH = 512
+
 
 class JetDomainError(ArithmeticError):
     """An elementary operation left its domain (log/sqrt of a nonpositive value, division by a zero value)."""
@@ -70,6 +75,11 @@ def jet_table(dim: int, order: int) -> "_Table":
     mul_ff = np.array([t[3] for t in triples], dtype=np.float64)
     # every output index occurs (alpha = gamma, beta = 0), so reduceat segments cover 0..size-1
     mul_starts = np.searchsorted(out_idx, np.arange(size))
+    # the same triples grouped by output coefficient, for the coefficient-major product
+    mul_rows = tuple([] for _ in range(size))
+    for k, ia, ib, factor in triples:
+        mul_rows[k].append((ia, ib, factor))
+    mul_rows = tuple(tuple(row) for row in mul_rows)
 
     derive_src = None
     if order >= 1:
@@ -83,15 +93,15 @@ def jet_table(dim: int, order: int) -> "_Table":
             for ax in range(dim)
         )
     return _Table(dim, order, tuple(alphas), index, size, grade_sizes,
-                  mul_ii, mul_jj, mul_ff, mul_starts, derive_src)
+                  mul_ii, mul_jj, mul_ff, mul_starts, mul_rows, derive_src)
 
 
 class _Table:
     __slots__ = ("dim", "order", "alphas", "index", "size", "grade_sizes",
-                 "mul_ii", "mul_jj", "mul_ff", "mul_starts", "derive_src")
+                 "mul_ii", "mul_jj", "mul_ff", "mul_starts", "mul_rows", "derive_src")
 
     def __init__(self, dim, order, alphas, index, size, grade_sizes,
-                 mul_ii, mul_jj, mul_ff, mul_starts, derive_src):
+                 mul_ii, mul_jj, mul_ff, mul_starts, mul_rows, derive_src):
         self.dim = dim
         self.order = order
         self.alphas = alphas
@@ -102,6 +112,7 @@ class _Table:
         self.mul_jj = mul_jj
         self.mul_ff = mul_ff
         self.mul_starts = mul_starts
+        self.mul_rows = mul_rows
         self.derive_src = derive_src
 
 
@@ -207,8 +218,13 @@ class Jet:
                        self.coeffs * np.asarray(other, dtype=np.float64)[..., None])
         other = self._coerce(other)
         t = jet_table(self.dim, self.order)
-        prod = self.coeffs[..., t.mul_ii] * other.coeffs[..., t.mul_jj] * t.mul_ff
-        return Jet(self.dim, self.order, np.add.reduceat(prod, t.mul_starts, axis=-1))
+        a, b = self.coeffs, other.coeffs
+        if a.shape == b.shape:
+            batch = a.size // t.size
+        else:
+            batch = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        kernel = _mul_coeff_major if batch >= _BIG_BATCH else _mul_gather
+        return Jet(self.dim, self.order, kernel(a, b, t))
 
     __rmul__ = __mul__
 
@@ -225,6 +241,36 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
+
+
+def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
+    """Leibniz product of coefficient arrays: gather every triple, then reduce per output."""
+    prod = a[..., t.mul_ii] * b[..., t.mul_jj] * t.mul_ff
+    return np.add.reduceat(prod, t.mul_starts, axis=-1)
+
+
+def _mul_coeff_major(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
+    """Leibniz product for large batches: one row per coefficient, summed triple by triple.
+
+    Each node's coefficients are summed in table order, so a node's result does
+    not depend on the batch it is computed in.
+    """
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    rows_a = list(np.ascontiguousarray(np.broadcast_to(a, shape).reshape(-1, t.size).T))
+    rows_b = list(np.ascontiguousarray(np.broadcast_to(b, shape).reshape(-1, t.size).T))
+    out = np.empty((t.size, len(rows_a[0])))
+    tmp = np.empty(out.shape[1])
+    for row, triples in zip(out, t.mul_rows):
+        (i, j, factor), rest = triples[0], triples[1:]
+        np.multiply(rows_a[i], rows_b[j], out=row)
+        if factor != 1.0:
+            row *= factor
+        for i, j, factor in rest:
+            np.multiply(rows_a[i], rows_b[j], out=tmp)
+            if factor != 1.0:
+                tmp *= factor
+            row += tmp
+    return np.ascontiguousarray(out.T).reshape(shape)
 
 
 def seed_variable(i: int, x0, dim: int, order: int) -> Jet:

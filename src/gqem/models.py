@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jets
 from .jets import Jet
-from .geometry import Chart, ChartFrame, ScalarField, check_metric_spd
+from .geometry import Chart, ScalarField, check_metric_spd
 from .qem import QemStructure, make_structure
 
 FAMILIES = ("euclidean", "sphere", "hyperbolic")
@@ -319,19 +319,31 @@ def _validate_structure(s: QemStructure, spec: ModelSpec, samples: int = 40) -> 
         )
 
 
+_MAX_DRAW_ROUNDS = 64
+
+
 def sample_points(chart: Chart, count: int, seed: int) -> np.ndarray:
-    """Uniform draws from the chart sampling box, rejection-filtered to the domain."""
+    """Uniform draws from the chart sampling box, rejection-filtered to the domain.
+
+    Each round draws 2 * count points; after `_MAX_DRAW_ROUNDS` rounds without
+    `count` accepted points the box is taken to miss the domain.
+    """
     if chart.sample_lo is None or chart.sample_hi is None:
         raise ValueError(f"chart {chart.label!r} has no sampling box")
     rng = np.random.default_rng(seed)
     out: list[np.ndarray] = []
     have = 0
-    while have < count:
+    for _ in range(_MAX_DRAW_ROUNDS):
         draw = rng.uniform(chart.sample_lo, chart.sample_hi, size=(2 * count, chart.dim))
         keep = draw[chart.in_domain(draw)]
         out.append(keep)
         have += len(keep)
-    return np.concatenate(out, axis=0)[:count]
+        if have >= count:
+            return np.concatenate(out, axis=0)[:count]
+    raise ValueError(
+        f"chart {chart.label!r}: only {have} of {count} points fell in the domain "
+        f"after {_MAX_DRAW_ROUNDS} draws of {2 * count} from its sampling box"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +376,6 @@ def polar_to_stereographic(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
     projects from the pole on the last ambient axis.
     """
     polar = make_chart(replace(spec, chart_kind="polar"))
-    frame = ChartFrame(polar, theta)
     amb = np.stack(
         [j.value for j in polar.embedding_fn(jets.seed_point(theta, 0))], axis=-1
     )

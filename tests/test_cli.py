@@ -194,3 +194,36 @@ def test_parse_config_rejects_garbage():
         parse_config_text("n = 2\ntau = 1\nm = 1")
     cfg = parse_config_text("family = sphere\nn = 2\ntau = 1\nm = inf")
     assert math.isinf(cfg.m_list[0])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau", "inf"),
+        ("tau", "-inf"),
+        ("tau", "nan"),
+        ("r", "inf"),
+        ("r", "nan"),
+        ("m", "nan"),
+        ("tol.order2", "nan"),
+        ("tol.order3", "0"),
+        ("tol.order4", "-1e-6"),
+        ("tol.integral", "nan"),
+    ],
+)
+def test_nonfinite_and_nonpositive_values_exit_two(tmp_path, capsys, key, value):
+    keys = {"family": "sphere", "n": "2", "tau": "1.0", "m": "2", "points": "5"}
+    keys[key] = value
+    cfg = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "never.json"
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 2
+    assert not out.exists()
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_nonfinite_tau_in_scan_list_exit_two(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "family = sphere\nn = 2\ntau = 1.0, inf\nm = 2\npoints = 5\n"
+    )
+    assert main(["scan", "--config", cfg]) == 2
+    assert "'tau' must be finite" in capsys.readouterr().err

@@ -266,3 +266,77 @@ def test_product_commutes_and_associates(seed):
     c = Jet(2, 3, rng.normal(size=size))
     assert np.allclose((a * b).coeffs, (b * a).coeffs, atol=1e-13)
     assert np.allclose(((a * b) * c).coeffs, (a * (b * c)).coeffs, atol=2e-11)
+
+
+# -- large-batch (coefficient-major) product --------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def assert_matches_gather(a: Jet, b: Jet, got: np.ndarray) -> None:
+    """`got` equals the gather/reduceat product within 4 ulps of the largest |term|."""
+    t = jet_table(a.dim, a.order)
+    want = jets._mul_gather(a.coeffs, b.coeffs, t)
+    scale = jets._mul_gather(np.abs(a.coeffs), np.abs(b.coeffs), t)
+    scale = np.max(scale, axis=-1, keepdims=True)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 4 * EPS * scale)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_coeff_major_product_matches_gather(dim, order):
+    rng = np.random.default_rng(100 * dim + order)
+    size = jet_table(dim, order).size
+    for batch in (jets._BIG_BATCH - 1, jets._BIG_BATCH, jets._BIG_BATCH + 1):
+        a = Jet(dim, order, rng.normal(size=(batch, size)))
+        b = Jet(dim, order, rng.normal(size=(batch, size)))
+        big = jets._mul_coeff_major(a.coeffs, b.coeffs, jet_table(dim, order))
+        assert_matches_gather(a, b, big)
+        assert_matches_gather(a, b, (a * b).coeffs)
+
+
+def test_coeff_major_product_broadcasts_to_c_contiguous_result():
+    rng = np.random.default_rng(5)
+    size = jet_table(3, 3).size
+    const = Jet(3, 3, rng.normal(size=size))
+    row = Jet(3, 3, rng.normal(size=(600, size)))
+    grid = Jet(3, 3, rng.normal(size=(2, 600, size)))
+    for a, b in ((const, row), (row, const), (grid, row), (grid, grid)):
+        ab = a * b
+        assert ab.coeffs.shape == np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape)
+        assert ab.coeffs.flags.c_contiguous
+        assert_matches_gather(a, b, ab.coeffs)
+
+
+def test_coeff_major_product_propagates_nonfinite_like_gather():
+    rng = np.random.default_rng(6)
+    t = jet_table(2, 3)
+    a = rng.normal(size=(jets._BIG_BATCH, t.size))
+    b = rng.normal(size=(jets._BIG_BATCH, t.size))
+    a[3, 0] = np.nan
+    a[7, 2] = np.inf
+    a[11, 5] = -np.inf
+    a[13, 1] = np.inf
+    b[13, 0] = 0.0
+    with np.errstate(invalid="ignore"):
+        big = jets._mul_coeff_major(a, b, t)
+        want = jets._mul_gather(a, b, t)
+    for mask in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(mask(big), mask(want))
+    assert np.isnan(big).any() and np.isinf(big).any()
+    finite = np.isfinite(want)
+    assert np.allclose(big[finite], want[finite], rtol=0.0, atol=1e-13)
+
+
+def test_coeff_major_product_is_independent_of_batch_size():
+    # a node's product is the same bits in a batch of 600 or of 1200, so
+    # quadrature integrals do not depend on how the grid is chunked
+    rng = np.random.default_rng(9)
+    size = jet_table(3, 4).size
+    a = Jet(3, 4, rng.normal(size=(1200, size)))
+    b = Jet(3, 4, rng.normal(size=(1200, size)))
+    whole = (a * b).coeffs
+    for half in (slice(0, 600), slice(600, 1200)):
+        part = Jet(3, 4, a.coeffs[half]) * Jet(3, 4, b.coeffs[half])
+        assert np.array_equal(part.coeffs, whole[half])

@@ -1,12 +1,13 @@
 """Model charts, height fields, and the closed-form example structures."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gqem import geometry as geo
-from gqem import jets, qem
+from gqem import jets, models, qem
 from gqem.models import (
     ModelSpec,
     default_sweep,
@@ -210,3 +211,17 @@ def test_sampling_is_deterministic_and_in_domain():
     b = sample_points(chart, 40, seed=5)
     assert np.array_equal(a, b)
     assert np.all(chart.in_domain(a))
+
+
+def test_sampling_gives_up_when_the_box_misses_the_domain():
+    chart = make_chart(ModelSpec("hyperbolic", 2, tau=0.0, m=1.0))
+    draws = []
+
+    def reject_all(p):
+        draws.append(len(p))
+        return np.zeros(p.shape[:-1], dtype=bool)
+
+    empty = dataclasses.replace(chart, domain_fn=reject_all, label="empty domain")
+    with pytest.raises(ValueError, match="'empty domain'"):
+        sample_points(empty, 10, seed=1)
+    assert draws == [20] * models._MAX_DRAW_ROUNDS
