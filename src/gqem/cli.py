@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import __version__
@@ -197,7 +197,7 @@ def _build_structure(cfg: RunConfig, n: int, tau: float, m: float):
         chart_kind=cfg.chart,
         v_axis=cfg.v_axis,
     )
-    return spec, example_structure(spec)
+    return example_structure(spec)
 
 
 def _scaled(tolerances: dict, scale: float) -> dict:
@@ -227,7 +227,7 @@ def cmd_verify(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale: f
     n = cfg.single("n")
     tau = cfg.single("tau")
     m = cfg.single("m")
-    spec, s = _build_structure(cfg, n, tau, m)
+    s = _build_structure(cfg, n, tau, m)
     points = sample_points(s.chart, cfg.points, seed)
     tols = _scaled(cfg.tolerances, tol_scale)
     start = time.perf_counter()
@@ -264,10 +264,11 @@ def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale
         raise ConfigError(
             f"'grid' needs {n} entries for a {n}-sphere, got {cfg.grid}"
         )
-    spec = ModelSpec(
-        cfg.family, n, tau=tau, m=m, radius=cfg.r, chart_kind="polar", v_axis=cfg.v_axis
-    )
-    s = example_structure(spec)
+    if cfg.chart not in ("", "polar"):
+        raise ConfigError(
+            f"the integral suite runs on the polar chart; 'chart' is {cfg.chart!r}"
+        )
+    s = _build_structure(replace(cfg, chart="polar"), n, tau, m)
     tols = _scaled(cfg.tolerances, tol_scale)
     start = time.perf_counter()
     grid = make_sphere_grid(s.chart, cfg.grid)
@@ -293,7 +294,7 @@ def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tol_scale: floa
     writer.writerow(["n", "m", "tau", "identity", "max_residual", "pass"])
     all_pass = True
     for n, m, tau in combos:
-        spec, s = _build_structure(cfg, n, tau, m)
+        s = _build_structure(cfg, n, tau, m)
         points = sample_points(s.chart, cfg.points, seed)
         for e in run_pointwise_suite(s, points, tols, ids=cfg.suite):
             writer.writerow(
@@ -353,6 +354,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: command '{args.command}' needs --config", file=sys.stderr)
         return 2
     try:
+        if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
+            raise ConfigError(
+                f"--tol-scale must be a positive finite number, got {args.tol_scale}"
+            )
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
         if args.command == "verify":

@@ -60,11 +60,6 @@ class Chart:
     def in_domain(self, p) -> np.ndarray:
         return np.asarray(self.domain_fn(np.asarray(p, dtype=np.float64)))
 
-    def embedding_jets(self, p, order: int):
-        if self.embedding_fn is None:
-            raise ValueError(f"chart {self.label!r} has no embedding")
-        return self.embedding_fn(seed_point(p, order))
-
 
 class ScalarField:
     """A scalar function of chart coordinates, evaluable to jets of any order <= 4."""
@@ -99,36 +94,37 @@ class ScalarField:
     def __call__(self, p):
         return self.jet(p, 0).value
 
-    def _combine(self, other, op, sym):
+    def _combine(self, other, op, template):
+        """Field of op(self, other), labelled by `template` with {0} = self, {1} = other."""
         if isinstance(other, ScalarField):
             fn = lambda p, order: op(self.jet(p, order), other.jet(p, order))
-            label = f"({self.label}{sym}{other.label})"
+            label = template.format(self.label, other.label)
         else:
             fn = lambda p, order: op(self.jet(p, order), other)
-            label = f"({self.label}{sym}{other})"
+            label = template.format(self.label, other)
         return ScalarField(self.dim, fn, label)
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b, "+")
+        return self._combine(other, lambda a, b: a + b, "({0}+{1})")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b, "-")
+        return self._combine(other, lambda a, b: a - b, "({0}-{1})")
 
     def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a, "-")
+        return self._combine(other, lambda a, b: b - a, "({1}-{0})")
 
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b, "*")
+        return self._combine(other, lambda a, b: a * b, "({0}*{1})")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b, "/")
+        return self._combine(other, lambda a, b: a / b, "({0}/{1})")
 
     def __rtruediv__(self, other):
-        return self._combine(other, lambda a, b: b / a, "\\")
+        return self._combine(other, lambda a, b: b / a, "({1}/{0})")
 
     def __neg__(self):
         return ScalarField(self.dim, lambda p, order: -self.jet(p, order),
@@ -154,9 +150,6 @@ class VectorField:
             )
         return self._jet_fn(p, order)
 
-    def values(self, p) -> np.ndarray:
-        return np.stack([j.value for j in self.jet(p, 0)], axis=-1)
-
 
 class Tensor2Field:
     """A (0,2)-tensor field; jet(p, order) returns an (n, n) object array of jets."""
@@ -172,14 +165,6 @@ class Tensor2Field:
                 f"tensor field {self.label!r} requested at jet order {order} > max {MAX_ORDER}"
             )
         return self._jet_fn(p, order)
-
-    def values(self, p) -> np.ndarray:
-        comp = self.jet(p, 0)
-        n = self.dim
-        return np.stack(
-            [np.stack([comp[i, j].value for j in range(n)], axis=-1) for i in range(n)],
-            axis=-2,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +549,20 @@ class ChartFrame:
 
     def laplacian_of_jet(self, sjet: Jet):
         """Laplace-Beltrami of a scalar given as a jet of order >= 2 at this point."""
+        d1 = [sjet.derive(k) for k in range(self.n)]
+        return self.laplacian_from_partials(
+            [d.value for d in d1], lambda i, j: d1[i].derive(j).value
+        )
+
+    def laplacian_from_partials(self, d1, d2):
+        """g^ij (d2(i, j) - Gamma^k_ij d1[k]) from coordinate first and second partials."""
         n = self.n
         gi = self.metric_inv_values()
         gam = self.gamma(0)
-        d1 = [sjet.derive(k).value for k in range(n)]
         out = 0.0
         for i in range(n):
             for j in range(n):
-                term = sjet.derive(i).derive(j).value
+                term = d2(i, j)
                 for k in range(n):
                     term = term - gam[k, i, j].value * d1[k]
                 out = out + gi[..., i, j] * term
@@ -580,32 +571,31 @@ class ChartFrame:
     def grad_values_of_jet(self, sjet: Jet) -> np.ndarray:
         """Contravariant gradient values of a scalar given as a jet of order >= 1."""
         gi = self.metric_inv_values()
-        d1 = np.stack([sjet.derive(k).value for k in range(self.n)], axis=-1)
-        return np.einsum("...ij,...j->...i", gi, d1)
+        return np.einsum("...ij,...j->...i", gi, self.partials_of_jet(sjet))
 
     def partials_of_jet(self, sjet: Jet) -> np.ndarray:
         """Covariant (coordinate) first partials of a scalar jet of order >= 1."""
-        return np.stack([sjet.derive(k).value for k in range(self.n)], axis=-1)
+        return _values([sjet.derive(k) for k in range(self.n)])
 
     # -- value-level conveniences (order-0 extraction, batch aware) -------
 
     def metric_values(self) -> np.ndarray:
-        return _stack2(self.metric(0))
+        return _values(self.metric(0))
 
     def metric_inv_values(self) -> np.ndarray:
-        return _stack2(self.metric_inv(0))
+        return _values(self.metric_inv(0))
 
     def ricci_values(self) -> np.ndarray:
-        return _stack2(self.ricci(0))
+        return _values(self.ricci(0))
 
     def scalar_curvature_value(self):
         return self.scalar_curvature_jet(0).value
 
     def grad_values(self, phi: ScalarField) -> np.ndarray:
-        return np.stack([j.value for j in self.grad(phi, 0)], axis=-1)
+        return _values(self.grad(phi, 0))
 
     def hessian_values(self, phi: ScalarField) -> np.ndarray:
-        return _stack2(self.hessian(phi, 0))
+        return _values(self.hessian(phi, 0))
 
 
 def _sum_jets(js):
@@ -615,12 +605,11 @@ def _sum_jets(js):
     return acc
 
 
-def _stack2(obj_mat: np.ndarray) -> np.ndarray:
-    n = obj_mat.shape[0]
-    return np.stack(
-        [np.stack([obj_mat[i, j].value for j in range(n)], axis=-1) for i in range(n)],
-        axis=-2,
-    )
+def _values(js) -> np.ndarray:
+    """Values of a list or object array of jets: batch axes first, tensor axes last."""
+    comp = np.asarray(js, dtype=object)
+    vals = np.stack([j.value for j in comp.flat], axis=-1)
+    return vals.reshape(vals.shape[:-1] + comp.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -655,15 +644,7 @@ def _scalar_point(chart: Chart, p) -> np.ndarray:
 
 
 def metric_values(chart: Chart, p) -> np.ndarray:
-    return _stack2(chart.metric_jets(p, 0))
-
-
-def sqrt_det_metric(chart: Chart, p):
-    g = ChartFrame(chart, p).metric_values()
-    det = np.linalg.det(g)
-    if np.any(det <= 0.0):
-        raise DegenerateMetricError("metric determinant is not positive")
-    return np.sqrt(det)
+    return _values(chart.metric_jets(p, 0))
 
 
 def check_metric_spd(chart: Chart, points) -> float:
@@ -682,22 +663,13 @@ def check_metric_spd(chart: Chart, points) -> float:
 
 def christoffel(chart: Chart, p) -> TensorValue:
     p = _scalar_point(chart, p)
-    frame = ChartFrame(chart, p)
-    gam = frame.gamma(0)
-    n = chart.dim
-    comp = np.array(
-        [[[gam[k, i, j].value for j in range(n)] for i in range(n)] for k in range(n)]
-    )
+    comp = _values(ChartFrame(chart, p).gamma(0))
     return TensorValue(comp, con=1, cov=2, point=p)
 
 
 def riemann(chart: Chart, p) -> TensorValue:
     p = _scalar_point(chart, p)
-    rm = ChartFrame(chart, p).riemann(0)
-    n = chart.dim
-    comp = np.empty((n, n, n, n))
-    for idx in np.ndindex(n, n, n, n):
-        comp[idx] = rm[idx].value
+    comp = _values(ChartFrame(chart, p).riemann(0))
     return TensorValue(comp, con=1, cov=3, point=p)
 
 
@@ -728,9 +700,7 @@ def laplacian(chart: Chart, phi: ScalarField, p) -> float:
 
 def covariant_derivative_vector(chart: Chart, X: VectorField, p) -> TensorValue:
     p = _scalar_point(chart, p)
-    cov = ChartFrame(chart, p).covariant_vector(X, 0)
-    n = chart.dim
-    comp = np.array([[cov[i, j].value for j in range(n)] for i in range(n)])
+    comp = _values(ChartFrame(chart, p).covariant_vector(X, 0))
     return TensorValue(comp, con=1, cov=1, point=p)
 
 
@@ -739,7 +709,7 @@ def directional(chart: Chart, X: VectorField, Y: VectorField, p) -> TensorValue:
     p = _scalar_point(chart, p)
     frame = ChartFrame(chart, p)
     covY = frame.covariant_vector(Y, 0)
-    xv = np.stack([j.value for j in frame.vector_jets(X, 0)], axis=-1)
+    xv = _values(frame.vector_jets(X, 0))
     n = chart.dim
     comp = np.array(
         [sum(covY[i, j].value * xv[..., j] for j in range(n)) for i in range(n)]
@@ -754,15 +724,14 @@ def div_vector(chart: Chart, X: VectorField, p) -> float:
 
 def div_tensor2(chart: Chart, T: Tensor2Field, p) -> TensorValue:
     p = _scalar_point(chart, p)
-    out = ChartFrame(chart, p).div_tensor2(T, 0)
-    return TensorValue(np.array([j.value for j in out]), con=0, cov=1, point=p)
+    comp = _values(ChartFrame(chart, p).div_tensor2(T, 0))
+    return TensorValue(comp, con=0, cov=1, point=p)
 
 
 def lie_metric(chart: Chart, X: VectorField, p) -> TensorValue:
     p = _scalar_point(chart, p)
-    return TensorValue(
-        _stack2(ChartFrame(chart, p).lie_metric(X, 0)), con=0, cov=2, point=p
-    )
+    comp = _values(ChartFrame(chart, p).lie_metric(X, 0))
+    return TensorValue(comp, con=0, cov=2, point=p)
 
 
 # ---------------------------------------------------------------------------
@@ -792,30 +761,6 @@ def ricci_field(chart: Chart) -> Tensor2Field:
     )
 
 
-def scalar_curvature_field(chart: Chart) -> ScalarField:
-    return ScalarField(
-        chart.dim,
-        lambda p, order: ChartFrame(chart, p).scalar_curvature_jet(order),
-        "R",
-    )
-
-
-def laplacian_field(chart: Chart, phi: ScalarField) -> ScalarField:
-    return ScalarField(
-        chart.dim,
-        lambda p, order: ChartFrame(chart, p).laplacian(phi, order),
-        f"lap({phi.label})",
-    )
-
-
-def grad_norm2_field(chart: Chart, phi: ScalarField) -> ScalarField:
-    return ScalarField(
-        chart.dim,
-        lambda p, order: ChartFrame(chart, p).grad_norm2(phi, order),
-        f"|grad({phi.label})|^2",
-    )
-
-
 def outer_grad_field(chart: Chart, phi: ScalarField) -> Tensor2Field:
     """The covariant tensor dphi (x) dphi."""
 
@@ -839,49 +784,3 @@ def lie_metric_field(chart: Chart, X: VectorField) -> Tensor2Field:
         lambda p, order: ChartFrame(chart, p).lie_metric(X, order),
         f"L_{X.label} g",
     )
-
-
-def convective_field(chart: Chart, X: VectorField) -> VectorField:
-    """The vector field nabla_X X."""
-
-    def jet_fn(p, order):
-        frame = ChartFrame(chart, p)
-        cov = frame.covariant_vector(X, order)
-        x0 = [x.truncated(order) for x in frame.vector_jets(X, order + 1)]
-        n = chart.dim
-        return [
-            _sum_jets([cov[i, j] * x0[j] for j in range(n)]) for i in range(n)
-        ]
-
-    return VectorField(chart.dim, jet_fn, f"nabla_{X.label} {X.label}")
-
-
-def divergence_field(chart: Chart, X: VectorField) -> ScalarField:
-    return ScalarField(
-        chart.dim,
-        lambda p, order: ChartFrame(chart, p).div_vector(X, order),
-        f"div({X.label})",
-    )
-
-
-def vector_norm2_field(chart: Chart, X: VectorField) -> ScalarField:
-    def jet_fn(p, order):
-        frame = ChartFrame(chart, p)
-        g = frame.metric(order)
-        xj = frame.vector_jets(X, order)
-        n = chart.dim
-        return _sum_jets(
-            [g[i, j] * xj[i] * xj[j] for i in range(n) for j in range(n)]
-        )
-
-    return ScalarField(chart.dim, jet_fn, f"|{X.label}|^2")
-
-
-def scale_vector_field(X: VectorField, phi: ScalarField) -> VectorField:
-    """The vector field phi * X."""
-
-    def jet_fn(p, order):
-        s = phi.jet(p, order)
-        return [s * x for x in X.jet(p, order)]
-
-    return VectorField(X.dim, jet_fn, f"{phi.label}*{X.label}")

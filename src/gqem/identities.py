@@ -21,6 +21,8 @@ from .geometry import (
     ChartFrame,
     ScalarField,
     VectorField,
+    _sum_jets,
+    _values,
     dot_g,
     grad_field,
     hessian_field,
@@ -38,22 +40,6 @@ from .qem import (
     u_laplacian_values,
     u_transform_values,
 )
-
-
-@dataclass
-class IdentityResult:
-    """One identity evaluated at one point."""
-
-    identity_id: str
-    point: np.ndarray
-    residual: float
-    raw: Optional[np.ndarray]
-    required_jet_order: int
-    tolerance_used: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.tolerance_used
 
 
 def _frame(s: QemStructure, p) -> StructureFrame:
@@ -97,7 +83,7 @@ def trace_divergence_residual(s: QemStructure, p):
 def trace_gradient_residual(s: QemStructure, p):
     """<grad f, grad R> + <grad f, grad lap f> - (1/m)<grad f, grad|grad f|^2> - n<grad lam, grad f>."""
     fr = _frame(s, p)
-    gf = np.stack([j.value for j in fr.grad_f(0)], axis=-1)
+    gf = fr.grad_values(s.f)
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
     dlap = fr.partials_of_jet(fr.laplacian(s.f, 1))
     dgn2 = fr.partials_of_jet(fr.grad_norm2(s.f, 1))
@@ -120,7 +106,7 @@ def gradient_norm_laplacian_residual(s: QemStructure, p):
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(s.f, 2))
     hess = fr.hess_f_values()
     hess2 = tensor2_norm2_g(g, ginv, hess)
-    gf = np.stack([j.value for j in fr.grad_f(0)], axis=-1)
+    gf = fr.grad_values(s.f)
     ric_ff = np.einsum("...ij,...i,...j->...", fr.ricci_values(), gf, gf)
     gn2 = fr.grad_norm2(s.f, 0).value
     lapf = fr.laplacian(s.f, 0).value
@@ -130,18 +116,23 @@ def gradient_norm_laplacian_residual(s: QemStructure, p):
     return np.abs(lhs - rhs)
 
 
-def curvature_gradient_residual(s: QemStructure, p, z_checks: int = 5, seed: int = 0):
+# seeded fixed vectors that the curvature-gradient residual is also contracted with
+_Z_CHECKS = 5
+_Z_SEED = 0
+
+
+def curvature_gradient_residual(s: QemStructure, p):
     """(1/2) grad R = ((m-1)/m) Ric(grad f) + (1/m)(R - (n-1)lam) grad f + (n-1) grad lam.
 
     Returns the g-norm of the vector residual, folded with the worst of
-    `z_checks` seeded contractions of the same identity against fixed vectors.
+    `_Z_CHECKS` seeded contractions of the same identity against fixed vectors.
     """
     fr = _frame(s, p)
     n = fr.n
     g = fr.metric_values()
     ginv = np.linalg.inv(g)
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
-    gf = np.stack([j.value for j in fr.grad_f(0)], axis=-1)
+    gf = fr.grad_values(s.f)
     ric = fr.ricci_values()
     ric_gf = np.einsum("...ik,...kl,...l->...i", ginv, ric, gf)
     dlam = fr.partials_of_jet(fr.lam_jet(1))
@@ -155,14 +146,10 @@ def curvature_gradient_residual(s: QemStructure, p, z_checks: int = 5, seed: int
     )
     lhs = 0.5 * np.einsum("...ij,...j->...i", ginv, dR)
     res = norm_g(g, lhs - rhs)
-    if z_checks:
-        rng = np.random.default_rng(seed)
-        zs = rng.normal(size=(z_checks, n))
-        lhs_flat = 0.5 * dR  # covariant form pairs directly with vectors
-        rhs_flat = np.einsum("...ij,...j->...i", g, rhs)
-        for z in zs:
-            rz = np.abs(np.einsum("...i,i->...", lhs_flat - rhs_flat, z))
-            res = np.maximum(res, rz)
+    # the covariant form pairs directly with vectors
+    w = 0.5 * dR - np.einsum("...ij,...j->...i", g, rhs)
+    for z in np.random.default_rng(_Z_SEED).normal(size=(_Z_CHECKS, n)):
+        res = np.maximum(res, np.abs(np.einsum("...i,i->...", w, z)))
     return res
 
 
@@ -178,7 +165,7 @@ def hamilton_gradient_residual(s: QemStructure, p):
         - 2.0 * (n - 1) * fr.lam_jet(1)
     )
     lhs = fr.grad_values_of_jet(combined)
-    gf = np.stack([j.value for j in fr.grad_f(0)], axis=-1)
+    gf = fr.grad_values(s.f)
     hess = fr.hess_f_values()
     conv = np.einsum("...ik,...kj,...j->...i", ginv, hess, gf)
     lam = fr.lam_jet(0).value
@@ -240,7 +227,7 @@ def curvature_laplacian_residual(s: QemStructure, p, fd_step: Optional[float] = 
     lapf = fr.laplacian(s.f, 0).value
     traceless = hess - (lapf / n)[..., None, None] * g
     traceless2 = tensor2_norm2_g(g, ginv, traceless)
-    gf = np.stack([j.value for j in fr.grad_f(0)], axis=-1)
+    gf = fr.grad_values(s.f)
     pair = lambda w: np.einsum("...i,...i->...", gf, w)
     dlam = fr.partials_of_jet(fr.lam_jet(1))
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
@@ -261,46 +248,36 @@ def curvature_laplacian_residual(s: QemStructure, p, fd_step: Optional[float] = 
 
 def _fd_laplacian_scalar_curvature(fr: StructureFrame, step: float):
     """lap R with coordinate second differences of R (step h), curvature terms from jets."""
-    n = fr.n
     p = fr.p
+    e = step * np.eye(fr.n)
 
     def r_at(q):
         return ChartFrame(fr.chart, q).scalar_curvature_value()
 
-    ginv = fr.metric_inv_values()
-    gam = fr.gamma(0)
+    def d2(i, j):
+        if i == j:
+            return (r_at(p + e[i]) - 2 * r0 + r_at(p - e[i])) / step**2
+        return (
+            r_at(p + e[i] + e[j])
+            - r_at(p + e[i] - e[j])
+            - r_at(p - e[i] + e[j])
+            + r_at(p - e[i] - e[j])
+        ) / (4 * step**2)
+
     r0 = r_at(p)
-    out = 0.0
-    d1 = []
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        d1.append((r_at(p + ei) - r_at(p - ei)) / (2 * step))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        for j in range(n):
-            ej = np.zeros(n)
-            ej[j] = step
-            if i == j:
-                dd = (r_at(p + ei) - 2 * r0 + r_at(p - ei)) / step**2
-            else:
-                dd = (
-                    r_at(p + ei + ej)
-                    - r_at(p + ei - ej)
-                    - r_at(p - ei + ej)
-                    + r_at(p - ei - ej)
-                ) / (4 * step**2)
-            term = dd
-            for k in range(n):
-                term = term - gam[k, i, j].value * d1[k]
-            out = out + ginv[..., i, j] * term
-    return out
+    d1 = [(r_at(p + e[i]) - r_at(p - e[i])) / (2 * step) for i in range(fr.n)]
+    return fr.laplacian_from_partials(d1, d2)
 
 
 # ---------------------------------------------------------------------------
 # conformality and vector-field identities
 # ---------------------------------------------------------------------------
+
+
+def _norm2_jet(g: np.ndarray, x: list):
+    """|X|^2 = g_ij X^i X^j as one jet, from metric and vector jets of equal order."""
+    n = len(x)
+    return _sum_jets([g[i, j] * x[i] * x[j] for i in range(n) for j in range(n)])
 
 
 def conformality_residual(chart: Chart, X: VectorField, p):
@@ -309,13 +286,7 @@ def conformality_residual(chart: Chart, X: VectorField, p):
     n = chart.dim
     g = fr.metric_values()
     ginv = np.linalg.inv(g)
-    lie = np.stack(
-        [
-            np.stack([fr.lie_metric(X, 0)[i, j].value for j in range(n)], axis=-1)
-            for i in range(n)
-        ],
-        axis=-2,
-    )
+    lie = _values(fr.lie_metric(X, 0))
     div = fr.div_vector(X, 0).value
     res = 0.5 * lie - (div / n)[..., None, None] * g
     return np.sqrt(np.maximum(tensor2_norm2_g(g, ginv, res), 0.0))
@@ -330,29 +301,13 @@ def lie_divergence_residual(chart: Chart, X: VectorField, p):
     """div(L_X g)(X) = (1/2) lap|X|^2 - |nabla X|^2 + Ric(X, X) + <X, grad div X>."""
     p = np.asarray(p, dtype=np.float64)
     fr = ChartFrame(chart, p)
-    n = chart.dim
     g = fr.metric_values()
     ginv = np.linalg.inv(g)
-    xv = np.stack([j.value for j in fr.vector_jets(X, 0)], axis=-1)
-
-    lie_f = lie_metric_field(chart, X)
-    div_lie = np.stack([j.value for j in fr.div_tensor2(lie_f, 0)], axis=-1)
+    xv = _values(fr.vector_jets(X, 0))
+    div_lie = _values(fr.div_tensor2(lie_metric_field(chart, X), 0))
     lhs = np.einsum("...i,...i->...", div_lie, xv)
-
-    gj = fr.metric(2)
-    xj = fr.vector_jets(X, 2)
-    norm2_jet = None
-    for i in range(n):
-        for j in range(n):
-            term = gj[i, j] * xj[i] * xj[j]
-            norm2_jet = term if norm2_jet is None else norm2_jet + term
-    lap_norm2 = fr.laplacian_of_jet(norm2_jet)
-
-    cov = fr.covariant_vector(X, 0)
-    covv = np.stack(
-        [np.stack([cov[i, j].value for j in range(n)], axis=-1) for i in range(n)],
-        axis=-2,
-    )
+    lap_norm2 = fr.laplacian_of_jet(_norm2_jet(fr.metric(2), fr.vector_jets(X, 2)))
+    covv = _values(fr.covariant_vector(X, 0))
     # |nabla X|^2 with the (1,1) valence: g_{ik} g^{jl} covv[i,j] covv[k,l]
     nabla_x2 = np.einsum("...ik,...jl,...ij,...kl->...", g, ginv, covv, covv)
     ric_xx = np.einsum("...ij,...i,...j->...", fr.ricci_values(), xv, xv)
@@ -371,43 +326,29 @@ def contracted_bianchi_residual(chart: Chart, p):
     """g-norm of grad R - 2 div Ric (covariant form)."""
     fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
-    div_ric = np.stack(
-        [j.value for j in fr.div_tensor2(ricci_field(chart), 0)], axis=-1
-    )
-    w = dR - 2.0 * div_ric
-    ginv = fr.metric_inv_values()
-    return np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", ginv, w, w), 0.0))
+    w = dR - 2.0 * _values(fr.div_tensor2(ricci_field(chart), 0))
+    return norm_g(fr.metric_inv_values(), w)
 
 
 def div_hessian_residual(chart: Chart, phi: ScalarField, p):
     """g-norm of div hess phi - Ric(grad phi) - grad lap phi (covariant form)."""
     fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
-    n = chart.dim
-    div_h = np.stack(
-        [j.value for j in fr.div_tensor2(hessian_field(chart, phi), 0)], axis=-1
-    )
-    gphi = np.stack([j.value for j in fr.grad(phi, 0)], axis=-1)
+    div_h = _values(fr.div_tensor2(hessian_field(chart, phi), 0))
+    gphi = fr.grad_values(phi)
     ric_flat = np.einsum("...ij,...j->...i", fr.ricci_values(), gphi)
     dlap = fr.partials_of_jet(fr.laplacian(phi, 1))
-    w = div_h - ric_flat - dlap
-    ginv = fr.metric_inv_values()
-    return np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", ginv, w, w), 0.0))
+    return norm_g(fr.metric_inv_values(), div_h - ric_flat - dlap)
 
 
 def div_outer_grad_residual(chart: Chart, phi: ScalarField, p):
     """g-norm of div(dphi (x) dphi) - lap phi dphi - hess phi(grad phi, .)."""
     fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
-    div_t = np.stack(
-        [j.value for j in fr.div_tensor2(outer_grad_field(chart, phi), 0)], axis=-1
-    )
+    div_t = _values(fr.div_tensor2(outer_grad_field(chart, phi), 0))
     lap = fr.laplacian(phi, 0).value
     dphi = fr.partials_of_jet(fr.field_jet(phi, 1))
-    gphi = np.stack([j.value for j in fr.grad(phi, 0)], axis=-1)
-    hess = fr.hessian_values(phi)
-    conv_flat = np.einsum("...jk,...k->...j", hess, gphi)
-    w = div_t - lap[..., None] * dphi - conv_flat
-    ginv = fr.metric_inv_values()
-    return np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", ginv, w, w), 0.0))
+    gphi = fr.grad_values(phi)
+    conv_flat = np.einsum("...jk,...k->...j", fr.hessian_values(phi), gphi)
+    return norm_g(fr.metric_inv_values(), div_t - lap[..., None] * dphi - conv_flat)
 
 
 def bochner_residual(chart: Chart, phi: ScalarField, p):
@@ -418,7 +359,7 @@ def bochner_residual(chart: Chart, phi: ScalarField, p):
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(phi, 2))
     hess = fr.hessian_values(phi)
     hess2 = tensor2_norm2_g(g, ginv, hess)
-    gphi = np.stack([j.value for j in fr.grad(phi, 0)], axis=-1)
+    gphi = fr.grad_values(phi)
     dlap = fr.partials_of_jet(fr.laplacian(phi, 1))
     ric_ff = np.einsum("...ij,...i,...j->...", fr.ricci_values(), gphi, gphi)
     rhs = hess2 + np.einsum("...i,...i->...", gphi, dlap) + ric_ff
@@ -434,17 +375,13 @@ def conformal_cubic_divergence_residual(chart: Chart, X: VectorField, p):
         f2 = ChartFrame(chart, q)
         gj = f2.metric(order)
         xj = f2.vector_jets(X, order)
-        norm2 = None
-        for i in range(n):
-            for j in range(n):
-                term = gj[i, j] * xj[i] * xj[j]
-                norm2 = term if norm2 is None else norm2 + term
+        norm2 = _norm2_jet(gj, xj)
         return [norm2 * x for x in xj]
 
     W = VectorField(n, w_jets, "|X|^2 X")
     lhs = fr.div_vector(W, 0).value
     g = fr.metric_values()
-    xv = np.stack([j.value for j in fr.vector_jets(X, 0)], axis=-1)
+    xv = _values(fr.vector_jets(X, 0))
     rhs = (n + 2) / n * dot_g(g, xv, xv) * fr.div_vector(X, 0).value
     return np.abs(lhs - rhs)
 
@@ -502,10 +439,7 @@ def einstein_hessian_profile(s: QemStructure, points) -> EinsteinHessianProfile:
     dlamu = fr.partials_of_jet(fr.field_jet(lam_u, 1))
     du = fr.partials_of_jet(fr.u_jet(1))
     w = dlamu - (rr * (s.m + n - 1) / (n * (n - 1)))[..., None] * du
-    ginv = np.linalg.inv(g)
-    gradlam_residual = float(
-        np.max(np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", ginv, w, w), 0.0)))
-    )
+    gradlam_residual = float(np.max(norm_g(np.linalg.inv(g), w)))
     return EinsteinHessianProfile(c, c_spread, hessian_residual, lap_residual, gradlam_residual)
 
 
@@ -529,7 +463,7 @@ def count_sample_critical_points(s: QemStructure, points, tol: float = 1e-8) -> 
     """Sample points where |grad u| < tol (reported, never asserted globally)."""
     fr = StructureFrame(s, np.asarray(points, dtype=np.float64))
     g = fr.metric_values()
-    du = np.stack([j.value for j in fr.grad(s.require_u(), 0)], axis=-1)
+    du = fr.grad_values(s.require_u())
     return int(np.sum(norm_g(g, du) < tol))
 
 
@@ -716,34 +650,6 @@ CATALOG: tuple[IdentityInfo, ...] = (
 )
 
 CATALOG_BY_ID = {info.identity_id: info for info in CATALOG}
-
-
-def evaluate_identity(
-    s: QemStructure, identity_id: str, p, tolerance: float
-) -> IdentityResult:
-    """One catalog identity at one point, packaged with its metadata."""
-    info = CATALOG_BY_ID[identity_id]
-    if info.kind != "pointwise":
-        raise ValueError(f"identity {identity_id!r} is sample-based, not pointwise")
-    if not applicable(info, s):
-        raise ValueError(f"identity {identity_id!r} does not apply to {s.label!r}")
-    p = np.asarray(p, dtype=np.float64)
-    residual = float(info.runner(s, p))
-    raw = None
-    if identity_id == "defining_equation":
-        raw = StructureFrame(s, p).defining_values()
-    elif identity_id == "traceless_defining":
-        raw = StructureFrame(s, p).traceless_values()
-    elif identity_id == "u_transform":
-        raw = u_transform_values(s, p)
-    return IdentityResult(
-        identity_id=identity_id,
-        point=p,
-        residual=residual,
-        raw=raw,
-        required_jet_order=max(info.orders.values()),
-        tolerance_used=tolerance,
-    )
 
 
 def applicable(info: IdentityInfo, s: QemStructure) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jets
 from .jets import Jet
-from .geometry import Chart, ScalarField, check_metric_spd
+from .geometry import Chart, ScalarField, _values, check_metric_spd
 from .qem import QemStructure, make_structure
 
 FAMILIES = ("euclidean", "sphere", "hyperbolic")
@@ -308,8 +308,11 @@ def trivial_structure(family: str, dim: int, m: float = math.inf) -> QemStructur
     return make_structure(chart, f, m, label=f"trivial {family} n={dim}")
 
 
-def _validate_structure(s: QemStructure, spec: ModelSpec, samples: int = 40) -> None:
-    pts = sample_points(s.chart, samples, seed=20240229)
+_VALIDATION_SAMPLES = 40
+
+
+def _validate_structure(s: QemStructure, spec: ModelSpec) -> None:
+    pts = sample_points(s.chart, _VALIDATION_SAMPLES, seed=20240229)
     check_metric_spd(s.chart, pts)
     u_vals = s.u(pts)
     if np.any(u_vals <= 0.0):
@@ -376,9 +379,7 @@ def polar_to_stereographic(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
     projects from the pole on the last ambient axis.
     """
     polar = make_chart(replace(spec, chart_kind="polar"))
-    amb = np.stack(
-        [j.value for j in polar.embedding_fn(jets.seed_point(theta, 0))], axis=-1
-    )
+    amb = _values(polar.embedding_fn(jets.seed_point(theta, 0)))
     r = spec.radius
     last = amb[..., -1]
     if np.any(np.abs(last - r) < 1e-8):

@@ -24,6 +24,7 @@ from .geometry import (
     ChartFrame,
     ScalarField,
     TensorValue,
+    _scalar_point,
     dot_g,
     tensor2_norm2_g,
 )
@@ -118,9 +119,7 @@ class StructureFrame(ChartFrame):
     def bakry_emery_values(self) -> np.ndarray:
         ric = self.ricci_values()
         hess = self.hess_f_values()
-        df = np.stack(
-            [self.f_jet(1).derive(i).value for i in range(self.n)], axis=-1
-        )
+        df = self.partials_of_jet(self.f_jet(1))
         return ric + hess - self.s.inv_m * df[..., :, None] * df[..., None, :]
 
     def defining_values(self) -> np.ndarray:
@@ -132,7 +131,7 @@ class StructureFrame(ChartFrame):
         g = self.metric_values()
         hess = self.hess_f_values()
         lap = self.laplacian(self.s.f, 0).value
-        df = np.stack([self.f_jet(1).derive(i).value for i in range(n)], axis=-1)
+        df = self.partials_of_jet(self.f_jet(1))
         gn2 = self.grad_norm2(self.s.f, 0).value
         ric = self.ricci_values()
         rr = self.scalar_curvature_value()
@@ -149,16 +148,9 @@ class StructureFrame(ChartFrame):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_point(s: QemStructure, p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (s.chart.dim,):
-        raise ValueError(f"expected a single point of shape ({s.chart.dim},)")
-    return p
-
-
 def bakry_emery_ricci(s: QemStructure, p) -> TensorValue:
     """Ric + hess f - (1/m) df (x) df as a symmetric (0,2) value."""
-    p = _scalar_point(s, p)
+    p = _scalar_point(s.chart, p)
     return TensorValue(StructureFrame(s, p).bakry_emery_values(), 0, 2, p)
 
 
@@ -169,12 +161,12 @@ def solve_lambda(chart: Chart, f: ScalarField, m: float, p) -> float:
 
 def defining_residual(s: QemStructure, p) -> TensorValue:
     """Ric_f - lambda g at p; identically zero for an exact structure."""
-    p = _scalar_point(s, p)
+    p = _scalar_point(s.chart, p)
     return TensorValue(StructureFrame(s, p).defining_values(), 0, 2, p)
 
 
 def traceless_residual(s: QemStructure, p) -> TensorValue:
-    p = _scalar_point(s, p)
+    p = _scalar_point(s.chart, p)
     return TensorValue(StructureFrame(s, p).traceless_values(), 0, 2, p)
 
 
@@ -219,11 +211,8 @@ def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
 
 def u_transform_residual(s: QemStructure, p) -> TensorValue:
     """hess f - (1/m) df (x) df + (m/u) hess u; vanishes for any smooth f."""
-    if not s.m_finite:
-        raise jets.OrderCapabilityError("the u-transform requires finite m")
-    p = _scalar_point(s, p)
-    comp = u_transform_values(s, p)
-    return TensorValue(comp, 0, 2, p)
+    p = _scalar_point(s.chart, p)
+    return TensorValue(u_transform_values(s, p), 0, 2, p)
 
 
 def u_transform_values(s: QemStructure, p) -> np.ndarray:
@@ -232,9 +221,7 @@ def u_transform_values(s: QemStructure, p) -> np.ndarray:
     frame = StructureFrame(s, p)
     hess_f = frame.hess_f_values()
     hess_u = frame.hessian_values(s.require_u())
-    df = np.stack(
-        [frame.f_jet(1).derive(i).value for i in range(frame.n)], axis=-1
-    )
+    df = frame.partials_of_jet(frame.f_jet(1))
     u_val = frame.u_jet(0).value
     return (
         hess_f
@@ -247,7 +234,7 @@ def radial_identity_values(s: QemStructure, p) -> np.ndarray:
     """Defining equation contracted twice with grad f."""
     frame = StructureFrame(s, p)
     g = frame.metric_values()
-    gf = np.stack([j.value for j in frame.grad_f(0)], axis=-1)
+    gf = frame.grad_values(s.f)
     ric = frame.ricci_values()
     gn2 = dot_g(g, gf, gf)
     hess = frame.hess_f_values()
@@ -259,7 +246,7 @@ def radial_identity_values(s: QemStructure, p) -> np.ndarray:
 
 
 def radial_identity_residual(s: QemStructure, p) -> float:
-    p = _scalar_point(s, p)
+    p = _scalar_point(s.chart, p)
     return float(radial_identity_values(s, p))
 
 

@@ -137,6 +137,7 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
         "gf_dot_gR", "gf_dot_glam", "gn2f_lapf",
         "traceless2_u", "lapu", "lapu2", "ric_uu", "gn2u_lapu",
     )
+    fields = [("f", s.f)] + ([("u", s.require_u())] if s.m_finite else [])
     acc = {k: [] for k in names}
     for lo in range(0, grid.nodes.shape[0], _CHUNK):
         chunk = grid.nodes[lo : lo + _CHUNK]
@@ -144,39 +145,23 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
         g = fr.metric_values()
         ginv = np.linalg.inv(g)
         ric = fr.ricci_values()
-
-        hess_f = fr.hess_f_values()
-        lapf = fr.laplacian(s.f, 0).value
-        traceless_f = hess_f - (lapf / n)[..., None, None] * g
-        gf = np.stack([j.value for j in fr.grad_f(0)], axis=-1)
-        gn2f = fr.grad_norm2(s.f, 0).value
-        dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
-        dlam = fr.partials_of_jet(fr.lam_jet(1))
-
-        acc["traceless2_f"].append(tensor2_norm2_g(g, ginv, traceless_f))
-        acc["hess2_f"].append(tensor2_norm2_g(g, ginv, hess_f))
-        acc["lapf"].append(lapf)
-        acc["lapf2"].append(lapf**2)
-        acc["ric_ff"].append(np.einsum("...ij,...i,...j->...", ric, gf, gf))
-        acc["gf_dot_gR"].append(np.einsum("...i,...i->...", gf, dR))
-        acc["gf_dot_glam"].append(np.einsum("...i,...i->...", gf, dlam))
-        acc["gn2f_lapf"].append(gn2f * lapf)
-
-        if s.m_finite:
-            u = s.require_u()
-            hess_u = fr.hessian_values(u)
-            lapu = fr.laplacian(u, 0).value
-            traceless_u = hess_u - (lapu / n)[..., None, None] * g
-            gu = np.stack([j.value for j in fr.grad(u, 0)], axis=-1)
-            acc["traceless2_u"].append(tensor2_norm2_g(g, ginv, traceless_u))
-            acc["lapu"].append(lapu)
-            acc["lapu2"].append(lapu**2)
-            acc["ric_uu"].append(np.einsum("...ij,...i,...j->...", ric, gu, gu))
-            acc["gn2u_lapu"].append(fr.grad_norm2(u, 0).value * lapu)
-    out = {}
-    for k, parts in acc.items():
-        out[k] = np.concatenate(parts) if parts else None
-    return out
+        for x, phi in fields:
+            hess = fr.hessian_values(phi)
+            lap = fr.laplacian(phi, 0).value
+            grad = fr.grad_values(phi)
+            traceless = hess - (lap / n)[..., None, None] * g
+            acc[f"traceless2_{x}"].append(tensor2_norm2_g(g, ginv, traceless))
+            acc[f"lap{x}"].append(lap)
+            acc[f"lap{x}2"].append(lap**2)
+            acc[f"ric_{x}{x}"].append(np.einsum("...ij,...i,...j->...", ric, grad, grad))
+            acc[f"gn2{x}_lap{x}"].append(fr.grad_norm2(phi, 0).value * lap)
+            if x == "f":
+                dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
+                dlam = fr.partials_of_jet(fr.lam_jet(1))
+                acc["hess2_f"].append(tensor2_norm2_g(g, ginv, hess))
+                acc["gf_dot_gR"].append(np.einsum("...i,...i->...", grad, dR))
+                acc["gf_dot_glam"].append(np.einsum("...i,...i->...", grad, dlam))
+    return {k: np.concatenate(parts) if parts else None for k, parts in acc.items()}
 
 
 def _integrals(grid: QuadratureGrid, s: QemStructure) -> dict:

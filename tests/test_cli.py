@@ -86,6 +86,18 @@ def test_integrate_small_grid(tmp_path):
     assert "stokes_sanity" in ids and "bochner_integral_balance" in ids
 
 
+def test_integrate_runs_only_on_the_polar_chart(tmp_path, capsys):
+    text = "family = sphere\nn = 2\ntau = 1.0\nm = 2\ngrid = 16,32\n"
+    out = tmp_path / "never.json"
+    cfg = write_config(tmp_path, text + "chart = stereographic\n")
+    assert main(["integrate", "--config", cfg, "--json", str(out)]) == 2
+    assert not out.exists()
+    assert "'chart' is 'stereographic'" in capsys.readouterr().err
+    cfg = write_config(tmp_path, text + "chart = polar\n", name="polar.txt")
+    assert main(["integrate", "--config", cfg, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["chart"] == "polar"
+
+
 def test_integrate_grid_mismatch(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "family = sphere\nn = 3\ntau = 1.0\nm = 2\ngrid = 16,32\n"
@@ -227,3 +239,13 @@ def test_nonfinite_tau_in_scan_list_exit_two(tmp_path, capsys):
     )
     assert main(["scan", "--config", cfg]) == 2
     assert "'tau' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+def test_tol_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
+    cfg = write_config(tmp_path, SPHERE_CFG + "grid = 4,8\n")
+    out = tmp_path / "never.out"
+    for command, flag in (("verify", "--json"), ("integrate", "--json"), ("scan", "--csv")):
+        assert main([command, "--config", cfg, flag, str(out), "--tol-scale", scale]) == 2
+        assert not out.exists()
+        assert "--tol-scale" in capsys.readouterr().err

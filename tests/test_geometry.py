@@ -279,6 +279,63 @@ def test_order_capability_error(sphere_stereo):
         frame.riemann(3)  # needs metric jets of order 5
 
 
+def test_reflected_operator_labels():
+    x = ScalarField.from_coords(2, lambda x, y: x, "x")
+    assert (x - 1.0).label == "(x-1.0)" and (1.0 - x).label == "(1.0-x)"
+    assert (x / 2.0).label == "(x/2.0)" and (2.0 / x).label == "(2.0/x)"
+    with pytest.raises(jets.OrderCapabilityError, match=r"'\(2\.0/x\)'"):
+        (2.0 / x).jet(np.ones(2), 5)
+
+
+# g = e^{2 phi} delta on R^2 with phi = A x^2 + B y: R = -2 e^{-2 phi} lap_0 phi = -4A e^{-2 phi},
+# so R, grad R and lap R are non-constant closed forms.
+A, B = 0.3, 0.5
+
+
+@pytest.fixture(scope="module")
+def conformal2():
+    def metric_fn(coords):
+        x, y = coords
+        e2phi = jets.exp((A * x * x + B * y) * 2.0)
+        zero = jets.Jet.constant(np.zeros(x.batch_shape), 2, x.order)
+        return np.array([[e2phi, zero], [zero, e2phi]], dtype=object)
+
+    return geo.Chart(2, metric_fn, lambda p: np.full(p.shape[:-1], True),
+                     "conformal plane", sample_lo=np.full(2, -1.0), sample_hi=np.full(2, 1.0))
+
+
+def test_nonconstant_curvature_gradient(conformal2):
+    pts = sample_points(conformal2, 20, seed=14)
+    x, y = pts[:, 0], pts[:, 1]
+    em2phi = np.exp(-2.0 * (A * x * x + B * y))
+    frame = geo.ChartFrame(conformal2, pts)
+    rjet = frame.scalar_curvature_jet(1)
+    assert np.allclose(rjet.value, -4.0 * A * em2phi, rtol=1e-12, atol=0.0)
+    dR = frame.partials_of_jet(rjet)
+    expected = np.stack([16.0 * A * A * x * em2phi, 8.0 * A * B * em2phi], axis=-1)
+    assert np.allclose(dR, expected, rtol=1e-10, atol=0.0)
+    assert np.min(np.abs(expected[:, 1])) > 0.2
+
+
+def test_nonconstant_curvature_laplacian(conformal2):
+    pts = sample_points(conformal2, 20, seed=15)
+    x, y = pts[:, 0], pts[:, 1]
+    em4phi = np.exp(-4.0 * (A * x * x + B * y))
+    frame = geo.ChartFrame(conformal2, pts)
+    lap_R = frame.laplacian_of_jet(frame.scalar_curvature_jet(2))
+    expected = -4.0 * A * em4phi * (16.0 * A * A * x * x + 4.0 * B * B - 4.0 * A)
+    assert np.allclose(lap_R, expected, rtol=1e-9, atol=0.0)
+
+
+def test_contracted_bianchi_where_grad_r_is_order_one(conformal2):
+    pts = sample_points(conformal2, 20, seed=16)
+    frame = geo.ChartFrame(conformal2, pts)
+    grad_R = frame.grad_values_of_jet(frame.scalar_curvature_jet(1))
+    grad_R_norm = geo.norm_g(frame.metric_values(), grad_R)
+    assert np.min(grad_R_norm) > 0.1 and np.max(grad_R_norm) > 1.0
+    assert np.max(idt.contracted_bianchi_residual(conformal2, pts)) < 1e-10
+
+
 def test_degenerate_metric_error():
     def metric_fn(coords):
         x, y = coords

@@ -250,23 +250,6 @@ def test_curvature_gradient_contracted_rearrangement(sphere22):
     assert np.max(np.abs(lhs - rhs)) < 1e-7
 
 
-def test_evaluate_identity_result_object(sphere22):
-    p = sample_points(sphere22.chart, 1, seed=17)[0]
-    result = idt.evaluate_identity(sphere22, "defining_equation", p, 1e-8)
-    assert result.passed
-    assert result.required_jet_order == 2
-    assert result.raw.shape == (2, 2)
-    heavy = idt.evaluate_identity(sphere22, "curvature_laplacian", p, 1e-6)
-    assert heavy.required_jet_order == 4 and heavy.passed
-    with pytest.raises(ValueError, match="sample-based"):
-        idt.evaluate_identity(
-            example_structure(ModelSpec("sphere", 3, tau=1.0, m=2.0)),
-            "einstein_hessian", np.zeros(3), 1e-8,
-        )
-    with pytest.raises(ValueError, match="does not apply"):
-        idt.evaluate_identity(gaussian_soliton(2), "u_transform", np.zeros(2), 1e-8)
-
-
 def test_catalog_is_complete_and_anchored():
     ids = [info.identity_id for info in idt.CATALOG]
     assert len(ids) == len(set(ids))
