@@ -7,8 +7,11 @@ Commands:
     catalog    machine-readable listing of every identity verifier
 
 Configs are flat key-value files (``key = value``, ``#`` comments). Unknown
-keys are hard errors. Exit codes: 0 all checks passed, 1 a tolerance failed,
-2 configuration or usage error (no partial reports are written on exit 2).
+keys, and keys the command does not read (`COMMAND_KEYS`), are hard errors.
+Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
+usage error, 3 numerical failure: a non-finite residual (written as null, its
+row marked ``"status": "nan"``) or an arithmetic error, which writes no report.
+No partial reports are written on exit 2.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Optional
 
 from . import __version__
 from .identities import CATALOG, run_pointwise_suite
+from .jets import OrderCapabilityError
 from .models import (
     CHART_KINDS,
     ModelSpec,
@@ -49,6 +53,15 @@ CONFIG_KEYS = {
     "tol.order3": "tolerance for third-order identities (default 1e-7)",
     "tol.order4": "tolerance for fourth-order identities (default 1e-6)",
     "tol.integral": "tolerance for integral identities (default 1e-6)",
+}
+
+_COMMON_KEYS = {"family", "n", "r", "chart", "tau", "m", "v_axis", "seed"}
+_POINTWISE_KEYS = _COMMON_KEYS | {"suite", "points", "tol.order2", "tol.order3", "tol.order4"}
+# the config keys each command reads; `seed` is echoed in the integrate report
+COMMAND_KEYS = {
+    "verify": _POINTWISE_KEYS,
+    "scan": _POINTWISE_KEYS,
+    "integrate": _COMMON_KEYS | {"grid", "tol.integral"},
 }
 
 HYPERBOLIC_NOTE = (
@@ -215,12 +228,32 @@ def _report_skeleton(cfg: RunConfig, seed: int) -> dict:
 
 
 def _emit_json(report: dict, path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False,
+                      allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _finish_report(report: dict, rows: list, json_path: Optional[str], start: float) -> int:
+    """Write the report: exit 3 if a row held a non-finite number, else 0 or 1.
+
+    A non-finite number is written as null and its row gets ``"status": "nan"``.
+    """
+    nonfinite = False
+    for row in rows:
+        bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+        for k in bad:
+            row[k] = None
+        if bad:
+            row["status"] = "nan"
+            nonfinite = True
+    report["overall_pass"] = all(r["pass"] for r in rows)
+    report["wall_time_s"] = time.perf_counter() - start
+    _emit_json(report, json_path)
+    return 3 if nonfinite else 0 if report["overall_pass"] else 1
 
 
 def cmd_verify(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale: float) -> int:
@@ -246,10 +279,7 @@ def cmd_verify(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale: f
         for e in sorted(entries, key=lambda e: e.identity_id)
     ]
     report["integrals"] = []
-    report["overall_pass"] = all(e.passed for e in entries)
-    report["wall_time_s"] = time.perf_counter() - start
-    _emit_json(report, json_path)
-    return 0 if report["overall_pass"] else 1
+    return _finish_report(report, report["pointwise"], json_path, start)
 
 
 def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale: float) -> int:
@@ -276,10 +306,7 @@ def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale
     report = _report_skeleton(cfg, seed)
     report["pointwise"] = []
     report["integrals"] = sorted(rows, key=lambda r: r["id"])
-    report["overall_pass"] = all(r["pass"] for r in rows)
-    report["wall_time_s"] = time.perf_counter() - start
-    _emit_json(report, json_path)
-    return 0 if report["overall_pass"] else 1
+    return _finish_report(report, report["integrals"], json_path, start)
 
 
 def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tol_scale: float) -> int:
@@ -292,7 +319,7 @@ def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tol_scale: floa
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "m", "tau", "identity", "max_residual", "pass"])
-    all_pass = True
+    all_pass, all_finite = True, True
     for n, m, tau in combos:
         s = _build_structure(cfg, n, tau, m)
         points = sample_points(s.chart, cfg.points, seed)
@@ -302,13 +329,14 @@ def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tol_scale: floa
                  f"{e.max_residual:.6e}", str(e.passed).lower()]
             )
             all_pass = all_pass and e.passed
+            all_finite = all_finite and math.isfinite(e.max_residual)
     text = buf.getvalue()
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if all_pass else 1
+    return 3 if not all_finite else 0 if all_pass else 1
 
 
 def cmd_catalog() -> int:
@@ -359,6 +387,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 f"--tol-scale must be a positive finite number, got {args.tol_scale}"
             )
         cfg = load_config(args.config)
+        unread = sorted(set(cfg.raw) - COMMAND_KEYS[args.command])
+        if unread:
+            raise ConfigError(f"config key '{unread[0]}' is not read by '{args.command}'")
         seed = cfg.seed if args.seed is None else args.seed
         if args.command == "verify":
             return cmd_verify(cfg, args.json, seed, args.tol_scale)
@@ -368,6 +399,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, OrderCapabilityError) as exc:
+        print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

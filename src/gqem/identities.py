@@ -47,35 +47,6 @@ def _frame(s: QemStructure, p) -> StructureFrame:
 
 
 # ---------------------------------------------------------------------------
-# defining-equation family (thin wrappers; the work lives in qem)
-# ---------------------------------------------------------------------------
-
-
-def defining_residual_sup(s: QemStructure, p):
-    return np.max(np.abs(_frame(s, p).defining_values()), axis=(-2, -1))
-
-
-def traceless_residual_sup(s: QemStructure, p):
-    return np.max(np.abs(_frame(s, p).traceless_values()), axis=(-2, -1))
-
-
-def radial_residual(s: QemStructure, p):
-    return np.abs(radial_identity_values(s, p))
-
-
-def u_transform_residual_sup(s: QemStructure, p):
-    return np.max(np.abs(u_transform_values(s, p)), axis=(-2, -1))
-
-
-def u_laplacian_residual(s: QemStructure, p):
-    return np.abs(u_laplacian_values(s, p))
-
-
-def trace_divergence_residual(s: QemStructure, p):
-    return np.abs(trace_divergence_values(s, p))
-
-
-# ---------------------------------------------------------------------------
 # derivative-of-trace identity
 # ---------------------------------------------------------------------------
 
@@ -489,6 +460,16 @@ def _with_potential(fn):
     return lambda s, p: fn(s.chart, s.f, p)
 
 
+def _magnitude(residual_fn):
+    """Runner from a signed pointwise residual: |value|, or the largest |component| of a tensor."""
+
+    def runner(s, p):
+        p = np.asarray(p, dtype=np.float64)
+        return np.max(np.abs(residual_fn(s, p)).reshape(p.shape[:-1] + (-1,)), axis=-1)
+
+    return runner
+
+
 CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "defining_equation",
@@ -496,7 +477,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 2, "f": 2, "lambda": 0},
         2,
         "pointwise",
-        runner=defining_residual_sup,
+        runner=_magnitude(lambda s, p: _frame(s, p).defining_values()),
     ),
     IdentityInfo(
         "traceless_defining",
@@ -504,7 +485,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 2, "f": 2, "lambda": 0},
         2,
         "pointwise",
-        runner=traceless_residual_sup,
+        runner=_magnitude(lambda s, p: _frame(s, p).traceless_values()),
     ),
     IdentityInfo(
         "radial_identity",
@@ -512,7 +493,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 2, "f": 2, "lambda": 0},
         3,
         "pointwise",
-        runner=radial_residual,
+        runner=_magnitude(radial_identity_values),
     ),
     IdentityInfo(
         "trace_gradient",
@@ -529,7 +510,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         3,
         "pointwise",
         needs_finite_m=True,
-        runner=u_transform_residual_sup,
+        runner=_magnitude(u_transform_values),
     ),
     IdentityInfo(
         "u_laplacian",
@@ -538,7 +519,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         2,
         "pointwise",
         needs_finite_m=True,
-        runner=u_laplacian_residual,
+        runner=_magnitude(u_laplacian_values),
     ),
     IdentityInfo(
         "trace_divergence",
@@ -547,7 +528,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         3,
         "pointwise",
         needs_finite_m=True,
-        runner=trace_divergence_residual,
+        runner=_magnitude(trace_divergence_values),
     ),
     IdentityInfo(
         "gradient_norm_laplacian",

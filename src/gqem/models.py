@@ -264,27 +264,21 @@ def example_structure(spec: ModelSpec, validate: bool = True) -> QemStructure:
     if spec.family == "sphere":
         h = height_field(spec, chart)
         u = tau - h * (1.0 / n)
-        lam = None
-        provenance = "trace_solved"
-        if spec.radius == 1.0:
-            lam = (n - 1.0) - m * (tau - u) / u
-            provenance = "closed_form"
+        lam = (n - 1.0) - m * (tau - u) / u if spec.radius == 1.0 else None
     elif spec.family == "euclidean":
         u = ScalarField.from_coords(n, lambda *c: tau + _norm2(c), "tau+|x|^2")
         lam = -2.0 * m / u
-        provenance = "closed_form"
     else:
         h = height_field(spec, chart)
         u = tau + h
         lam = -(n - 1.0) - m * (u - tau) / u
-        provenance = "closed_form"
 
     u.label = "u"
     f = ScalarField(n, lambda p, order: -m * jets.log(u.jet(p, order)), "f")
     if lam is not None:
         lam.label = "lambda"
     s = make_structure(
-        chart, f, m, lam=lam, u=u, provenance=provenance,
+        chart, f, m, lam=lam, u=u,
         label=f"{spec.family} n={n} tau={tau:g} m={m:g} r={spec.radius:g} {spec.chart_kind}",
     )
     if validate:

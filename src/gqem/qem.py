@@ -77,15 +77,14 @@ def make_structure(
     m: float,
     lam: Optional[ScalarField] = None,
     u: Optional[ScalarField] = None,
-    provenance: Optional[str] = None,
     label: str = "",
 ) -> QemStructure:
+    """A structure with `lam` given in closed form, or trace-solved when it is None."""
     if not m > 0:
         raise ValueError(f"m must be positive (inf allowed), got {m}")
+    provenance = "closed_form" if lam is not None else "trace_solved"
     if lam is None:
         lam = trace_lambda_field(chart, f, m)
-        provenance = provenance or "trace_solved"
-    provenance = provenance or "closed_form"
     if u is None and not math.isinf(m):
         inv_m = 1.0 / m
         u = ScalarField(

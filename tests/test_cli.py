@@ -249,3 +249,59 @@ def test_tol_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
         assert main([command, "--config", cfg, flag, str(out), "--tol-scale", scale]) == 2
         assert not out.exists()
         assert "--tol-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, line",
+    [
+        ("verify", "--json", "grid = 16,32"),
+        ("scan", "--csv", "tol.integral = 1e-6"),
+        ("integrate", "--json", "suite = bochner"),
+    ],
+)
+def test_command_rejects_keys_it_does_not_read(tmp_path, capsys, command, flag, line):
+    base = "family = sphere\nn = 2\ntau = 1.0\nm = 2\n"
+    base += "grid = 16,32\nseed = 3\n" if command == "integrate" else "points = 4\n"
+    out = tmp_path / "never.out"
+    assert main([command, "--config", write_config(tmp_path, base), flag, str(out)]) == 0
+    cfg = write_config(tmp_path, base + line + "\n", name="extra.txt")
+    out.unlink()
+    assert main([command, "--config", cfg, flag, str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    key = line.split("=")[0].strip()
+    assert f"'{key}'" in err and f"'{command}'" in err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_residuals_exit_three_with_null_rows(tmp_path):
+    # 1/m overflows to inf for a subnormal m, so most residuals are NaN or inf
+    cfg = write_config(tmp_path, "family = hyperbolic\nn = 2\ntau = 0.5\nm = 1e-320\npoints = 5\n")
+    out = tmp_path / "nan.json"
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 3
+    rows = _strict_json(out.read_text())["pointwise"]
+    marked = [r for r in rows if "status" in r]
+    assert marked and len(marked) < len(rows)
+    for r in rows:
+        values = (r["max_residual"], r["mean_residual"])
+        if "status" in r:
+            assert r["status"] == "nan" and None in values and r["pass"] is False
+        else:
+            assert all(math.isfinite(v) for v in values)
+    assert main(["scan", "--config", cfg, "--csv", str(tmp_path / "nan.csv")]) == 3
+
+
+def test_overflow_exits_three_without_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, "family = sphere\nn = 2\nr = 1e100\ntau = 1e100\nm = 2\n")
+    out = tmp_path / "never.json"
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "numerical failure (OverflowError)" in err

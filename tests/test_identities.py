@@ -259,3 +259,37 @@ def test_catalog_is_complete_and_anchored():
         assert info.order_class in (2, 3, 4)
     heavy = idt.CATALOG_BY_ID["curvature_laplacian"]
     assert heavy.orders == {"g": 4, "f": 3, "lambda": 2}
+
+
+def test_magnitude_rows_reduce_the_signed_residuals():
+    # cubic control: f = sum a_i x_i^3 on flat R^3 with trace-solved lambda, so
+    # every signed residual below is nonzero and its reduction is visible
+    from gqem import qem
+
+    chart = make_chart(ModelSpec("euclidean", 3, tau=1.0, m=2.0))
+    coef = (0.4, -0.5, 0.3)
+    f = ScalarField.from_coords(
+        3, lambda x, y, z: x * x * x * coef[0] + y * y * y * coef[1] + z * z * z * coef[2], "cubic"
+    )
+    s = make_structure(chart, f, m=2.0)
+    largest = lambda tv: float(np.max(np.abs(tv.components)))
+    oracles = {
+        "defining_equation": lambda p: largest(qem.defining_residual(s, p)),
+        "traceless_defining": lambda p: largest(qem.traceless_residual(s, p)),
+        "u_transform": lambda p: largest(qem.u_transform_residual(s, p)),
+        "radial_identity": lambda p: abs(qem.radial_identity_residual(s, p)),
+        "u_laplacian": lambda p: abs(float(qem.u_laplacian_values(s, p))),
+        "trace_divergence": lambda p: abs(float(qem.trace_divergence_values(s, p))),
+    }
+    pts = sample_points(chart, 4, seed=21)
+    for ident, oracle in oracles.items():
+        runner = idt.CATALOG_BY_ID[ident].runner
+        batch = runner(s, pts)
+        assert batch.shape == (4,)
+        for k, p in enumerate(pts):
+            want = oracle(p)
+            assert float(runner(s, p)) == want, ident
+            assert batch[k] == pytest.approx(want, rel=1e-12, abs=1e-15), ident
+    # the residuals the test relies on are really there
+    assert oracles["defining_equation"](pts[0]) > 1e-3
+    assert oracles["radial_identity"](pts[0]) > 1e-3

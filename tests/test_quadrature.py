@@ -190,3 +190,20 @@ def test_integrate_is_deterministic(s2_structure, s2_grid):
     v1 = quad.integrate(s2_grid, h * h)
     v2 = quad.integrate(s2_grid, h * h)
     assert v1 == v2
+
+
+def test_suite_rows_normalize_every_gap_but_stokes():
+    # a potential that is not a structure, on a coarse grid, so every gap and
+    # the Stokes integral are visibly nonzero
+    spec = ModelSpec("sphere", 2, tau=1.5, m=2.0, chart_kind="polar")
+    chart = make_chart(spec)
+    h0, h1 = height_field(spec, chart, 0), height_field(spec, chart, 1)
+    s = make_structure(chart, h0 * h0 * h0 + h1 * 0.3, m=2.0)
+    rows = quad.run_integral_suite(quad.make_sphere_grid(chart, (3, 5)), s, 1e-6)
+    assert [r["id"] for r in rows][-1] == "stokes_sanity" and len(rows) == 6
+    for r in rows[:-1]:
+        assert r["relative_gap"] == abs(r["lhs"] - r["rhs"]) / (1.0 + abs(r["lhs"])), r["id"]
+    stokes = rows[-1]
+    assert stokes["rhs"] == 0.0 and stokes["relative_gap"] == abs(stokes["lhs"])
+    assert abs(stokes["lhs"]) > 1e-6  # so |lhs| and |lhs|/(1 + |lhs|) differ
+    assert max(r["relative_gap"] for r in rows[:-1]) > 1e-3
