@@ -75,6 +75,13 @@ class ConfigError(Exception):
     pass
 
 
+# Largest dimension and sample size a config may ask for. n = 6 is the largest
+# dimension measured (100 points take about 5 s); the pointwise suite holds
+# every sample point in one batch, about 0.4 MB per point at n = 6.
+MAX_N = 6
+MAX_POINTS = 1000
+
+
 @dataclass
 class RunConfig:
     family: str
@@ -160,14 +167,18 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"'{key}' must be finite, got {raw[key]!r}")
     if any(math.isnan(v) for v in cfg.m_list):
         raise ConfigError(f"'m' must be a positive number or 'inf', got {raw['m']!r}")
+    if any(0 < v < math.inf and not math.isfinite(1.0 / v) for v in cfg.m_list):
+        raise ConfigError(f"'m' is too small: 1/m overflows, got {raw['m']!r}")
+    if any(n > MAX_N for n in cfg.n_list):
+        raise ConfigError(f"'n' must be at most {MAX_N}, got {raw['n']!r}")
     if "chart" in raw:
         cfg.chart = raw["chart"]
     if "v_axis" in raw:
         cfg.v_axis = parse_int(raw["v_axis"])
     if "points" in raw:
         cfg.points = parse_int(raw["points"])
-        if cfg.points < 1:
-            raise ConfigError("'points' must be >= 1")
+        if not 1 <= cfg.points <= MAX_POINTS:
+            raise ConfigError(f"'points' must be in 1..{MAX_POINTS}, got {cfg.points}")
     if "seed" in raw:
         cfg.seed = parse_int(raw["seed"])
     if "grid" in raw:

@@ -5,11 +5,15 @@ A `Jet` carries the exact partial derivatives of a smooth scalar at a point:
 ``alphas[k]`` (the derivative itself, not divided by the factorial).
 Coefficients may carry leading batch axes, so one jet can represent the
 derivatives of a field at many points at once; every operation is
-elementwise over the batch.
+elementwise over the batch. From `_BIG_BATCH` nodes on, coefficients are
+stored coefficient-major: ``coeffs`` keeps its ``(..., size)`` shape but is a
+transposed view of a C-contiguous ``(size, ...)`` array, so each coefficient
+is one contiguous row over the batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Sequence
@@ -19,8 +23,9 @@ import numpy as np
 MAX_ORDER = 4
 
 # Broadcast batch size from which `Jet.__mul__` switches from the gather /
-# `np.add.reduceat` product to the coefficient-major one. Measured crossover:
-# 256..512 for every (dim, order) from (2, 2) to (5, 4).
+# `np.add.reduceat` product to the coefficient-major one, and from which
+# `Jet.constant` and products store coefficients coefficient-major. Measured
+# crossover: 256..512 for every (dim, order) from (2, 2) to (5, 4).
 _BIG_BATCH = 512
 
 
@@ -75,11 +80,8 @@ def jet_table(dim: int, order: int) -> "_Table":
     mul_ff = np.array([t[3] for t in triples], dtype=np.float64)
     # every output index occurs (alpha = gamma, beta = 0), so reduceat segments cover 0..size-1
     mul_starts = np.searchsorted(out_idx, np.arange(size))
-    # the same triples grouped by output coefficient, for the coefficient-major product
-    mul_rows = tuple([] for _ in range(size))
-    for k, ia, ib, factor in triples:
-        mul_rows[k].append((ia, ib, factor))
-    mul_rows = tuple(tuple(row) for row in mul_rows)
+    # the same triples as Python tuples, still sorted by output index, for the coefficient-major product
+    mul_triples = tuple(triples)
 
     derive_src = None
     if order >= 1:
@@ -93,15 +95,15 @@ def jet_table(dim: int, order: int) -> "_Table":
             for ax in range(dim)
         )
     return _Table(dim, order, tuple(alphas), index, size, grade_sizes,
-                  mul_ii, mul_jj, mul_ff, mul_starts, mul_rows, derive_src)
+                  mul_ii, mul_jj, mul_ff, mul_starts, mul_triples, derive_src)
 
 
 class _Table:
     __slots__ = ("dim", "order", "alphas", "index", "size", "grade_sizes",
-                 "mul_ii", "mul_jj", "mul_ff", "mul_starts", "mul_rows", "derive_src")
+                 "mul_ii", "mul_jj", "mul_ff", "mul_starts", "mul_triples", "derive_src")
 
     def __init__(self, dim, order, alphas, index, size, grade_sizes,
-                 mul_ii, mul_jj, mul_ff, mul_starts, mul_rows, derive_src):
+                 mul_ii, mul_jj, mul_ff, mul_starts, mul_triples, derive_src):
         self.dim = dim
         self.order = order
         self.alphas = alphas
@@ -112,7 +114,7 @@ class _Table:
         self.mul_jj = mul_jj
         self.mul_ff = mul_ff
         self.mul_starts = mul_starts
-        self.mul_rows = mul_rows
+        self.mul_triples = mul_triples
         self.derive_src = derive_src
 
 
@@ -120,9 +122,11 @@ class Jet:
     """Truncated Taylor expansion of a scalar in `dim` variables.
 
     coeffs has shape ``(..., table_size)``; leading axes are batch axes.
+    The coefficients must not be written once the jet has taken part in a
+    large-batch product, which caches per-coefficient flags of them.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "coeffs", "_flags")
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         table = jet_table(dim, order)
@@ -141,8 +145,12 @@ class Jet:
     @staticmethod
     def constant(value, dim: int, order: int) -> "Jet":
         value = np.asarray(value, dtype=np.float64)
-        table = jet_table(dim, order)
-        coeffs = np.zeros(value.shape + (table.size,))
+        size = jet_table(dim, order).size
+        if value.size >= _BIG_BATCH:
+            rows = np.zeros((size,) + value.shape)
+            rows[0] = value
+            return Jet(dim, order, _coeff_major(rows))
+        coeffs = np.zeros(value.shape + (size,))
         coeffs[..., 0] = value
         return Jet(dim, order, coeffs)
 
@@ -223,8 +231,10 @@ class Jet:
             batch = a.size // t.size
         else:
             batch = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-        kernel = _mul_coeff_major if batch >= _BIG_BATCH else _mul_gather
-        return Jet(self.dim, self.order, kernel(a, b, t))
+        if batch < _BIG_BATCH:
+            return Jet(self.dim, self.order, _mul_gather(a, b, t))
+        return Jet(self.dim, self.order,
+                   _mul_coeff_major(a, b, t, self._row_flags(), other._row_flags()))
 
     __rmul__ = __mul__
 
@@ -242,6 +252,17 @@ class Jet:
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 
+    def _row_flags(self):
+        """`_row_flags` of the coefficients, computed on first use and cached.
+
+        The slot stays unset until then, so small-batch jets never pay for it.
+        """
+        try:
+            return self._flags
+        except AttributeError:
+            self._flags = _row_flags(self.coeffs)
+            return self._flags
+
 
 def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     """Leibniz product of coefficient arrays: gather every triple, then reduce per output."""
@@ -249,28 +270,50 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     return np.add.reduceat(prod, t.mul_starts, axis=-1)
 
 
-def _mul_coeff_major(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
+def _coeff_major(rows: np.ndarray) -> np.ndarray:
+    """The ``(..., size)`` view of coefficient rows stored as ``(size, ...)``."""
+    return rows.transpose(*range(1, rows.ndim), 0)
+
+
+def _row_flags(c: np.ndarray):
+    """Per coefficient: (all zero over the batch, all finite over the batch).
+
+    min and max propagate NaN, so a NaN makes a row neither zero nor finite.
+    """
+    batch_axes = tuple(range(c.ndim - 1))
+    lo, hi = c.min(axis=batch_axes), c.max(axis=batch_axes)
+    return (lo == 0.0) & (hi == 0.0), np.isfinite(lo) & np.isfinite(hi)
+
+
+def _mul_coeff_major(a: np.ndarray, b: np.ndarray, t: _Table,
+                     flags_a=None, flags_b=None) -> np.ndarray:
     """Leibniz product for large batches: one row per coefficient, summed triple by triple.
 
     Each node's coefficients are summed in table order, so a node's result does
-    not depend on the batch it is computed in.
+    not depend on the batch it is computed in. A triple is skipped where one
+    operand's row is all zero and the other's is all finite (`_row_flags`; the
+    flags are computed here when not given): its term is ±0 at every node, so
+    every output equals the full sum up to the sign of a zero, and NaN and ±inf
+    land where they would. The result is coefficient-major.
     """
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    rows_a = list(np.ascontiguousarray(np.broadcast_to(a, shape).reshape(-1, t.size).T))
-    rows_b = list(np.ascontiguousarray(np.broadcast_to(b, shape).reshape(-1, t.size).T))
-    out = np.empty((t.size, len(rows_a[0])))
-    tmp = np.empty(out.shape[1])
-    for row, triples in zip(out, t.mul_rows):
-        (i, j, factor), rest = triples[0], triples[1:]
-        np.multiply(rows_a[i], rows_b[j], out=row)
+    zero_a, finite_a = _row_flags(a) if flags_a is None else flags_a
+    zero_b, finite_b = _row_flags(b) if flags_b is None else flags_b
+    za, fa, zb, fb = zero_a[t.mul_ii], finite_a[t.mul_ii], zero_b[t.mul_jj], finite_b[t.mul_jj]
+    kept = ~((za & fb) | (zb & fa))
+    rows_a, rows_b = a.transpose(-1, *range(a.ndim - 1)), b.transpose(-1, *range(b.ndim - 1))
+    out = np.empty((t.size,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    tmp = np.empty(out.shape[1:])
+    last = -1
+    for k, i, j, factor in itertools.compress(t.mul_triples, kept.tolist()):
+        dst = tmp if k == last else out[k]
+        np.multiply(rows_a[i], rows_b[j], out=dst)
         if factor != 1.0:
-            row *= factor
-        for i, j, factor in rest:
-            np.multiply(rows_a[i], rows_b[j], out=tmp)
-            if factor != 1.0:
-                tmp *= factor
-            row += tmp
-    return np.ascontiguousarray(out.T).reshape(shape)
+            dst *= factor
+        if k == last:
+            out[k] += tmp
+        last = k
+    out[~np.logical_or.reduceat(kept, t.mul_starts)] = 0.0
+    return _coeff_major(out)
 
 
 def seed_variable(i: int, x0, dim: int, order: int) -> Jet:
@@ -307,7 +350,7 @@ def partial(j: Jet, alpha: Sequence[int]):
 
 def _compose(a: Jet, taylor):
     """Evaluate sum_k taylor[k] * (a - a0)^k by Horner; taylor[k] ~ f^(k)(a0)/k!."""
-    rem_coeffs = a.coeffs.copy()
+    rem_coeffs = a.coeffs.copy(order="K")
     rem_coeffs[..., 0] = 0.0
     rem = Jet(a.dim, a.order, rem_coeffs)
     acc = Jet.constant(taylor[a.order], a.dim, a.order)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable
 import numpy as np
 
-from .geometry import Chart, ChartFrame, ScalarField, tensor2_norm2_g
+from .geometry import Chart, ChartFrame, DegenerateMetricError, ScalarField, tensor2_norm2_g
 from .jets import JetDomainError
 from .qem import QemStructure, StructureFrame
 
@@ -73,7 +73,7 @@ def make_sphere_grid(chart: Chart, resolution) -> QuadratureGrid:
         g = ChartFrame(chart, chunk).metric_values()
         det = np.linalg.det(g)
         if np.any(det <= 0):
-            raise ValueError("metric degenerate at a quadrature node")
+            raise DegenerateMetricError("metric degenerate at a quadrature node")
         vol[lo : lo + _CHUNK] = np.sqrt(det)
     return QuadratureGrid(chart, nodes, weights * vol, resolution)
 
@@ -104,7 +104,7 @@ def _locate_node_failure(grid, phi, exc):
         try:
             phi(node)
         except JetDomainError:
-            raise ValueError(
+            raise JetDomainError(
                 f"integrand failed at node {k} with coordinates {node}: {exc}"
             ) from exc
     raise exc

@@ -1,12 +1,15 @@
 """CLI contract: exit codes, config validation, report schema, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from gqem import cli, quadrature
 from gqem.cli import ConfigError, main, parse_config_text
 from gqem.identities import CATALOG
 
@@ -282,8 +285,8 @@ def _strict_json(text):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_residuals_exit_three_with_null_rows(tmp_path):
-    # 1/m overflows to inf for a subnormal m, so most residuals are NaN or inf
-    cfg = write_config(tmp_path, "family = hyperbolic\nn = 2\ntau = 0.5\nm = 1e-320\npoints = 5\n")
+    # 1/m = 1e308 is finite, but the terms it scales overflow, so some residuals are NaN or inf
+    cfg = write_config(tmp_path, "family = hyperbolic\nn = 2\ntau = 0.5\nm = 1e-308\npoints = 5\n")
     out = tmp_path / "nan.json"
     assert main(["verify", "--config", cfg, "--json", str(out)]) == 3
     rows = _strict_json(out.read_text())["pointwise"]
@@ -305,3 +308,51 @@ def test_overflow_exits_three_without_report(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "numerical failure (OverflowError)" in err
+
+
+def test_m_whose_reciprocal_overflows_exits_two(tmp_path, capsys):
+    out = tmp_path / "never.out"
+    for command, flag, m in (("verify", "--json", "1e-320"), ("scan", "--csv", "2, 5e-324")):
+        cfg = write_config(tmp_path, f"family = hyperbolic\nn = 2\ntau = 0.5\nm = {m}\npoints = 5\n")
+        assert main([command, "--config", cfg, flag, str(out)]) == 2
+        assert not out.exists()
+        assert "'m' is too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["n = 7", "n = 2, 7", "points = 0", "points = 1001"])
+def test_n_and_points_are_capped(tmp_path, capsys, line):
+    keys = {"family": "sphere", "n": "2", "tau": "1.0", "m": "2", "points": "5"}
+    key, value = (t.strip() for t in line.split("="))
+    keys[key] = value
+    text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_config_text(text)
+    out = tmp_path / "never.csv"
+    assert main(["scan", "--config", write_config(tmp_path, text), "--csv", str(out)]) == 2
+    assert not out.exists()
+    keys[key] = str(cli.MAX_N if key == "n" else cli.MAX_POINTS)
+    cfg = parse_config_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert (cfg.n_list[0], cfg.points) == (int(keys["n"]), int(keys["points"]))
+
+
+def test_degenerate_metric_at_a_quadrature_node_exits_three(tmp_path, capsys, monkeypatch):
+    def singular_at_a_node(chart, resolution):
+        # g_00 vanishes on the second polar node row, so det g = 0 at those nodes
+        theta = quadrature.make_sphere_grid(chart, resolution).nodes[resolution[-1], 0]
+
+        def metric(c):
+            g = np.asarray(chart.metric_fn(c), dtype=object)
+            g[0, 0] = g[0, 0] * (c[0] - theta) * (c[0] - theta)
+            return g
+
+        return quadrature.make_sphere_grid(dataclasses.replace(chart, metric_fn=metric), resolution)
+
+    cfg = write_config(tmp_path, "family = sphere\nn = 2\ntau = 1.0\nm = 2\ngrid = 32,64\n")
+    out = tmp_path / "never.json"
+    assert main(["integrate", "--config", cfg, "--json", str(out)]) == 0
+    out.unlink()
+    monkeypatch.setattr(cli, "make_sphere_grid", singular_at_a_node)
+    assert main(["integrate", "--config", cfg, "--json", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "DegenerateMetricError" in err and "quadrature node" in err

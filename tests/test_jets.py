@@ -305,7 +305,7 @@ def test_coeff_major_product_broadcasts_to_c_contiguous_result():
     for a, b in ((const, row), (row, const), (grid, row), (grid, grid)):
         ab = a * b
         assert ab.coeffs.shape == np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape)
-        assert ab.coeffs.flags.c_contiguous
+        assert ab.coeffs.transpose(-1, *range(ab.coeffs.ndim - 1)).flags.c_contiguous
         assert_matches_gather(a, b, ab.coeffs)
 
 
@@ -340,3 +340,114 @@ def test_coeff_major_product_is_independent_of_batch_size():
     for half in (slice(0, 600), slice(600, 1200)):
         part = Jet(3, 4, a.coeffs[half]) * Jet(3, 4, b.coeffs[half])
         assert np.array_equal(part.coeffs, whole[half])
+
+
+# -- row skip and coefficient-major layout -----------------------------------
+
+
+def coeff_rows(c: np.ndarray) -> np.ndarray:
+    """The (size, ...) rows behind coefficients (..., size)."""
+    return c.transpose(-1, *range(c.ndim - 1))
+
+
+def full_sum(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """The coefficient-major product with flags that let it skip no triple."""
+    nothing = (np.zeros(t.size, dtype=bool), np.ones(t.size, dtype=bool))
+    return jets._mul_coeff_major(a, b, t, nothing, nothing)
+
+
+@pytest.mark.parametrize("dim,order", [(1, 4), (2, 4), (3, 4), (5, 2)])
+def test_row_skip_equals_the_full_sum(dim, order):
+    rng = np.random.default_rng(10 * dim + order)
+    t = jet_table(dim, order)
+    top = t.grade_sizes[order - 1]
+    a = rng.normal(size=(jets._BIG_BATCH, t.size))
+    b = rng.normal(size=(jets._BIG_BATCH, t.size))
+    a[:, 1:] = 0.0
+    a[:, -1] = -0.0
+    b[:, top:] = 0.0
+    b[:, 1] = 0.0
+    got = (Jet(dim, order, a) * Jet(dim, order, b)).coeffs
+    assert not got[:, top:].any()  # output rows that keep no triple
+    assert np.array_equal(got, full_sum(a, b, t))
+    assert_matches_gather(Jet(dim, order, a), Jet(dim, order, b), got)
+
+
+def test_zero_row_against_nonfinite_row_is_not_skipped():
+    rng = np.random.default_rng(12)
+    t = jet_table(2, 3)
+    a = rng.normal(size=(jets._BIG_BATCH, t.size))
+    b = rng.normal(size=(jets._BIG_BATCH, t.size))
+    a[:, [0, 2, 5]] = 0.0
+    b[:, [1, 3]] = 0.0
+    b[5, 0] = np.nan
+    b[9, 4] = np.inf
+    a[11, 1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        got = jets._mul_coeff_major(a, b, t)
+        want = jets._mul_gather(a, b, t)
+        assert np.array_equal(got, full_sum(a, b, t), equal_nan=True)
+    for mask in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(mask(got), mask(want))
+    assert np.isnan(got).any() and np.isinf(got).any()
+
+
+def test_row_skip_with_a_batchless_constant():
+    rng = np.random.default_rng(13)
+    t = jet_table(3, 4)
+    row = Jet(3, 4, rng.normal(size=(600, t.size)))
+    for const in (Jet.constant(2.5, 3, 4), Jet(3, 4, rng.normal(size=t.size))):
+        for a, b in ((const, row), (row, const)):
+            got = (a * b).coeffs
+            assert np.array_equal(got, full_sum(a.coeffs, b.coeffs, t))
+            assert_matches_gather(a, b, got)
+
+
+def test_coeff_major_product_feeds_the_next_product():
+    rng = np.random.default_rng(14)
+    t = jet_table(3, 3)
+    a, b, c = (Jet(3, 3, rng.normal(size=(600, t.size))) for _ in range(3))
+    ab = a * b
+    assert coeff_rows(ab.coeffs).flags.c_contiguous
+    as_c = Jet(3, 3, np.ascontiguousarray(ab.coeffs))
+    got = (ab * c).coeffs
+    assert np.array_equal(got, (as_c * c).coeffs)
+    assert_matches_gather(ab, c, got)
+
+
+def test_derive_truncated_and_value_of_a_coeff_major_jet():
+    rng = np.random.default_rng(15)
+    t = jet_table(2, 4)
+    ab = Jet(2, 4, rng.normal(size=(600, t.size))) * Jet(2, 4, rng.normal(size=(600, t.size)))
+    as_c = Jet(2, 4, np.ascontiguousarray(ab.coeffs))
+    for axis in (0, 1):
+        d = ab.derive(axis).coeffs
+        assert coeff_rows(d).flags.c_contiguous
+        assert np.array_equal(d, as_c.derive(axis).coeffs)
+    for order in (0, 2, 3):
+        assert np.array_equal(ab.truncated(order).coeffs, as_c.truncated(order).coeffs)
+    assert np.array_equal(ab.value, as_c.value)
+
+
+def test_constant_layout_follows_the_batch():
+    big = Jet.constant(np.full((2, jets._BIG_BATCH), 3.0), 2, 3)
+    small = Jet.constant(np.full(jets._BIG_BATCH - 1, 3.0), 2, 3)
+    assert coeff_rows(big.coeffs).flags.c_contiguous
+    assert small.coeffs.flags.c_contiguous
+    for j in (big, small):
+        assert np.all(j.value == 3.0) and not j.coeffs[..., 1:].any()
+
+
+def test_row_flags_are_computed_once_per_jet():
+    rng = np.random.default_rng(16)
+    size = jet_table(2, 2).size
+    a = Jet.constant(rng.normal(size=600), 2, 2)
+    b = Jet(2, 2, rng.normal(size=(600, size)))
+    assert not hasattr(a, "_flags")
+    a * b
+    flags = a._flags
+    zero, finite = jets._row_flags(a.coeffs)
+    assert np.array_equal(flags[0], zero) and np.array_equal(flags[1], finite)
+    assert zero.tolist() == [False] + [True] * (size - 1)
+    b * a
+    assert a._flags is flags

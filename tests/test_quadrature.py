@@ -184,6 +184,20 @@ def test_integrand_failure_names_the_node(s2_grid, s2_structure):
         quad.integrate(s2_grid, bad_field)
 
 
+def test_integrand_failure_at_one_node_is_a_domain_error_naming_it(s2_grid):
+    k = 300
+    bad_node = s2_grid.nodes[k]
+
+    def fails_at_one_node(p):
+        p = np.asarray(p)
+        if np.all(p == bad_node, axis=-1).any():
+            raise jets.JetDomainError("log of non-positive value")
+        return p[..., 0] * 0.0
+
+    with pytest.raises(jets.JetDomainError, match=f"node {k} "):
+        quad.integrate(s2_grid, fails_at_one_node)
+
+
 def test_integrate_is_deterministic(s2_structure, s2_grid):
     spec = ModelSpec("sphere", 2, tau=1.0, m=2.0, chart_kind="polar")
     h = height_field(spec, s2_structure.chart)
