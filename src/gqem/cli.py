@@ -76,10 +76,15 @@ class ConfigError(Exception):
 
 
 # Largest dimension and sample size a config may ask for. n = 6 is the largest
-# dimension measured (100 points take about 5 s); the pointwise suite holds
-# every sample point in one batch, about 0.4 MB per point at n = 6.
+# dimension measured (100 points take about 3 s); the pointwise suite runs the
+# sample in chunks of `identities._CHUNK` points, about 0.4 MB per point at n = 6.
 MAX_N = 6
 MAX_POINTS = 1000
+# Largest quadrature grid: node count per angle and in total. `leggauss(k)`
+# builds a k x k matrix and `make_sphere_grid` holds every node; the total is
+# that of S^3 32x64x128, the largest grid measured.
+MAX_GRID_ENTRY = 1024
+MAX_GRID_NODES = 262_144
 
 
 @dataclass
@@ -183,6 +188,12 @@ def parse_config_text(text: str) -> RunConfig:
         cfg.seed = parse_int(raw["seed"])
     if "grid" in raw:
         cfg.grid = [parse_int(t) for t in raw["grid"].split(",") if t.strip()]
+        if not all(2 <= k <= MAX_GRID_ENTRY for k in cfg.grid):
+            raise ConfigError(
+                f"'grid' entries must be in 2..{MAX_GRID_ENTRY}, got {raw['grid']!r}")
+        if math.prod(cfg.grid) > MAX_GRID_NODES:
+            raise ConfigError(
+                f"'grid' must have at most {MAX_GRID_NODES} nodes, got {raw['grid']!r}")
     if "suite" in raw and raw["suite"].strip() != "all":
         ids = [t.strip() for t in raw["suite"].split(",") if t.strip()]
         known = {info.identity_id for info in CATALOG}

@@ -41,6 +41,12 @@ from .qem import (
     u_transform_values,
 )
 
+# Sample points per runner call in `run_pointwise_suite`. It bounds the suite's
+# memory (about 0.4 MB per point at n = 6) and stays below `jets._BIG_BATCH`, so
+# every point runs the gather product and its residual does not depend on the
+# sample size. The default 100 points are one chunk.
+_CHUNK = 256
+
 
 def _frame(s: QemStructure, p) -> StructureFrame:
     return StructureFrame(s, np.asarray(p, dtype=np.float64))
@@ -367,20 +373,39 @@ class EinsteinHessianProfile:
     """Sample-level check of the conformal-Hessian structure on an Einstein base."""
 
     c_estimate: float
-    c_spread: float
+    c_min: float
+    c_max: float
     hessian_residual: float
     lap_residual: float
     gradlam_residual: float
 
     @property
+    def c_spread(self) -> float:
+        return self.c_max - self.c_min
+
+    @property
     def max_residual(self) -> float:
         return max(self.hessian_residual, self.lap_residual, self.gradlam_residual)
 
+    def join(self, other: "EinsteinHessianProfile") -> "EinsteinHessianProfile":
+        """The profile over both samples, keeping this one's `c_estimate`.
 
-def einstein_hessian_profile(s: QemStructure, points) -> EinsteinHessianProfile:
+        np.minimum and np.maximum propagate NaN, as the per-sample reductions do.
+        """
+        def hi(name):
+            return float(np.maximum(getattr(self, name), getattr(other, name)))
+
+        return EinsteinHessianProfile(
+            self.c_estimate, float(np.minimum(self.c_min, other.c_min)), hi("c_max"),
+            hi("hessian_residual"), hi("lap_residual"), hi("gradlam_residual"))
+
+
+def einstein_hessian_profile(s: QemStructure, points,
+                             c: Optional[float] = None) -> EinsteinHessianProfile:
     """On an Einstein base with n >= 3 and finite m, u satisfies
     hess u = (-R/(n(n-1)) u + c/m) g with one constant c, and with it
     lap u = (R/m)u - (n/m) lam u and grad(lam u) = R(m+n-1)/(n(n-1)) grad u.
+    The residuals use `c` when given, else its estimate at the first point.
     """
     n = s.chart.dim
     if n < 3:
@@ -396,8 +421,8 @@ def einstein_hessian_profile(s: QemStructure, points) -> EinsteinHessianProfile:
     lap_u = fr.laplacian(u, 0).value
 
     c_per_point = s.m * (lap_u / n + rr * u_val / (n * (n - 1)))
-    c = float(c_per_point.flat[0])
-    c_spread = float(np.max(c_per_point) - np.min(c_per_point))
+    if c is None:
+        c = float(c_per_point.flat[0])
 
     hess_u = fr.hessian_values(u)
     target = (-rr / (n * (n - 1)) * u_val + c / s.m)[..., None, None] * g
@@ -411,7 +436,8 @@ def einstein_hessian_profile(s: QemStructure, points) -> EinsteinHessianProfile:
     du = fr.partials_of_jet(fr.u_jet(1))
     w = dlamu - (rr * (s.m + n - 1) / (n * (n - 1)))[..., None] * du
     gradlam_residual = float(np.max(norm_g(np.linalg.inv(g), w)))
-    return EinsteinHessianProfile(c, c_spread, hessian_residual, lap_residual, gradlam_residual)
+    return EinsteinHessianProfile(c, float(np.min(c_per_point)), float(np.max(c_per_point)),
+                                  hessian_residual, lap_residual, gradlam_residual)
 
 
 @dataclass
@@ -660,8 +686,13 @@ def run_pointwise_suite(
     tolerances: dict[int, float],
     ids: Optional[list[str]] = None,
 ) -> list[SuiteEntry]:
-    """Evaluate every applicable catalog identity over the sample points."""
+    """Evaluate every applicable catalog identity over the sample points.
+
+    Runners see at most `_CHUNK` points at a time; the entries are those of
+    one batch holding every point.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    chunks = [points[lo : lo + _CHUNK] for lo in range(0, points.shape[0], _CHUNK)]
     selected = list(CATALOG) if ids is None else [CATALOG_BY_ID[i] for i in ids]
     out = []
     for info in selected:
@@ -669,11 +700,14 @@ def run_pointwise_suite(
             continue
         tol = tolerances[info.order_class]
         if info.kind == "profile":
-            prof = info.runner(s, points)
+            prof = info.runner(s, chunks[0])
+            for chunk in chunks[1:]:
+                prof = prof.join(info.runner(s, chunk, prof.c_estimate))
             res_max = max(prof.max_residual, prof.c_spread)
             res_mean = res_max
         else:
-            res = np.asarray(info.runner(s, points), dtype=np.float64)
+            res = np.concatenate([np.asarray(info.runner(s, chunk), dtype=np.float64)
+                                  for chunk in chunks])
             res_max = float(np.max(res))
             res_mean = float(np.mean(res))
         out.append(

@@ -123,10 +123,10 @@ class Jet:
 
     coeffs has shape ``(..., table_size)``; leading axes are batch axes.
     The coefficients must not be written once the jet has taken part in a
-    large-batch product, which caches per-coefficient flags of them.
+    product, which caches flags of them (`_is_zero`, `_row_flags`).
     """
 
-    __slots__ = ("dim", "order", "coeffs", "_flags")
+    __slots__ = ("dim", "order", "coeffs", "_flags", "_zero")
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         table = jet_table(dim, order)
@@ -227,11 +227,14 @@ class Jet:
         other = self._coerce(other)
         t = jet_table(self.dim, self.order)
         a, b = self.coeffs, other.coeffs
-        if a.shape == b.shape:
-            batch = a.size // t.size
-        else:
-            batch = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-        if batch < _BIG_BATCH:
+        shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+        if math.prod(shape[:-1]) < _BIG_BATCH:
+            # zero times finite is ±0 at every coefficient: skip the gather
+            if ((self._is_zero() and np.isfinite(b).all())
+                    or (other._is_zero() and np.isfinite(a).all())):
+                out = Jet(self.dim, self.order, np.zeros(shape))
+                out._zero = True
+                return out
             return Jet(self.dim, self.order, _mul_gather(a, b, t))
         return Jet(self.dim, self.order,
                    _mul_coeff_major(a, b, t, self._row_flags(), other._row_flags()))
@@ -251,6 +254,14 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
+
+    def _is_zero(self) -> bool:
+        """Whether every coefficient is ±0, computed on first use and cached."""
+        try:
+            return self._zero
+        except AttributeError:
+            self._zero = not np.count_nonzero(self.coeffs)
+            return self._zero
 
     def _row_flags(self):
         """`_row_flags` of the coefficients, computed on first use and cached.

@@ -335,6 +335,30 @@ def test_n_and_points_are_capped(tmp_path, capsys, line):
     assert (cfg.n_list[0], cfg.points) == (int(keys["n"]), int(keys["points"]))
 
 
+@pytest.mark.parametrize("grid", ["100000,2", "1025,2", "1,8", "64,64,65"])
+def test_grid_is_capped_before_any_node_is_built(tmp_path, capsys, monkeypatch, grid):
+    def refuse(count):
+        raise AssertionError(f"leggauss({count}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    n = len(grid.split(","))
+    text = f"family = sphere\nn = {n}\ntau = 1.0\nm = 2\ngrid = {grid}\n"
+    with pytest.raises(ConfigError, match="'grid'"):
+        parse_config_text(text)
+    out = tmp_path / "never.json"
+    assert main(["integrate", "--config", write_config(tmp_path, text), "--json", str(out)]) == 2
+    assert not out.exists()
+    assert "'grid'" in capsys.readouterr().err
+
+
+def test_grid_caps_admit_their_limits():
+    # the node cap is S^3 32x64x128, the largest grid in use; parsing builds no node
+    assert 32 * 64 * 128 == cli.MAX_GRID_NODES
+    for grid in (f"{cli.MAX_GRID_ENTRY},2", "32,64,128", "2,2"):
+        cfg = parse_config_text(f"family = sphere\nn = 2\ntau = 1.0\nm = 2\ngrid = {grid}\n")
+        assert cfg.grid == [int(k) for k in grid.split(",")]
+
+
 def test_degenerate_metric_at_a_quadrature_node_exits_three(tmp_path, capsys, monkeypatch):
     def singular_at_a_node(chart, resolution):
         # g_00 vanishes on the second polar node row, so det g = 0 at those nodes

@@ -1,5 +1,6 @@
 """Lemma-level identity verifiers: positive cases, edge cases, negative controls."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -293,3 +294,62 @@ def test_magnitude_rows_reduce_the_signed_residuals():
     # the residuals the test relies on are really there
     assert oracles["defining_equation"](pts[0]) > 1e-3
     assert oracles["radial_identity"](pts[0]) > 1e-3
+
+
+def _cubic_control_n3():
+    chart = make_chart(ModelSpec("euclidean", 3, tau=1.0, m=2.0))
+    coef = (0.4, -0.5, 0.3)
+    f = ScalarField.from_coords(
+        3, lambda x, y, z: x * x * x * coef[0] + y * y * y * coef[1] + z * z * z * coef[2], "cubic"
+    )
+    return make_structure(chart, f, m=2.0)
+
+
+def test_chunked_suite_equals_one_batch(monkeypatch):
+    # the cubic control's c varies over the sample, so the profile row shows
+    # whether every chunk uses the first point's c and the whole sample's spread
+    seen, profiles = {}, []
+
+    def spy(info):
+        def runner(s, p, *args):
+            seen.setdefault(info.identity_id, []).append(len(p))
+            out = info.runner(s, p, *args)
+            if info.kind == "profile":
+                profiles.append((args, out))
+            return out
+        return runner
+
+    for s in (_cubic_control_n3(), example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0))):
+        pts = sample_points(s.chart, 20, seed=22)
+        whole = idt.run_pointwise_suite(s, pts, TOLS)
+        if s.chart.family == "euclidean":  # the control fails the profile row
+            assert {e.identity_id: e for e in whole}["einstein_hessian"].max_residual > 1e-3
+        monkeypatch.setattr(idt, "_CHUNK", 7)
+        monkeypatch.setattr(idt, "CATALOG", tuple(
+            dataclasses.replace(info, runner=spy(info)) for info in idt.CATALOG))
+        seen.clear()
+        profiles.clear()
+        chunked = idt.run_pointwise_suite(s, pts, TOLS)
+        first_c = profiles[0][1].c_estimate
+        assert [args for args, _ in profiles] == [(), (first_c,), (first_c,)]
+        monkeypatch.undo()
+        bits = lambda entries: [
+            (e.identity_id, e.n_points, e.max_residual.hex(), e.mean_residual.hex(), e.passed)
+            for e in entries]
+        assert bits(chunked) == bits(whole)
+        assert "einstein_hessian" in seen
+        assert all(sizes == [7, 7, 6] for sizes in seen.values()), seen
+
+
+def test_joined_profile_equals_the_whole_sample():
+    s = _cubic_control_n3()
+    pts = sample_points(s.chart, 20, seed=23)
+    whole = idt.einstein_hessian_profile(s, pts)
+    joined = idt.einstein_hessian_profile(s, pts[:7])
+    for part in (pts[7:14], pts[14:]):
+        joined = joined.join(idt.einstein_hessian_profile(s, part, joined.c_estimate))
+    assert dataclasses.astuple(joined) == dataclasses.astuple(whole)
+    assert whole.c_spread > 1e-3 and whole.hessian_residual > 1e-3
+    nan = dataclasses.replace(whole, hessian_residual=math.nan)
+    assert math.isnan(whole.join(nan).hessian_residual)
+    assert math.isnan(nan.join(whole).hessian_residual)

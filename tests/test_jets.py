@@ -451,3 +451,110 @@ def test_row_flags_are_computed_once_per_jet():
     assert zero.tolist() == [False] + [True] * (size - 1)
     b * a
     assert a._flags is flags
+
+
+# -- small-batch zero-operand short-circuit -----------------------------------
+
+
+def checked_product(a: Jet, b: Jet) -> Jet:
+    """`a * b` equals the gather product (==, with equal NaN and ±inf masks); returns it."""
+    with np.errstate(invalid="ignore"):
+        product = a * b
+        want = jets._mul_gather(a.coeffs, b.coeffs, jet_table(a.dim, a.order))
+    got = product.coeffs
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    for mask in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(mask(got), mask(want))
+    return product
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (100,), (jets._BIG_BATCH - 1,)])
+@pytest.mark.parametrize("dim,order", [(1, 4), (2, 3), (3, 4)])
+def test_zero_operand_product_equals_the_gather(batch, dim, order):
+    rng = np.random.default_rng(sum(batch) + 10 * dim + order)
+    size = jet_table(dim, order).size
+    dense = Jet(dim, order, rng.normal(size=batch + (size,)))
+    negative_zeros = np.zeros(batch + (size,))
+    negative_zeros[..., ::2] = -0.0
+    for zero in (Jet(dim, order, np.zeros(batch + (size,))),
+                 Jet(dim, order, negative_zeros),
+                 Jet.constant(0.0, dim, order)):
+        for a, b in ((zero, dense), (dense, zero), (zero, zero)):
+            assert checked_product(a, b)._is_zero()
+
+
+def test_zero_operand_broadcasts_a_batchless_constant():
+    rng = np.random.default_rng(21)
+    size = jet_table(3, 3).size
+    row = Jet(3, 3, rng.normal(size=(100, size)))
+    zero_row = Jet(3, 3, np.zeros((100, size)))
+    for const in (Jet.constant(0.0, 3, 3), Jet(3, 3, rng.normal(size=size))):
+        for a, b in ((const, zero_row), (zero_row, const), (const, row), (row, const)):
+            assert (a * b).coeffs.shape == (100, size)
+            checked_product(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("batch", [(1,), (100,)])
+def test_zero_operand_against_nonfinite_runs_the_full_product(bad, batch):
+    rng = np.random.default_rng(22)
+    size = jet_table(2, 3).size
+    c = rng.normal(size=batch + (size,))
+    c[(0,) * len(batch) + (4,)] = bad
+    other = Jet(2, 3, c)
+    zero = Jet(2, 3, np.zeros(batch + (size,)))
+    for a, b in ((zero, other), (other, zero)):
+        assert np.isnan(checked_product(a, b).coeffs).any()  # 0 * ±inf and 0 * NaN
+
+
+def test_zero_times_finite_skips_the_gather(monkeypatch):
+    calls = []
+    gather = jets._mul_gather
+
+    def spy(a, b, t):
+        calls.append(a.shape)
+        return gather(a, b, t)
+
+    monkeypatch.setattr(jets, "_mul_gather", spy)
+    size = jet_table(2, 2).size
+    zero = Jet(2, 2, np.zeros((100, size)))
+    finite = Jet(2, 2, np.ones((100, size)))
+    zero * finite
+    finite * zero
+    assert calls == []
+    nan = np.ones((100, size))
+    nan[3, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        zero * Jet(2, 2, nan)
+    assert calls == [(100, size)]
+
+
+def test_zero_flag_is_computed_once_per_jet(monkeypatch):
+    counted = []
+    count_nonzero = np.count_nonzero
+
+    def spy(c):
+        counted.append(c)
+        return count_nonzero(c)
+
+    monkeypatch.setattr(jets.np, "count_nonzero", spy)
+    size = jet_table(2, 2).size
+    zero = Jet(2, 2, np.zeros((100, size)))
+    finite = Jet(2, 2, np.ones((100, size)))
+    assert not hasattr(zero, "_zero")
+    product = zero * finite
+    assert len(counted) == 1 and counted[0] is zero.coeffs
+    assert zero._zero and product._zero
+    for a, b in ((finite, zero), (product, finite), (zero, product), (finite, finite)):
+        a * b
+    assert len(counted) == 2 and counted[1] is finite.coeffs
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (100, 2)])
+def test_seeds_at_the_origin_are_not_zero_jets(shape):
+    # the value row of both seeds is zero there; their unit derivatives are not
+    x, y = seed_point(np.zeros(shape), 2)
+    assert np.all((x * x).partial((2, 0)) == 2.0)
+    assert np.all((x * y).partial((1, 1)) == 1.0)
+    assert not (x * y).coeffs[..., :3].any()
