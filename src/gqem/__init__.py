@@ -14,7 +14,6 @@ from .jets import (  # noqa: F401
     JetDomainError,
     MAX_ORDER,
     OrderCapabilityError,
-    partial,
     seed_variable,
 )
 from .geometry import (  # noqa: F401
@@ -26,20 +25,15 @@ from .geometry import (  # noqa: F401
     TensorValue,
     VectorField,
     christoffel,
-    covariant_derivative_vector,
-    directional,
     div_tensor2,
     div_vector,
     gradient,
     hessian,
-    inner,
     laplacian,
     lie_metric,
-    outer,
     ricci,
     riemann,
     scalar_curvature,
-    tensor_norm2,
 )
 from .qem import (  # noqa: F401
     GqemCheck,
@@ -51,7 +45,6 @@ from .qem import (  # noqa: F401
     make_structure,
     radial_identity_residual,
     rank_one_proportionality,
-    solve_lambda,
     trace_lambda_field,
     traceless_residual,
     u_transform_residual,

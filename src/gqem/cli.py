@@ -7,7 +7,9 @@ Commands:
     catalog    machine-readable listing of every identity verifier
 
 Configs are flat key-value files (``key = value``, ``#`` comments). Unknown
-keys, and keys the command does not read (`COMMAND_KEYS`), are hard errors.
+keys, and keys the command does not read (`COMMAND_KEYS`), are hard errors, as
+is an output flag the command does not write (``--json`` on scan, ``--csv``
+on verify or integrate).
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
 usage error, 3 numerical failure: a non-finite residual (written as null, its
 row marked ``"status": "nan"``) or an arithmetic error, which writes no report.
@@ -209,8 +211,9 @@ def parse_config_text(text: str) -> RunConfig:
     ):
         if key in raw:
             cfg.tolerances[slot] = parse_float(raw[key])
-            if not cfg.tolerances[slot] > 0:
-                raise ConfigError(f"'{key}' must be a positive number, got {raw[key]!r}")
+            if not 0 < cfg.tolerances[slot] < math.inf:
+                raise ConfigError(
+                    f"'{key}' must be a positive finite number, got {raw[key]!r}")
     return cfg
 
 
@@ -233,10 +236,6 @@ def _build_structure(cfg: RunConfig, n: int, tau: float, m: float):
         v_axis=cfg.v_axis,
     )
     return example_structure(spec)
-
-
-def _scaled(tolerances: dict, scale: float) -> dict:
-    return {k: v * scale for k, v in tolerances.items()}
 
 
 def _report_skeleton(cfg: RunConfig, seed: int) -> dict:
@@ -278,13 +277,12 @@ def _finish_report(report: dict, rows: list, json_path: Optional[str], start: fl
     return 3 if nonfinite else 0 if report["overall_pass"] else 1
 
 
-def cmd_verify(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale: float) -> int:
+def cmd_verify(cfg: RunConfig, json_path: Optional[str], seed: int, tols: dict) -> int:
     n = cfg.single("n")
     tau = cfg.single("tau")
     m = cfg.single("m")
     s = _build_structure(cfg, n, tau, m)
     points = sample_points(s.chart, cfg.points, seed)
-    tols = _scaled(cfg.tolerances, tol_scale)
     start = time.perf_counter()
     entries = run_pointwise_suite(s, points, tols, ids=cfg.suite)
     report = _report_skeleton(cfg, seed)
@@ -304,7 +302,7 @@ def cmd_verify(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale: f
     return _finish_report(report, report["pointwise"], json_path, start)
 
 
-def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale: float) -> int:
+def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tols: dict) -> int:
     n = cfg.single("n")
     tau = cfg.single("tau")
     m = cfg.single("m")
@@ -321,7 +319,6 @@ def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale
             f"the integral suite runs on the polar chart; 'chart' is {cfg.chart!r}"
         )
     s = _build_structure(replace(cfg, chart="polar"), n, tau, m)
-    tols = _scaled(cfg.tolerances, tol_scale)
     start = time.perf_counter()
     grid = make_sphere_grid(s.chart, cfg.grid)
     rows = run_integral_suite(grid, s, tols["integral"])
@@ -331,13 +328,12 @@ def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tol_scale
     return _finish_report(report, report["integrals"], json_path, start)
 
 
-def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tol_scale: float) -> int:
+def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tols: dict) -> int:
     combos = [
         (n, m, tau) for n in cfg.n_list for m in cfg.m_list for tau in cfg.tau_list
     ]
     if not combos:
         raise ConfigError("empty parameter sweep")
-    tols = _scaled(cfg.tolerances, tol_scale)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "m", "tau", "identity", "max_residual", "pass"])
@@ -387,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=["verify", "integrate", "scan", "catalog"])
     parser.add_argument("--config", help="path to a flat key=value config file")
-    parser.add_argument("--json", help="write the JSON report here (default: stdout)")
-    parser.add_argument("--csv", help="write the scan CSV here (default: stdout)")
+    parser.add_argument("--json", help="verify, integrate: write the JSON report here "
+                        "(default: stdout)")
+    parser.add_argument("--csv", help="scan: write the CSV here (default: stdout)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
         "--tol-scale", type=float, default=1.0, help="multiply every tolerance"
@@ -404,20 +401,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: command '{args.command}' needs --config", file=sys.stderr)
         return 2
     try:
-        if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
-            raise ConfigError(
-                f"--tol-scale must be a positive finite number, got {args.tol_scale}"
-            )
+        flag, path = ("--json", args.json) if args.command == "scan" else ("--csv", args.csv)
+        if path is not None:
+            raise ConfigError(f"'{args.command}' does not write {flag}")
         cfg = load_config(args.config)
+        tols = {k: v * args.tol_scale for k, v in cfg.tolerances.items()}
+        if not all(0 < v < math.inf for v in tols.values()):
+            raise ConfigError(
+                f"--tol-scale {args.tol_scale:g} must leave every tolerance positive and finite")
         unread = sorted(set(cfg.raw) - COMMAND_KEYS[args.command])
         if unread:
             raise ConfigError(f"config key '{unread[0]}' is not read by '{args.command}'")
         seed = cfg.seed if args.seed is None else args.seed
         if args.command == "verify":
-            return cmd_verify(cfg, args.json, seed, args.tol_scale)
+            return cmd_verify(cfg, args.json, seed, tols)
         if args.command == "integrate":
-            return cmd_integrate(cfg, args.json, seed, args.tol_scale)
-        return cmd_scan(cfg, args.csv, seed, args.tol_scale)
+            return cmd_integrate(cfg, args.json, seed, tols)
+        return cmd_scan(cfg, args.csv, seed, tols)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -192,58 +192,6 @@ class TensorValue:
                 f"components have rank {self.components.ndim}, valence says {expected}"
             )
 
-    @property
-    def rank(self) -> int:
-        return self.con + self.cov
-
-    def same_valence(self, other: "TensorValue") -> bool:
-        return self.con == other.con and self.cov == other.cov
-
-
-def outer(a: TensorValue, b: TensorValue) -> TensorValue:
-    """Tensor product, reordered so contravariant axes stay in front."""
-    comp = np.multiply.outer(a.components, b.components)
-    # axes: a.con, a.cov, b.con, b.cov -> a.con, b.con, a.cov, b.cov
-    perm = (
-        list(range(a.con))
-        + [a.rank + k for k in range(b.con)]
-        + [a.con + k for k in range(a.cov)]
-        + [a.rank + b.con + k for k in range(b.cov)]
-    )
-    return TensorValue(np.transpose(comp, perm), a.con + b.con, a.cov + b.cov, a.point)
-
-
-def _lower_all(T: TensorValue, g: np.ndarray) -> np.ndarray:
-    comp = T.components
-    for ax in range(T.con):
-        comp = np.moveaxis(np.tensordot(g, comp, axes=(1, ax)), 0, ax)
-    return comp
-
-
-def _raise_all(T: TensorValue, ginv: np.ndarray) -> np.ndarray:
-    comp = T.components
-    for ax in range(T.con, T.rank):
-        comp = np.moveaxis(np.tensordot(ginv, comp, axes=(1, ax)), 0, ax)
-    return comp
-
-
-def inner(chart: Chart, a: TensorValue, b: TensorValue, p) -> float:
-    """Full metric contraction of two tensors of identical valence."""
-    if not a.same_valence(b):
-        raise ValueError(
-            f"valence mismatch: ({a.con},{a.cov}) vs ({b.con},{b.cov})"
-        )
-    g = metric_values(chart, p)
-    ginv = np.linalg.inv(g)
-    low = _lower_all(a, g)
-    high = _raise_all(b, ginv)
-    return float(np.sum(low * high))
-
-
-def tensor_norm2(chart: Chart, t: TensorValue, p=None) -> float:
-    """Squared g-norm with every index contracted against g or its inverse."""
-    return inner(chart, t, t, t.point if p is None else p)
-
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation frames
@@ -407,12 +355,9 @@ class ChartFrame:
 
     # -- fields ----------------------------------------------------------
 
-    def field_jet(self, phi: ScalarField, order: int) -> Jet:
-        key = ("sf", id(phi), phi)
-        return self._memo(key, order, lambda k: phi.jet(self.p, k))
-
-    def vector_jets(self, X: VectorField, order: int) -> list:
-        key = ("vf", id(X), X)
+    def field_jet(self, X: ScalarField | VectorField, order: int) -> Jet | list:
+        """A scalar field's jet, or a vector field's list of component jets."""
+        key = ("field", id(X), X)
         return self._memo(key, order, lambda k: X.jet(self.p, k))
 
     def grad(self, phi: ScalarField, order: int) -> list:
@@ -479,7 +424,7 @@ class ChartFrame:
 
         def build(k):
             n = self.n
-            xj = self.vector_jets(X, k + 1)
+            xj = self.field_jet(X, k + 1)
             x0 = [x.truncated(k) for x in xj]
             gam = self.gamma(k)
             out = np.empty((n, n), dtype=object)
@@ -505,7 +450,7 @@ class ChartFrame:
             n = self.n
             g = self.metric(k + 1)
             g0 = _trunc_tree(g, k)
-            xj = self.vector_jets(X, k + 1)
+            xj = self.field_jet(X, k + 1)
             x0 = [x.truncated(k) for x in xj]
             out = np.empty((n, n), dtype=object)
             for i in range(n):
@@ -696,25 +641,6 @@ def hessian(chart: Chart, phi: ScalarField, p) -> TensorValue:
 def laplacian(chart: Chart, phi: ScalarField, p) -> float:
     p = _scalar_point(chart, p)
     return float(ChartFrame(chart, p).laplacian(phi, 0).value)
-
-
-def covariant_derivative_vector(chart: Chart, X: VectorField, p) -> TensorValue:
-    p = _scalar_point(chart, p)
-    comp = _values(ChartFrame(chart, p).covariant_vector(X, 0))
-    return TensorValue(comp, con=1, cov=1, point=p)
-
-
-def directional(chart: Chart, X: VectorField, Y: VectorField, p) -> TensorValue:
-    """nabla_X Y at p."""
-    p = _scalar_point(chart, p)
-    frame = ChartFrame(chart, p)
-    covY = frame.covariant_vector(Y, 0)
-    xv = _values(frame.vector_jets(X, 0))
-    n = chart.dim
-    comp = np.array(
-        [sum(covY[i, j].value * xv[..., j] for j in range(n)) for i in range(n)]
-    )
-    return TensorValue(comp, con=1, cov=0, point=p)
 
 
 def div_vector(chart: Chart, X: VectorField, p) -> float:

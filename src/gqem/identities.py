@@ -23,7 +23,6 @@ from .geometry import (
     VectorField,
     _sum_jets,
     _values,
-    dot_g,
     grad_field,
     hessian_field,
     lie_metric_field,
@@ -280,10 +279,10 @@ def lie_divergence_residual(chart: Chart, X: VectorField, p):
     fr = ChartFrame(chart, p)
     g = fr.metric_values()
     ginv = np.linalg.inv(g)
-    xv = _values(fr.vector_jets(X, 0))
+    xv = _values(fr.field_jet(X, 0))
     div_lie = _values(fr.div_tensor2(lie_metric_field(chart, X), 0))
     lhs = np.einsum("...i,...i->...", div_lie, xv)
-    lap_norm2 = fr.laplacian_of_jet(_norm2_jet(fr.metric(2), fr.vector_jets(X, 2)))
+    lap_norm2 = fr.laplacian_of_jet(_norm2_jet(fr.metric(2), fr.field_jet(X, 2)))
     covv = _values(fr.covariant_vector(X, 0))
     # |nabla X|^2 with the (1,1) valence: g_{ik} g^{jl} covv[i,j] covv[k,l]
     nabla_x2 = np.einsum("...ik,...jl,...ij,...kl->...", g, ginv, covv, covv)
@@ -340,26 +339,6 @@ def bochner_residual(chart: Chart, phi: ScalarField, p):
     dlap = fr.partials_of_jet(fr.laplacian(phi, 1))
     ric_ff = np.einsum("...ij,...i,...j->...", fr.ricci_values(), gphi, gphi)
     rhs = hess2 + np.einsum("...i,...i->...", gphi, dlap) + ric_ff
-    return np.abs(lhs - rhs)
-
-
-def conformal_cubic_divergence_residual(chart: Chart, X: VectorField, p):
-    """div(|X|^2 X) = ((n+2)/n)|X|^2 div X, valid for conformal X."""
-    fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
-    n = chart.dim
-
-    def w_jets(q, order):
-        f2 = ChartFrame(chart, q)
-        gj = f2.metric(order)
-        xj = f2.vector_jets(X, order)
-        norm2 = _norm2_jet(gj, xj)
-        return [norm2 * x for x in xj]
-
-    W = VectorField(n, w_jets, "|X|^2 X")
-    lhs = fr.div_vector(W, 0).value
-    g = fr.metric_values()
-    xv = _values(fr.vector_jets(X, 0))
-    rhs = (n + 2) / n * dot_g(g, xv, xv) * fr.div_vector(X, 0).value
     return np.abs(lhs - rhs)
 
 
@@ -454,14 +433,6 @@ def sign_scan_r_minus_n_lambda(s: QemStructure, points) -> SignScan:
     vals = fr.scalar_curvature_value() - s.chart.dim * fr.lam_jet(0).value
     lo, hi = float(np.min(vals)), float(np.max(vals))
     return SignScan(lo, hi, lo < 0.0 < hi)
-
-
-def count_sample_critical_points(s: QemStructure, points, tol: float = 1e-8) -> int:
-    """Sample points where |grad u| < tol (reported, never asserted globally)."""
-    fr = StructureFrame(s, np.asarray(points, dtype=np.float64))
-    g = fr.metric_values()
-    du = fr.grad_values(s.require_u())
-    return int(np.sum(norm_g(g, du) < tol))
 
 
 # ---------------------------------------------------------------------------

@@ -352,10 +352,6 @@ def seed_point(p, order: int) -> tuple[Jet, ...]:
     return tuple(seed_variable(i, p[..., i], dim, order) for i in range(dim))
 
 
-def partial(j: Jet, alpha: Sequence[int]):
-    return j.partial(alpha)
-
-
 # -- elementary functions ----------------------------------------------
 
 

@@ -109,9 +109,6 @@ class StructureFrame(ChartFrame):
     def u_jet(self, order):
         return self.field_jet(self.s.require_u(), order)
 
-    def grad_f(self, order):
-        return self.grad(self.s.f, order)
-
     def hess_f_values(self):
         return self.hessian_values(self.s.f)
 
@@ -151,11 +148,6 @@ def bakry_emery_ricci(s: QemStructure, p) -> TensorValue:
     """Ric + hess f - (1/m) df (x) df as a symmetric (0,2) value."""
     p = _scalar_point(s.chart, p)
     return TensorValue(StructureFrame(s, p).bakry_emery_values(), 0, 2, p)
-
-
-def solve_lambda(chart: Chart, f: ScalarField, m: float, p) -> float:
-    """Pointwise lambda from the trace of the defining equation."""
-    return float(trace_lambda_field(chart, f, m)(np.asarray(p, dtype=np.float64)))
 
 
 def defining_residual(s: QemStructure, p) -> TensorValue:

@@ -83,15 +83,12 @@ def sphere_area(dim: int, radius: float = 1.0) -> float:
     return 2.0 * math.pi ** ((dim + 1) / 2) / math.gamma((dim + 1) / 2) * radius**dim
 
 
-def integrate(grid: QuadratureGrid, phi) -> float:
-    """Integral of a scalar field (or plain ndarray of node values) over the grid."""
-    if isinstance(phi, np.ndarray):
-        values = phi
-    else:
-        try:
-            values = np.asarray(phi(grid.nodes), dtype=np.float64)
-        except JetDomainError as exc:
-            values = _locate_node_failure(grid, phi, exc)
+def integrate(grid: QuadratureGrid, phi: ScalarField) -> float:
+    """Integral of a scalar field over the grid."""
+    try:
+        values = np.asarray(phi(grid.nodes), dtype=np.float64)
+    except JetDomainError as exc:
+        values = _locate_node_failure(grid, phi, exc)
     if values.shape != grid.weights.shape:
         raise ValueError(
             f"integrand produced shape {values.shape}, expected {grid.weights.shape}"
@@ -284,11 +281,6 @@ def bochner_integrals(grid: QuadratureGrid, s: QemStructure) -> BochnerIntegrals
         lap_term=(n - 1) / n * I["lapu2"],
         lemflat_term=I["gn2u_lapu"],
     )
-
-
-def triviality_margin(grid: QuadratureGrid, s: QemStructure) -> float:
-    """∫⟨∇R,∇f⟩ − ((n+2)/2)∫⟨∇f,∇λ⟩; strictly positive on a nontrivial structure."""
-    return traceless_hessian_balance(grid, s).rhs
 
 
 INTEGRAL_SUITE = tuple(

@@ -276,6 +276,50 @@ def test_command_rejects_keys_it_does_not_read(tmp_path, capsys, command, flag, 
     assert f"'{key}'" in err and f"'{command}'" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, line, scale, message",
+    [
+        ("verify", "--json", "tol.order2 = inf", "1", "'tol.order2'"),
+        ("integrate", "--json", "tol.integral = inf", "1", "'tol.integral'"),
+        ("scan", "--csv", "tol.order3 = inf", "1", "'tol.order3'"),
+        ("verify", "--json", "tol.order2 = 1e300", "1e10", "--tol-scale"),
+        ("integrate", "--json", "tol.integral = 1e300", "1e10", "--tol-scale"),
+        ("scan", "--csv", "tol.order4 = 1e300", "1e10", "--tol-scale"),
+        ("verify", "--json", "tol.order2 = 1e-8", "1e-320", "--tol-scale"),
+    ],
+)
+def test_infinite_or_overflowing_tolerance_exits_two(tmp_path, capsys, monkeypatch,
+                                                     command, flag, line, scale, message):
+    base = "family = sphere\nn = 2\ntau = 1.0\nm = 2\n"
+    base += "grid = 16,32\n" if command == "integrate" else "points = 4\n"
+    cfg = write_config(tmp_path, base + line + "\n")
+    out = tmp_path / "never.out"
+    if scale != "1":  # the same config runs unscaled
+        assert main([command, "--config", cfg, flag, str(out)]) == 0
+        out.unlink()
+
+    def refuse(spec):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(cli, "example_structure", refuse)
+    assert main([command, "--config", cfg, flag, str(out), "--tol-scale", scale]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("verify", "--csv"), ("integrate", "--csv"),
+                                           ("scan", "--json")])
+def test_output_flag_the_command_does_not_write_exits_two(tmp_path, capsys, command, flag):
+    text = "family = sphere\nn = 2\ntau = 1.0\nm = 2\n"
+    text += "grid = 16,32\n" if command == "integrate" else "points = 4\n"
+    out = tmp_path / "never.out"
+    assert main([command, "--config", write_config(tmp_path, text), flag, str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{command}' does not write {flag}" in captured.err
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")

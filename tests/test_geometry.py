@@ -6,7 +6,7 @@ import pytest
 from gqem import geometry as geo
 from gqem import identities as idt
 from gqem import jets
-from gqem.geometry import ScalarField, VectorField, outer, inner, tensor_norm2
+from gqem.geometry import ScalarField, VectorField, tensor2_norm2_g
 from gqem.models import ModelSpec, height_field, make_chart, sample_points
 
 
@@ -125,7 +125,8 @@ def test_constant_vector_field_euclidean(euclid2):
         "const",
     )
     p = np.array([0.2, 0.5])
-    assert np.max(np.abs(geo.covariant_derivative_vector(euclid2, X, p).components)) == 0.0
+    cov = geo.ChartFrame(euclid2, p).covariant_vector(X, 0)
+    assert np.max(np.abs([[c.value for c in row] for row in cov])) == 0.0
     assert np.max(np.abs(geo.lie_metric(euclid2, X, p).components)) == 0.0
     assert geo.div_vector(euclid2, X, p) == 0.0
 
@@ -156,44 +157,68 @@ def test_directional_derivative_euclidean(euclid2):
     )
     Y = VectorField.from_coords(2, lambda x, y: (x * y, y * y), "Y")
     p = np.array([2.0, 3.0])
-    out = geo.directional(euclid2, X, Y, p)
-    assert np.allclose(out.components, [3.0, 0.0], atol=1e-13)
+    frame = geo.ChartFrame(euclid2, p)
+    cov = frame.covariant_vector(Y, 0)
+    xv = [x.value for x in frame.field_jet(X, 0)]
+    out = [sum(cov[i, j].value * xv[j] for j in range(2)) for i in range(2)]
+    assert np.allclose(out, [3.0, 0.0], atol=1e-13)
+
+
+def _spy(field):
+    """Record the order of every call to the field's `jet`."""
+    calls = []
+    jet = field.jet
+
+    def spy(p, order):
+        calls.append(order)
+        return jet(p, order)
+
+    field.jet = spy
+    return calls
+
+
+def test_field_jet_builds_each_field_once(sphere_stereo):
+    phi = ScalarField.from_coords(2, lambda x, y: jets.sin(x) * y + x * x, "phi")
+    psi = ScalarField.from_coords(2, lambda x, y: jets.exp(x) - y, "phi")  # same label
+    X = VectorField.from_coords(2, lambda x, y: (x * y, jets.cos(y)), "X")
+    frame = geo.ChartFrame(sphere_stereo, sample_points(sphere_stereo, 3, seed=19))
+    phi_calls, psi_calls, x_calls = _spy(phi), _spy(psi), _spy(X)
+
+    f2, x2 = frame.field_jet(phi, 2), frame.field_jet(X, 2)
+    f1, x1 = frame.field_jet(phi, 1), frame.field_jet(X, 1)
+    assert phi_calls == [2] and x_calls == [2]
+    assert f1.order == 1 and np.array_equal(f1.coeffs, f2.truncated(1).coeffs)
+    assert len(x1) == 2
+    for a, b in zip(x1, x2):
+        assert a.order == 1 and np.array_equal(a.coeffs, b.truncated(1).coeffs)
+
+    # another field, even one with the same label, gets its own entry
+    p1 = frame.field_jet(psi, 1)
+    assert psi_calls == [1] and phi_calls == [2]
+    assert np.array_equal(p1.coeffs, psi.jet(frame.p, 1).coeffs)
+    assert not np.array_equal(p1.coeffs, f1.coeffs)
 
 
 def test_tensor_norms(sphere_stereo):
     p = np.array([0.3, -0.8])
     g = geo.metric_values(sphere_stereo, p)
-    gt = geo.TensorValue(g, 0, 2, p)
-    assert tensor_norm2(sphere_stereo, gt, p) == pytest.approx(2.0, abs=1e-12)
+    ginv = np.linalg.inv(g)
+    assert tensor2_norm2_g(g, ginv, g) == pytest.approx(2.0, abs=1e-12)
 
     phi = ScalarField.from_coords(2, lambda x, y: jets.sin(x + y) + x * x, "phi")
     frame = geo.ChartFrame(sphere_stereo, p)
     gf = frame.grad_values(phi)
     df = np.einsum("ij,j->i", g, gf)  # covariant gradient
-    rank_one = geo.TensorValue(np.outer(df, df), 0, 2, p)
+    rank_one = np.outer(df, df)
     gn2 = float(frame.grad_norm2(phi, 0).value)
-    assert tensor_norm2(sphere_stereo, rank_one, p) == pytest.approx(gn2**2, rel=1e-12)
+    assert tensor2_norm2_g(g, ginv, rank_one) == pytest.approx(gn2**2, rel=1e-12)
 
     # orthogonal decomposition: |hess - (lap/n) g|^2 = |hess|^2 - (lap)^2 / n
     H = frame.hessian_values(phi)
     lap = float(frame.laplacian(phi, 0).value)
-    traceless = geo.TensorValue(H - lap / 2.0 * g, 0, 2, p)
-    full = geo.TensorValue(H, 0, 2, p)
-    lhs = tensor_norm2(sphere_stereo, traceless, p)
-    rhs = tensor_norm2(sphere_stereo, full, p) - lap**2 / 2.0
+    lhs = tensor2_norm2_g(g, ginv, H - lap / 2.0 * g)
+    rhs = tensor2_norm2_g(g, ginv, H) - lap**2 / 2.0
     assert lhs == pytest.approx(rhs, abs=1e-11)
-
-
-def test_outer_and_inner_valences(euclid2):
-    p = np.zeros(2)
-    v = geo.TensorValue(np.array([1.0, 2.0]), 1, 0, p)
-    w = geo.TensorValue(np.array([3.0, -1.0]), 1, 0, p)
-    vw = outer(v, w)
-    assert (vw.con, vw.cov) == (2, 0)
-    assert vw.components[1, 0] == pytest.approx(6.0)
-    assert inner(euclid2, v, w, p) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        inner(euclid2, v, vw, p)
 
 
 def test_riemann_symmetries(sphere_stereo, ball2):
@@ -248,7 +273,8 @@ def test_lie_divergence_rotational_field(sphere_polar):
     assert np.max(idt.lie_divergence_residual(sphere_polar, X, pts)) < 1e-7
     # sanity: it really is non-gradient (lowered nabla X has an antisymmetric part)
     p = pts[0]
-    cov = geo.covariant_derivative_vector(sphere_polar, X, p).components
+    cov = np.array([[c.value for c in row]
+                    for row in geo.ChartFrame(sphere_polar, p).covariant_vector(X, 0)])
     g = geo.metric_values(sphere_polar, p)
     lowered = np.einsum("ik,kj->ij", g, cov)
     assert np.max(np.abs(lowered - lowered.T)) > 1e-3

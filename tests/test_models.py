@@ -19,7 +19,7 @@ from gqem.models import (
     sample_points,
     trivial_structure,
 )
-from gqem.qem import StructureFrame, is_gqem, solve_lambda
+from gqem.qem import StructureFrame, is_gqem, trace_lambda_field
 
 
 def test_chart_metrics_at_reference_points():
@@ -147,9 +147,7 @@ def test_closed_form_lambda_matches_trace_formula():
         spec = ModelSpec(family, 3, tau=1.0, m=2.0)
         s = example_structure(spec)
         for p in sample_points(s.chart, 20, seed=18):
-            assert s.lam(p) == pytest.approx(
-                solve_lambda(s.chart, s.f, s.m, p), abs=1e-9
-            )
+            assert s.lam(p) == pytest.approx(trace_lambda_field(s.chart, s.f, s.m)(p), abs=1e-9)
 
 
 def test_sphere_radius_not_one_uses_trace_solver():

@@ -23,7 +23,6 @@ from gqem.qem import (
     make_structure,
     radial_identity_residual,
     rank_one_proportionality,
-    solve_lambda,
     traceless_residual,
     u_transform_residual,
     u_transform_values,
@@ -65,14 +64,14 @@ def test_solve_lambda_euclidean_hand_value(euclid2):
     frame = qem.StructureFrame(s, p)
     assert frame.laplacian(s.f, 0).value == pytest.approx(-3.0, abs=1e-12)
     assert frame.grad_norm2(s.f, 0).value == pytest.approx(9.0, abs=1e-12)
-    assert solve_lambda(s.chart, s.f, 3.0, p) == pytest.approx(-3.0, abs=1e-12)
+    assert qem.trace_lambda_field(s.chart, s.f, 3.0)(p) == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_solve_lambda_constant_potential():
     s = trivial_structure("hyperbolic", 3, m=2.0)
     p = np.array([0.2, -0.1, 0.3])
     r = geo.scalar_curvature(s.chart, p)
-    assert solve_lambda(s.chart, s.f, 2.0, p) == pytest.approx(r / 3.0, abs=1e-11)
+    assert qem.trace_lambda_field(s.chart, s.f, 2.0)(p) == pytest.approx(r / 3.0, abs=1e-11)
 
 
 def test_is_gqem_passes_on_models_fails_on_controls(euclid2):
@@ -183,7 +182,7 @@ def test_conformal_gradient_with_finite_m_forces_zero():
     s = example_structure(ModelSpec("sphere", 3, tau=1.0, m=2.0))
     p = sample_points(s.chart, 1, seed=7)[0]
     frame = qem.StructureFrame(s, p)
-    gf = np.stack([j.value for j in frame.grad_f(0)], axis=-1)
+    gf = frame.grad_values(s.f)
     g = frame.metric_values()
     decision = rank_one_proportionality(gf, g)
     assert decision.decision == "impossible"  # grad f != 0: no conformal trap

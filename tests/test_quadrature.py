@@ -7,7 +7,7 @@ import pytest
 
 from gqem import jets
 from gqem import quadrature as quad
-from gqem.geometry import ScalarField, VectorField, grad_field
+from gqem.geometry import ScalarField
 from gqem.models import ModelSpec, example_structure, height_field, make_chart
 from gqem.qem import make_structure
 
@@ -149,19 +149,8 @@ def test_bochner_integrals_hand_values(s2_structure, s2_grid):
     assert b.equality_gap < 1e-8
 
 
-def test_conformal_cubic_divergence(s2_structure):
-    # div(|X|^2 X) = ((n+2)/n) |X|^2 div X for the conformal field X = grad u
-    from gqem.identities import conformal_cubic_divergence_residual
-    from gqem.models import sample_points
-
-    X = grad_field(s2_structure.chart, s2_structure.u)
-    pts = sample_points(s2_structure.chart, 30, seed=1)
-    res = conformal_cubic_divergence_residual(s2_structure.chart, X, pts)
-    assert np.max(res) < 1e-8
-
-
 def test_triviality_margin_positive(s2_structure, s2_grid):
-    assert quad.triviality_margin(s2_grid, s2_structure) > 1.0
+    assert quad.traceless_hessian_balance(s2_grid, s2_structure).rhs > 1.0
 
 
 def test_resolution_doubling_convergence():
