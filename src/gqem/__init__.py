@@ -25,12 +25,6 @@ from .geometry import (  # noqa: F401
     TensorValue,
     VectorField,
     christoffel,
-    div_tensor2,
-    div_vector,
-    gradient,
-    hessian,
-    laplacian,
-    lie_metric,
     ricci,
     riemann,
     scalar_curvature,

@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", help="scan: write the CSV here (default: stdout)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--tol-scale", type=float, default=1.0, help="multiply every tolerance"
+        "--tol-scale", type=float, default=None, help="multiply every tolerance (default 1)"
     )
     return parser
 
@@ -396,6 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "catalog":
+        given = [name for name, value in vars(args).items()
+                 if name != "command" and value is not None]
+        if given:
+            print(f"error: 'catalog' reads no flags, got --{given[0].replace('_', '-')}",
+                  file=sys.stderr)
+            return 2
         return cmd_catalog()
     if not args.config:
         print(f"error: command '{args.command}' needs --config", file=sys.stderr)
@@ -405,10 +411,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if path is not None:
             raise ConfigError(f"'{args.command}' does not write {flag}")
         cfg = load_config(args.config)
-        tols = {k: v * args.tol_scale for k, v in cfg.tolerances.items()}
+        scale = 1.0 if args.tol_scale is None else args.tol_scale
+        tols = {k: v * scale for k, v in cfg.tolerances.items()}
         if not all(0 < v < math.inf for v in tols.values()):
             raise ConfigError(
-                f"--tol-scale {args.tol_scale:g} must leave every tolerance positive and finite")
+                f"--tol-scale {scale:g} must leave every tolerance positive and finite")
         unread = sorted(set(cfg.raw) - COMMAND_KEYS[args.command])
         if unread:
             raise ConfigError(f"config key '{unread[0]}' is not read by '{args.command}'")

@@ -628,38 +628,6 @@ def scalar_curvature(chart: Chart, p) -> float:
     return float(ChartFrame(chart, p).scalar_curvature_value())
 
 
-def gradient(chart: Chart, phi: ScalarField, p) -> TensorValue:
-    p = _scalar_point(chart, p)
-    return TensorValue(ChartFrame(chart, p).grad_values(phi), con=1, cov=0, point=p)
-
-
-def hessian(chart: Chart, phi: ScalarField, p) -> TensorValue:
-    p = _scalar_point(chart, p)
-    return TensorValue(ChartFrame(chart, p).hessian_values(phi), con=0, cov=2, point=p)
-
-
-def laplacian(chart: Chart, phi: ScalarField, p) -> float:
-    p = _scalar_point(chart, p)
-    return float(ChartFrame(chart, p).laplacian(phi, 0).value)
-
-
-def div_vector(chart: Chart, X: VectorField, p) -> float:
-    p = _scalar_point(chart, p)
-    return float(ChartFrame(chart, p).div_vector(X, 0).value)
-
-
-def div_tensor2(chart: Chart, T: Tensor2Field, p) -> TensorValue:
-    p = _scalar_point(chart, p)
-    comp = _values(ChartFrame(chart, p).div_tensor2(T, 0))
-    return TensorValue(comp, con=0, cov=1, point=p)
-
-
-def lie_metric(chart: Chart, X: VectorField, p) -> TensorValue:
-    p = _scalar_point(chart, p)
-    comp = _values(ChartFrame(chart, p).lie_metric(X, 0))
-    return TensorValue(comp, con=0, cov=2, point=p)
-
-
 # ---------------------------------------------------------------------------
 # derived fields
 # ---------------------------------------------------------------------------

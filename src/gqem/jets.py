@@ -123,10 +123,12 @@ class Jet:
 
     coeffs has shape ``(..., table_size)``; leading axes are batch axes.
     The coefficients must not be written once the jet has taken part in a
-    product, which caches flags of them (`_is_zero`, `_row_flags`).
+    product, which caches three flags of them on first use: all zero
+    (`_is_zero`), all finite (`_is_finite`) and the per-row pair
+    (`_row_flags`).
     """
 
-    __slots__ = ("dim", "order", "coeffs", "_flags", "_zero")
+    __slots__ = ("dim", "order", "coeffs", "_flags", "_zero", "_finite")
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         table = jet_table(dim, order)
@@ -149,10 +151,10 @@ class Jet:
         if value.size >= _BIG_BATCH:
             rows = np.zeros((size,) + value.shape)
             rows[0] = value
-            return Jet(dim, order, _coeff_major(rows))
+            return _jet(dim, order, _coeff_major(rows))
         coeffs = np.zeros(value.shape + (size,))
         coeffs[..., 0] = value
-        return Jet(dim, order, coeffs)
+        return _jet(dim, order, coeffs)
 
     @property
     def value(self):
@@ -180,7 +182,7 @@ class Jet:
         if not 0 <= order < self.order:
             raise ValueError(f"cannot truncate order-{self.order} jet to order {order}")
         size = jet_table(self.dim, self.order).grade_sizes[order]
-        return Jet(self.dim, order, self.coeffs[..., :size])
+        return _jet(self.dim, order, self.coeffs[..., :size])
 
     def derive(self, axis: int) -> "Jet":
         """Jet of the partial derivative along `axis`, one order lower."""
@@ -189,7 +191,7 @@ class Jet:
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
         src = jet_table(self.dim, self.order).derive_src[axis]
-        return Jet(self.dim, self.order - 1, self.coeffs[..., src])
+        return _jet(self.dim, self.order - 1, self.coeffs[..., src])
 
     # -- arithmetic ----------------------------------------------------
 
@@ -203,41 +205,47 @@ class Jet:
             return other
         return Jet.constant(other, self.dim, self.order)
 
+    # `_coerce` only when `other` is not a Jet of the same (dim, order): it
+    # converts a constant or raises on a mismatch.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        return Jet(self.dim, self.order, self.coeffs + other.coeffs)
+        if other.__class__ is not Jet or other.dim != self.dim or other.order != self.order:
+            other = self._coerce(other)
+        return _jet(self.dim, self.order, self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return Jet(self.dim, self.order, self.coeffs - other.coeffs)
+        if other.__class__ is not Jet or other.dim != self.dim or other.order != self.order:
+            other = self._coerce(other)
+        return _jet(self.dim, self.order, self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        return Jet(self.dim, self.order, other.coeffs - self.coeffs)
+        return _jet(self.dim, self.order, other.coeffs - self.coeffs)
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.coeffs)
+        return _jet(self.dim, self.order, -self.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order,
-                       self.coeffs * np.asarray(other, dtype=np.float64)[..., None])
-        other = self._coerce(other)
-        t = jet_table(self.dim, self.order)
+            return _jet(self.dim, self.order,
+                        self.coeffs * np.asarray(other, dtype=np.float64)[..., None])
+        if other.dim != self.dim or other.order != self.order:
+            other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
         shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
         if math.prod(shape[:-1]) < _BIG_BATCH:
             # zero times finite is ±0 at every coefficient: skip the gather
-            if ((self._is_zero() and np.isfinite(b).all())
-                    or (other._is_zero() and np.isfinite(a).all())):
-                out = Jet(self.dim, self.order, np.zeros(shape))
-                out._zero = True
+            if ((self._is_zero() and other._is_finite())
+                    or (other._is_zero() and self._is_finite())):
+                out = _jet(self.dim, self.order, np.zeros(shape))
+                out._zero = out._finite = True
                 return out
-            return Jet(self.dim, self.order, _mul_gather(a, b, t))
-        return Jet(self.dim, self.order,
-                   _mul_coeff_major(a, b, t, self._row_flags(), other._row_flags()))
+            return _jet(self.dim, self.order, _mul_gather(a, b, jet_table(self.dim, self.order)))
+        return _jet(self.dim, self.order,
+                    _mul_coeff_major(a, b, jet_table(self.dim, self.order),
+                                     self._row_flags(), other._row_flags()))
 
     __rmul__ = __mul__
 
@@ -263,6 +271,14 @@ class Jet:
             self._zero = not np.count_nonzero(self.coeffs)
             return self._zero
 
+    def _is_finite(self) -> bool:
+        """Whether every coefficient is finite, computed on first use and cached."""
+        try:
+            return self._finite
+        except AttributeError:
+            self._finite = bool(np.isfinite(self.coeffs).all())
+            return self._finite
+
     def _row_flags(self):
         """`_row_flags` of the coefficients, computed on first use and cached.
 
@@ -275,9 +291,34 @@ class Jet:
             return self._flags
 
 
+_new = object.__new__
+
+
+def _jet(dim: int, order: int, coeffs: np.ndarray) -> Jet:
+    """A `Jet` without the constructor's checks, for float64 arrays of table size built here."""
+    j = _new(Jet)
+    j.dim = dim
+    j.order = order
+    j.coeffs = coeffs
+    return j
+
+
 def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
-    """Leibniz product of coefficient arrays: gather every triple, then reduce per output."""
-    prod = a[..., t.mul_ii] * b[..., t.mul_jj] * t.mul_ff
+    """Leibniz product of coefficient arrays: gather every triple, then reduce per output.
+
+    At order 0 and 1 every factor is 1 and an output has at most two terms,
+    ``a0*bk`` then ``ak*b0`` in table order, so the direct forms below give
+    the gather + `np.add.reduceat` sum bit for bit. The one exception is the
+    sign of a NaN, which numpy's loops, `reduceat` included, pick by code path.
+    """
+    if t.order == 0:
+        return a * b
+    if t.order == 1:
+        out = a[..., :1] * b
+        out[..., 1:] += a[..., 1:] * b[..., :1]
+        return out
+    prod = a[..., t.mul_ii] * b[..., t.mul_jj]
+    prod *= t.mul_ff
     return np.add.reduceat(prod, t.mul_starts, axis=-1)
 
 
@@ -359,7 +400,7 @@ def _compose(a: Jet, taylor):
     """Evaluate sum_k taylor[k] * (a - a0)^k by Horner; taylor[k] ~ f^(k)(a0)/k!."""
     rem_coeffs = a.coeffs.copy(order="K")
     rem_coeffs[..., 0] = 0.0
-    rem = Jet(a.dim, a.order, rem_coeffs)
+    rem = _jet(a.dim, a.order, rem_coeffs)
     acc = Jet.constant(taylor[a.order], a.dim, a.order)
     for k in range(a.order - 1, -1, -1):
         acc = acc * rem + Jet.constant(taylor[k], a.dim, a.order)

@@ -5,10 +5,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gqem
 from gqem import cli, quadrature
 from gqem.cli import ConfigError, main, parse_config_text
 from gqem.identities import CATALOG
@@ -166,6 +171,33 @@ def test_catalog_lists_every_verifier(capsys):
     assert by_id["curvature_laplacian"]["orders"] == {"g": 4, "f": 3, "lambda": 2}
     for e in entries:
         assert e["formula"].strip()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--config", "cfg.txt"), ("--json", "cat.json"), ("--csv", "cat.csv"),
+     ("--seed", "3"), ("--tol-scale", "1"), ("--tol-scale", "nan")],
+)
+def test_catalog_rejects_flags_it_does_not_read(tmp_path, capsys, flag, value):
+    if flag == "--config":
+        value = write_config(tmp_path, SPHERE_CFG)
+    elif flag in ("--json", "--csv"):
+        value = str(tmp_path / value)
+    assert main(["catalog", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["config.txt"] if flag == "--config" else [])
+
+
+def test_python_dash_m_gqem_runs_the_cli():
+    src = pathlib.Path(gqem.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "gqem", "catalog"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [e["id"] for e in json.loads(done.stdout)] == [i.identity_id for i in CATALOG]
 
 
 def test_infinite_m_config(tmp_path):

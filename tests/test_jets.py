@@ -102,10 +102,36 @@ def test_mismatched_jets_refused():
     a = Jet.constant(1.0, dim=1, order=2)
     b = Jet.constant(1.0, dim=2, order=2)
     c = Jet.constant(1.0, dim=1, order=3)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * c
+    d = Jet.constant(1.0, dim=2, order=1)  # the same table size as `a`
+    for op in (lambda: a + b, lambda: a - b, lambda: b - a, lambda: a * c, lambda: c * a,
+               lambda: a + d, lambda: a - d, lambda: d * a, lambda: a * d):
+        with pytest.raises(ValueError, match="jet mismatch"):
+            op()
+
+
+def test_public_constructor_checks_the_coefficient_length():
+    size = jet_table(2, 2).size
+    for bad in (np.zeros(size - 1), np.zeros((3, size + 1))):
+        with pytest.raises(ValueError, match="does not match table size"):
+            Jet(2, 2, bad)
+    assert Jet(2, 2, np.arange(size)).coeffs.dtype == np.float64
+
+
+def test_internal_results_are_float64_arrays_of_table_size():
+    rng = np.random.default_rng(30)
+    size = jet_table(2, 3).size
+    x = Jet(2, 3, rng.normal(size=(4, size)))
+    zero = Jet(2, 3, np.zeros((4, size)))
+    results = {
+        "add": x + x, "add_int": x + 1, "radd": 2 + x, "sub": x - x, "rsub": 1 - x,
+        "neg": -x, "scalar_mul": x * 3, "array_mul": x * np.arange(4),
+        "mul": x * x, "zero_mul": zero * x, "constant": Jet.constant(np.arange(4), 2, 3),
+        "truncated": x.truncated(1), "derive": x.derive(1), "exp": jets.exp(x),
+    }
+    for name, jet in results.items():
+        t = jet_table(jet.dim, jet.order)
+        assert type(jet.coeffs) is np.ndarray and jet.coeffs.dtype == np.float64, name
+        assert jet.coeffs.shape == (4, t.size), name
 
 
 # -- random composite expressions ------------------------------------------
@@ -504,8 +530,10 @@ def test_zero_operand_against_nonfinite_runs_the_full_product(bad, batch):
     c[(0,) * len(batch) + (4,)] = bad
     other = Jet(2, 3, c)
     zero = Jet(2, 3, np.zeros(batch + (size,)))
-    for a, b in ((zero, other), (other, zero)):
+    # the second round reads the cached finiteness flag
+    for a, b in ((zero, other), (other, zero)) * 2:
         assert np.isnan(checked_product(a, b).coeffs).any()  # 0 * ±inf and 0 * NaN
+    assert other._finite is False
 
 
 def test_zero_times_finite_skips_the_gather(monkeypatch):
@@ -551,6 +579,27 @@ def test_zero_flag_is_computed_once_per_jet(monkeypatch):
     assert len(counted) == 2 and counted[1] is finite.coeffs
 
 
+def test_finite_flag_is_computed_once_per_jet(monkeypatch):
+    scanned = []
+    isfinite = np.isfinite
+
+    def spy(c, *args, **kwargs):
+        scanned.append(c)
+        return isfinite(c, *args, **kwargs)
+
+    monkeypatch.setattr(jets.np, "isfinite", spy)
+    size = jet_table(2, 2).size
+    zero = Jet(2, 2, np.zeros((100, size)))
+    finite = Jet(2, 2, np.ones((100, size)))
+    assert not hasattr(finite, "_finite")
+    product = zero * finite
+    assert len(scanned) == 1 and scanned[0] is finite.coeffs
+    assert finite._finite and product._finite
+    for a, b in ((finite, zero), (zero, finite), (product, finite), (finite, product)):
+        assert (a * b)._is_zero()
+    assert len(scanned) == 1
+
+
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (100, 2)])
 def test_seeds_at_the_origin_are_not_zero_jets(shape):
     # the value row of both seeds is zero there; their unit derivatives are not
@@ -558,3 +607,50 @@ def test_seeds_at_the_origin_are_not_zero_jets(shape):
     assert np.all((x * x).partial((2, 0)) == 2.0)
     assert np.all((x * y).partial((1, 1)) == 1.0)
     assert not (x * y).coeffs[..., :3].any()
+
+
+# -- small-batch gather kernel ------------------------------------------------
+
+
+def reference_gather(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """Every product-table term times its factor, then one `np.add.reduceat` per output."""
+    return np.add.reduceat(a[..., t.mul_ii] * b[..., t.mul_jj] * t.mul_ff, t.mul_starts, axis=-1)
+
+
+def with_special_values(c: np.ndarray, rng) -> np.ndarray:
+    """`c` with -0, NaN, +inf and -inf written at random entries."""
+    c = c.copy()
+    flat = c.reshape(-1)
+    for special in (-0.0, np.nan, np.inf, -np.inf):
+        flat[rng.integers(flat.size, size=max(1, flat.size // 50))] = special
+    return c
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
+    rng = np.random.default_rng(200 * dim + order)
+    t = jet_table(dim, order)
+    pairs = []
+    for batch in ((), (1,), (100,), (jets._BIG_BATCH - 1,)):
+        a, b = (with_special_values(rng.normal(size=batch + (t.size,)), rng) for _ in range(2))
+        const = Jet.constant(rng.normal(), dim, order).coeffs
+        pairs += [(a, b), (const, b), (a, const)]
+    pairs.append((rng.normal(size=t.size), with_special_values(rng.normal(size=(100, t.size)), rng)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, b in pairs:
+            want = canonical_nan(reference_gather(a, b, t))
+            for got in (jets._mul_gather(a, b, t), (Jet(dim, order, a) * Jet(dim, order, b)).coeffs):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert canonical_nan(got).tobytes() == want.tobytes()
+
+
+def canonical_nan(c: np.ndarray) -> np.ndarray:
+    """`c` with every NaN replaced by the one NaN `np.nan`.
+
+    numpy's SIMD and scalar loops return different operands' NaN when both are
+    NaN, so the sign of a NaN depends on the batch even in the reference: one
+    node's row at batch 1 and at batch 100 can differ there. Every other bit is
+    compared.
+    """
+    return np.where(np.isnan(c), np.nan, c)
