@@ -528,6 +528,9 @@ class ChartFrame:
         return _values(self.metric(0))
 
     def metric_inv_values(self) -> np.ndarray:
+        """g^-1 values. Read after the jet requests that need the inverse at a
+        higher order, this truncates the cached jets; read first, it builds an
+        order-0 inverse of its own and adds jet products."""
         return _values(self.metric_inv(0))
 
     def ricci_values(self) -> np.ndarray:

@@ -78,10 +78,9 @@ def gradient_norm_laplacian_residual(s: QemStructure, p):
     fr = _frame(s, p)
     n = fr.n
     g = fr.metric_values()
-    ginv = np.linalg.inv(g)
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(s.f, 2))
     hess = fr.hess_f_values()
-    hess2 = tensor2_norm2_g(g, ginv, hess)
+    hess2 = tensor2_norm2_g(g, fr.metric_inv_values(), hess)
     gf = fr.grad_values(s.f)
     ric_ff = np.einsum("...ij,...i,...j->...", fr.ricci_values(), gf, gf)
     gn2 = fr.grad_norm2(s.f, 0).value
@@ -106,10 +105,10 @@ def curvature_gradient_residual(s: QemStructure, p):
     fr = _frame(s, p)
     n = fr.n
     g = fr.metric_values()
-    ginv = np.linalg.inv(g)
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
     gf = fr.grad_values(s.f)
     ric = fr.ricci_values()
+    ginv = fr.metric_inv_values()
     ric_gf = np.einsum("...ik,...kl,...l->...i", ginv, ric, gf)
     dlam = fr.partials_of_jet(fr.lam_jet(1))
     rr = fr.scalar_curvature_value()
@@ -134,7 +133,6 @@ def hamilton_gradient_residual(s: QemStructure, p):
     fr = _frame(s, p)
     n = fr.n
     g = fr.metric_values()
-    ginv = np.linalg.inv(g)
     combined = (
         fr.scalar_curvature_jet(1)
         + fr.grad_norm2(s.f, 1)
@@ -143,7 +141,7 @@ def hamilton_gradient_residual(s: QemStructure, p):
     lhs = fr.grad_values_of_jet(combined)
     gf = fr.grad_values(s.f)
     hess = fr.hess_f_values()
-    conv = np.einsum("...ik,...kj,...j->...i", ginv, hess, gf)
+    conv = np.einsum("...ik,...kj,...j->...i", fr.metric_inv_values(), hess, gf)
     lam = fr.lam_jet(0).value
     gn2 = fr.grad_norm2(s.f, 0).value
     lapf = fr.laplacian(s.f, 0).value
@@ -194,7 +192,6 @@ def curvature_laplacian_residual(s: QemStructure, p, fd_step: Optional[float] = 
     fr = _frame(s, p)
     n = fr.n
     g = fr.metric_values()
-    ginv = np.linalg.inv(g)
     if fd_step is None:
         lhs = 0.5 * fr.laplacian_of_jet(fr.scalar_curvature_jet(2))
     else:
@@ -202,7 +199,7 @@ def curvature_laplacian_residual(s: QemStructure, p, fd_step: Optional[float] = 
     hess = fr.hess_f_values()
     lapf = fr.laplacian(s.f, 0).value
     traceless = hess - (lapf / n)[..., None, None] * g
-    traceless2 = tensor2_norm2_g(g, ginv, traceless)
+    traceless2 = tensor2_norm2_g(g, fr.metric_inv_values(), traceless)
     gf = fr.grad_values(s.f)
     pair = lambda w: np.einsum("...i,...i->...", gf, w)
     dlam = fr.partials_of_jet(fr.lam_jet(1))
@@ -261,11 +258,10 @@ def conformality_residual(chart: Chart, X: VectorField, p):
     fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
     n = chart.dim
     g = fr.metric_values()
-    ginv = np.linalg.inv(g)
     lie = _values(fr.lie_metric(X, 0))
     div = fr.div_vector(X, 0).value
     res = 0.5 * lie - (div / n)[..., None, None] * g
-    return np.sqrt(np.maximum(tensor2_norm2_g(g, ginv, res), 0.0))
+    return np.sqrt(np.maximum(tensor2_norm2_g(g, fr.metric_inv_values(), res), 0.0))
 
 
 def u_conformality_residual(s: QemStructure, p):
@@ -278,13 +274,13 @@ def lie_divergence_residual(chart: Chart, X: VectorField, p):
     p = np.asarray(p, dtype=np.float64)
     fr = ChartFrame(chart, p)
     g = fr.metric_values()
-    ginv = np.linalg.inv(g)
     xv = _values(fr.field_jet(X, 0))
     div_lie = _values(fr.div_tensor2(lie_metric_field(chart, X), 0))
     lhs = np.einsum("...i,...i->...", div_lie, xv)
     lap_norm2 = fr.laplacian_of_jet(_norm2_jet(fr.metric(2), fr.field_jet(X, 2)))
     covv = _values(fr.covariant_vector(X, 0))
     # |nabla X|^2 with the (1,1) valence: g_{ik} g^{jl} covv[i,j] covv[k,l]
+    ginv = fr.metric_inv_values()
     nabla_x2 = np.einsum("...ik,...jl,...ij,...kl->...", g, ginv, covv, covv)
     ric_xx = np.einsum("...ij,...i,...j->...", fr.ricci_values(), xv, xv)
     ddiv = fr.partials_of_jet(fr.div_vector(X, 1))
@@ -331,10 +327,9 @@ def bochner_residual(chart: Chart, phi: ScalarField, p):
     """(1/2) lap|grad phi|^2 = |hess phi|^2 + <grad phi, grad lap phi> + Ric(grad phi, grad phi)."""
     fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
     g = fr.metric_values()
-    ginv = np.linalg.inv(g)
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(phi, 2))
     hess = fr.hessian_values(phi)
-    hess2 = tensor2_norm2_g(g, ginv, hess)
+    hess2 = tensor2_norm2_g(g, fr.metric_inv_values(), hess)
     gphi = fr.grad_values(phi)
     dlap = fr.partials_of_jet(fr.laplacian(phi, 1))
     ric_ff = np.einsum("...ij,...i,...j->...", fr.ricci_values(), gphi, gphi)
@@ -414,7 +409,7 @@ def einstein_hessian_profile(s: QemStructure, points,
     dlamu = fr.partials_of_jet(fr.field_jet(lam_u, 1))
     du = fr.partials_of_jet(fr.u_jet(1))
     w = dlamu - (rr * (s.m + n - 1) / (n * (n - 1)))[..., None] * du
-    gradlam_residual = float(np.max(norm_g(np.linalg.inv(g), w)))
+    gradlam_residual = float(np.max(norm_g(fr.metric_inv_values(), w)))
     return EinsteinHessianProfile(c, float(np.min(c_per_point)), float(np.max(c_per_point)),
                                   hessian_residual, lap_residual, gradlam_residual)
 

@@ -422,16 +422,22 @@ def log(a: Jet) -> Jet:
     return _compose(a, taylor)
 
 
+def _binomial(a: Jet, exponent: float) -> Jet:
+    """a ** exponent by the binomial series about a0 (the caller checks a0 > 0)."""
+    v = a.value
+    taylor = []
+    c = 1.0
+    for k in range(a.order + 1):
+        taylor.append(c * v ** (exponent - k))
+        c *= (exponent - k) / (k + 1)
+    return _compose(a, taylor)
+
+
 def sqrt(a: Jet) -> Jet:
     v = a.value
     if np.any(v <= 0.0):
         raise JetDomainError(f"sqrt of non-positive value (min value {np.min(v)})")
-    taylor = []
-    c = 1.0
-    for k in range(a.order + 1):
-        taylor.append(c * v ** (0.5 - k))
-        c *= (0.5 - k) / (k + 1)
-    return _compose(a, taylor)
+    return _binomial(a, 0.5)
 
 
 def reciprocal(a: Jet) -> Jet:
@@ -442,8 +448,9 @@ def reciprocal(a: Jet) -> Jet:
 
 
 def _cyclic(a: Jet, cycle):
+    """Compose with a function whose derivatives repeat with period len(cycle)."""
     return _compose(
-        a, [cycle[k % 4](a.value) / math.factorial(k) for k in range(a.order + 1)]
+        a, [cycle[k % len(cycle)](a.value) / math.factorial(k) for k in range(a.order + 1)]
     )
 
 
@@ -456,19 +463,11 @@ def cos(a: Jet) -> Jet:
 
 
 def sinh(a: Jet) -> Jet:
-    return _compose(
-        a,
-        [(np.sinh(a.value) if k % 2 == 0 else np.cosh(a.value)) / math.factorial(k)
-         for k in range(a.order + 1)],
-    )
+    return _cyclic(a, (np.sinh, np.cosh))
 
 
 def cosh(a: Jet) -> Jet:
-    return _compose(
-        a,
-        [(np.cosh(a.value) if k % 2 == 0 else np.sinh(a.value)) / math.factorial(k)
-         for k in range(a.order + 1)],
-    )
+    return _cyclic(a, (np.cosh, np.sinh))
 
 
 def power(a: Jet, exponent) -> Jet:
@@ -483,14 +482,8 @@ def power(a: Jet, exponent) -> Jet:
         for _ in range(k):
             acc = acc * a
         return acc
-    v = a.value
-    if np.any(v <= 0.0):
+    if np.any(a.value <= 0.0):
         raise JetDomainError(
             f"power with non-integer exponent {exponent} of non-positive value"
         )
-    taylor = []
-    c = 1.0
-    for k in range(a.order + 1):
-        taylor.append(c * v ** (exponent - k))
-        c *= (exponent - k) / (k + 1)
-    return _compose(a, taylor)
+    return _binomial(a, exponent)

@@ -169,8 +169,6 @@ class GqemCheck:
     sup_residual: float
     mean_residual: float
     sup_gnorm: float
-    sup_traceless: float
-    mean_traceless: float
     tolerance: float
     passed: bool
 
@@ -182,19 +180,14 @@ def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
         raise ValueError("empty sample")
     frame = StructureFrame(s, points)
     res = frame.defining_values()
-    tres = frame.traceless_values()
     sup_comp = np.max(np.abs(res), axis=(-1, -2))
-    sup_tr = np.max(np.abs(tres), axis=(-1, -2))
     g = frame.metric_values()
-    ginv = np.linalg.inv(g)
-    gnorm = np.sqrt(np.maximum(tensor2_norm2_g(g, ginv, res), 0.0))
+    gnorm = np.sqrt(np.maximum(tensor2_norm2_g(g, frame.metric_inv_values(), res), 0.0))
     return GqemCheck(
         n_points=int(np.prod(points.shape[:-1])),
         sup_residual=float(np.max(sup_comp)),
         mean_residual=float(np.mean(sup_comp)),
         sup_gnorm=float(np.max(gnorm)),
-        sup_traceless=float(np.max(sup_tr)),
-        mean_traceless=float(np.mean(sup_tr)),
         tolerance=tol,
         passed=bool(np.max(sup_comp) < tol),
     )

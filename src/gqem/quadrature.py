@@ -141,8 +141,8 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
         chunk = grid.nodes[lo : lo + _CHUNK]
         fr = StructureFrame(s, chunk)
         g = fr.metric_values()
-        ginv = np.linalg.inv(g)
         ric = fr.ricci_values()
+        ginv = fr.metric_inv_values()
         for x, phi in fields:
             hess = fr.hessian_values(phi)
             lap = fr.laplacian(phi, 0).value

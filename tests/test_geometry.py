@@ -204,14 +204,38 @@ def test_field_jet_builds_each_field_once(sphere_stereo):
     assert not np.array_equal(p1.coeffs, f1.coeffs)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_jet_metric_inverse_matches_lapack_on_a_non_diagonal_chart(n):
+    # g = A + sum_k B_k x_k with A SPD: every entry of g and of g^-1 is non-zero,
+    # unlike the diagonal model charts, where both inverses are exactly 1/g_ii
+    rng = np.random.default_rng(100 + n)
+    m = rng.normal(size=(n, n))
+    a = m @ m.T + n * np.eye(n)
+    b = rng.normal(size=(n, n, n)) * 0.3
+    b = b + np.swapaxes(b, 1, 2)
+
+    def metric_fn(x):
+        return np.array([[sum((x[k] * b[k, i, j] for k in range(n)), a[i, j])
+                          for j in range(n)] for i in range(n)], dtype=object)
+
+    chart = geo.Chart(n, metric_fn, lambda p: np.ones(p.shape[:-1], dtype=bool), "affine")
+    frame = geo.ChartFrame(chart, rng.uniform(-0.5, 0.5, size=(40, n)))
+    g = frame.metric_values()
+    assert np.all(np.linalg.eigvalsh(g) > 0.0)
+    lapack = np.linalg.inv(g)
+    ulp = np.spacing(np.max(np.abs(lapack), axis=(-1, -2)))
+    gap = np.max(np.abs(frame.metric_inv_values() - lapack), axis=(-1, -2))
+    assert np.all(gap <= 4 * ulp), np.max(gap / ulp)
+
+
 def test_tensor_norms(sphere_stereo):
     p = np.array([0.3, -0.8])
-    g = geo.metric_values(sphere_stereo, p)
-    ginv = np.linalg.inv(g)
+    frame = geo.ChartFrame(sphere_stereo, p)
+    g = frame.metric_values()
+    ginv = frame.metric_inv_values()
     assert tensor2_norm2_g(g, ginv, g) == pytest.approx(2.0, abs=1e-12)
 
     phi = ScalarField.from_coords(2, lambda x, y: jets.sin(x + y) + x * x, "phi")
-    frame = geo.ChartFrame(sphere_stereo, p)
     gf = frame.grad_values(phi)
     df = np.einsum("ij,j->i", g, gf)  # covariant gradient
     rank_one = np.outer(df, df)

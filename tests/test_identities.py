@@ -8,6 +8,7 @@ import pytest
 
 from gqem import identities as idt
 from gqem import jets
+from gqem import quadrature as quad
 from gqem.geometry import ScalarField, grad_field
 from gqem.models import (
     ModelSpec,
@@ -17,7 +18,7 @@ from gqem.models import (
     sample_points,
     trivial_structure,
 )
-from gqem.qem import make_structure
+from gqem.qem import is_gqem, make_structure
 
 TOLS = {2: 1e-8, 3: 1e-7, 4: 1e-6}
 
@@ -348,3 +349,20 @@ def test_joined_profile_equals_the_whole_sample():
     nan = dataclasses.replace(whole, hessian_residual=math.nan)
     assert math.isnan(whole.join(nan).hessian_residual)
     assert math.isnan(nan.join(whole).hessian_residual)
+
+
+def test_residual_paths_call_no_lapack_inverse(monkeypatch):
+    # every residual reads g^-1 from the frame's jet inverse, never np.linalg.inv
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    s3 = example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0))
+    pts = sample_points(s3.chart, 5, seed=4)
+    entries = idt.run_pointwise_suite(s3, pts, TOLS)
+    assert len(entries) == len(idt.CATALOG)
+    assert all(e.passed for e in entries)
+    assert is_gqem(s3, pts, 1e-8).passed
+    s2 = example_structure(ModelSpec("sphere", 2, tau=1.5, m=2.0, chart_kind="polar"))
+    rows = quad.run_integral_suite(quad.make_sphere_grid(s2.chart, (8, 16)), s2, 1e-6)
+    assert len(rows) == 6 and all(np.isfinite(r["relative_gap"]) for r in rows)
