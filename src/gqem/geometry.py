@@ -14,6 +14,7 @@ sphere satisfy Ric = (n-1) g and R = n(n-1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -240,6 +241,28 @@ def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _memoized(method):
+    """Cache `method(self, *fields, order)` per frame, keyed by (method name, fields).
+
+    Fields hash by identity, so two fields with the same label get separate
+    entries. A cached result of higher order is reused by exact truncation.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def wrapper(self, *args):
+        *fields, order = args
+        key = (name, *fields)
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] >= order:
+            return _trunc_tree(hit[1], order)
+        val = method(self, *args)
+        self._cache[key] = (order, val)
+        return val
+
+    return wrapper
+
+
 class ChartFrame:
     """All jet-level geometric quantities of one chart at one (batch of) point(s).
 
@@ -257,238 +280,190 @@ class ChartFrame:
         self.n = chart.dim
         self._cache: dict = {}
 
-    def _memo(self, key, order: int, build):
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] >= order:
-            return _trunc_tree(hit[1], order)
-        val = build(order)
-        self._cache[key] = (order, val)
-        return val
-
     # -- metric and curvature ------------------------------------------
 
+    @_memoized
     def metric(self, order: int) -> np.ndarray:
-        return self._memo("g", order, lambda k: self.chart.metric_jets(self.p, k))
+        return self.chart.metric_jets(self.p, order)
 
+    @_memoized
     def metric_inv(self, order: int) -> np.ndarray:
-        return self._memo("ginv", order, lambda k: invert_jet_matrix(self.metric(k)))
+        return invert_jet_matrix(self.metric(order))
 
+    @_memoized
     def gamma(self, order: int) -> np.ndarray:
         """Christoffel symbols Gamma^k_{ij} as jets of the given order."""
+        n = self.n
+        g = self.metric(order + 1)
+        gi = self.metric_inv(order)
+        dg = [[[g[a, b].derive(c) for b in range(n)] for a in range(n)]
+              for c in range(n)]  # dg[c][a][b] = d_c g_ab
+        out = np.empty((n, n, n), dtype=object)
+        for i in range(n):
+            for j in range(i, n):
+                brackets = [
+                    dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)
+                ]
+                for kk in range(n):
+                    acc = gi[kk, 0] * brackets[0]
+                    for l in range(1, n):
+                        acc = acc + gi[kk, l] * brackets[l]
+                    out[kk, i, j] = acc * 0.5
+                    out[kk, j, i] = out[kk, i, j]
+        return out
 
-        def build(k):
-            n = self.n
-            g = self.metric(k + 1)
-            gi = self.metric_inv(k)
-            dg = [[[g[a, b].derive(c) for b in range(n)] for a in range(n)]
-                  for c in range(n)]  # dg[c][a][b] = d_c g_ab
-            out = np.empty((n, n, n), dtype=object)
-            for i in range(n):
-                for j in range(i, n):
-                    brackets = [
-                        dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)
-                    ]
-                    for kk in range(n):
-                        acc = gi[kk, 0] * brackets[0]
-                        for l in range(1, n):
-                            acc = acc + gi[kk, l] * brackets[l]
-                        out[kk, i, j] = acc * 0.5
-                        out[kk, j, i] = out[kk, i, j]
-            return out
-
-        return self._memo("gamma", order, build)
-
+    @_memoized
     def riemann(self, order: int) -> np.ndarray:
         """Curvature tensor R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma.Gamma."""
-
-        def build(kord):
-            n = self.n
-            gam = self.gamma(kord + 1)
-            gam0 = _trunc_tree(gam, kord)
-            out = np.empty((n, n, n, n), dtype=object)
-            zero = Jet.constant(np.zeros(gam[0, 0, 0].batch_shape), n, kord)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        out[i, j, k, k] = zero
-                        for l in range(k + 1, n):
-                            term = gam[i, l, j].derive(k) - gam[i, k, j].derive(l)
-                            for mm in range(n):
-                                term = term + gam0[i, k, mm] * gam0[mm, l, j]
-                                term = term - gam0[i, l, mm] * gam0[mm, k, j]
-                            out[i, j, k, l] = term
-                            out[i, j, l, k] = -term
-            return out
-
-        return self._memo("riemann", order, build)
-
-    def ricci(self, order: int) -> np.ndarray:
-        def build(k):
-            n = self.n
-            rm = self.riemann(k)
-            out = np.empty((n, n), dtype=object)
+        n = self.n
+        gam = self.gamma(order + 1)
+        gam0 = _trunc_tree(gam, order)
+        out = np.empty((n, n, n, n), dtype=object)
+        zero = Jet.constant(np.zeros(gam[0, 0, 0].batch_shape), n, order)
+        for i in range(n):
             for j in range(n):
-                for l in range(j, n):
-                    acc = rm[0, j, 0, l]
-                    for i in range(1, n):
-                        acc = acc + rm[i, j, i, l]
-                    out[j, l] = acc
-                    out[l, j] = acc
-            return out
+                for k in range(n):
+                    out[i, j, k, k] = zero
+                    for l in range(k + 1, n):
+                        term = gam[i, l, j].derive(k) - gam[i, k, j].derive(l)
+                        for mm in range(n):
+                            term = term + gam0[i, k, mm] * gam0[mm, l, j]
+                            term = term - gam0[i, l, mm] * gam0[mm, k, j]
+                        out[i, j, k, l] = term
+                        out[i, j, l, k] = -term
+        return out
 
-        return self._memo("ricci", order, build)
+    @_memoized
+    def ricci(self, order: int) -> np.ndarray:
+        n = self.n
+        rm = self.riemann(order)
+        out = np.empty((n, n), dtype=object)
+        for j in range(n):
+            for l in range(j, n):
+                acc = rm[0, j, 0, l]
+                for i in range(1, n):
+                    acc = acc + rm[i, j, i, l]
+                out[j, l] = acc
+                out[l, j] = acc
+        return out
 
+    @_memoized
     def scalar_curvature_jet(self, order: int) -> Jet:
-        def build(k):
-            gi = self.metric_inv(k)
-            ric = self.ricci(k)
-            n = self.n
-            acc = gi[0, 0] * ric[0, 0]
-            for i in range(n):
-                for j in range(n):
-                    if i == 0 and j == 0:
-                        continue
-                    acc = acc + gi[i, j] * ric[i, j]
-            return acc
-
-        return self._memo("scal", order, build)
+        gi = self.metric_inv(order)
+        ric = self.ricci(order)
+        n = self.n
+        acc = gi[0, 0] * ric[0, 0]
+        for i in range(n):
+            for j in range(n):
+                if i == 0 and j == 0:
+                    continue
+                acc = acc + gi[i, j] * ric[i, j]
+        return acc
 
     # -- fields ----------------------------------------------------------
 
+    @_memoized
     def field_jet(self, X: ScalarField | VectorField, order: int) -> Jet | list:
         """A scalar field's jet, or a vector field's list of component jets."""
-        key = ("field", id(X), X)
-        return self._memo(key, order, lambda k: X.jet(self.p, k))
+        return X.jet(self.p, order)
 
+    @_memoized
     def grad(self, phi: ScalarField, order: int) -> list:
         """Contravariant gradient components as jets."""
-        key = ("grad", id(phi), phi)
+        n = self.n
+        gi = self.metric_inv(order)
+        df = [self.field_jet(phi, order + 1).derive(j) for j in range(n)]
+        return [_sum_jets([gi[i, j] * df[j] for j in range(n)]) for i in range(n)]
 
-        def build(k):
-            n = self.n
-            gi = self.metric_inv(k)
-            df = [self.field_jet(phi, k + 1).derive(j) for j in range(n)]
-            return [
-                _sum_jets([gi[i, j] * df[j] for j in range(n)]) for i in range(n)
-            ]
-
-        return self._memo(key, order, build)
-
+    @_memoized
     def hessian(self, phi: ScalarField, order: int) -> np.ndarray:
-        key = ("hess", id(phi), phi)
+        n = self.n
+        fj = self.field_jet(phi, order + 2)
+        d1 = [fj.derive(i).truncated(order) for i in range(n)]
+        gam = self.gamma(order)
+        out = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(i, n):
+                acc = fj.derive(i).derive(j)
+                for kk in range(n):
+                    acc = acc - gam[kk, i, j] * d1[kk]
+                out[i, j] = acc
+                out[j, i] = acc
+        return out
 
-        def build(k):
-            n = self.n
-            fj = self.field_jet(phi, k + 2)
-            d1 = [fj.derive(i).truncated(k) for i in range(n)]
-            gam = self.gamma(k)
-            out = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(i, n):
-                    acc = fj.derive(i).derive(j)
-                    for kk in range(n):
-                        acc = acc - gam[kk, i, j] * d1[kk]
-                    out[i, j] = acc
-                    out[j, i] = acc
-            return out
-
-        return self._memo(key, order, build)
-
+    @_memoized
     def laplacian(self, phi: ScalarField, order: int) -> Jet:
-        key = ("lap", id(phi), phi)
+        gi = self.metric_inv(order)
+        h = self.hessian(phi, order)
+        n = self.n
+        return _sum_jets([gi[i, j] * h[i, j] for i in range(n) for j in range(n)])
 
-        def build(k):
-            gi = self.metric_inv(k)
-            h = self.hessian(phi, k)
-            n = self.n
-            return _sum_jets([gi[i, j] * h[i, j] for i in range(n) for j in range(n)])
-
-        return self._memo(key, order, build)
-
+    @_memoized
     def grad_norm2(self, phi: ScalarField, order: int) -> Jet:
-        key = ("gn2", id(phi), phi)
+        n = self.n
+        gi = self.metric_inv(order)
+        df = [self.field_jet(phi, order + 1).derive(j) for j in range(n)]
+        return _sum_jets([gi[i, j] * df[i] * df[j] for i in range(n) for j in range(n)])
 
-        def build(k):
-            n = self.n
-            gi = self.metric_inv(k)
-            df = [self.field_jet(phi, k + 1).derive(j) for j in range(n)]
-            return _sum_jets(
-                [gi[i, j] * df[i] * df[j] for i in range(n) for j in range(n)]
-            )
-
-        return self._memo(key, order, build)
-
+    @_memoized
     def covariant_vector(self, X: VectorField, order: int) -> np.ndarray:
         """nabla X as jets, component [i, j] = nabla_j X^i."""
-        key = ("covv", id(X), X)
-
-        def build(k):
-            n = self.n
-            xj = self.field_jet(X, k + 1)
-            x0 = [x.truncated(k) for x in xj]
-            gam = self.gamma(k)
-            out = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    acc = xj[i].derive(j)
-                    for kk in range(n):
-                        acc = acc + gam[i, j, kk] * x0[kk]
-                    out[i, j] = acc
-            return out
-
-        return self._memo(key, order, build)
+        n = self.n
+        xj = self.field_jet(X, order + 1)
+        x0 = [x.truncated(order) for x in xj]
+        gam = self.gamma(order)
+        out = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                acc = xj[i].derive(j)
+                for kk in range(n):
+                    acc = acc + gam[i, j, kk] * x0[kk]
+                out[i, j] = acc
+        return out
 
     def div_vector(self, X: VectorField, order: int) -> Jet:
         cov = self.covariant_vector(X, order)
         return _sum_jets([cov[i, i] for i in range(self.n)])
 
+    @_memoized
     def lie_metric(self, X: VectorField, order: int) -> np.ndarray:
         """(L_X g)_{ij} as jets."""
-        key = ("lie", id(X), X)
+        n = self.n
+        g = self.metric(order + 1)
+        g0 = _trunc_tree(g, order)
+        xj = self.field_jet(X, order + 1)
+        x0 = [x.truncated(order) for x in xj]
+        out = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(i, n):
+                acc = _sum_jets([x0[kk] * g[i, j].derive(kk) for kk in range(n)])
+                for kk in range(n):
+                    acc = acc + g0[kk, j] * xj[kk].derive(i)
+                    acc = acc + g0[i, kk] * xj[kk].derive(j)
+                out[i, j] = acc
+                out[j, i] = acc
+        return out
 
-        def build(k):
-            n = self.n
-            g = self.metric(k + 1)
-            g0 = _trunc_tree(g, k)
-            xj = self.field_jet(X, k + 1)
-            x0 = [x.truncated(k) for x in xj]
-            out = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(i, n):
-                    acc = _sum_jets([x0[kk] * g[i, j].derive(kk) for kk in range(n)])
-                    for kk in range(n):
-                        acc = acc + g0[kk, j] * xj[kk].derive(i)
-                        acc = acc + g0[i, kk] * xj[kk].derive(j)
-                    out[i, j] = acc
-                    out[j, i] = acc
-            return out
-
-        return self._memo(key, order, build)
-
+    @_memoized
     def div_tensor2(self, T: Tensor2Field, order: int) -> list:
         """Divergence (div T)_j = g^{ik} nabla_i T_{kj} of a (0,2)-tensor field, as jets."""
-        key = ("divT", id(T), T)
-
-        def build(k):
-            n = self.n
-            tj = T.jet(self.p, k + 1)
-            t0 = _trunc_tree(tj, k)
-            gam = self.gamma(k)
-            gi = self.metric_inv(k)
-            out = []
-            for j in range(n):
-                terms = []
-                for i in range(n):
-                    for kk in range(n):
-                        cov = tj[kk, j].derive(i)
-                        for l in range(n):
-                            cov = cov - gam[l, i, kk] * t0[l, j]
-                            cov = cov - gam[l, i, j] * t0[kk, l]
-                        terms.append(gi[i, kk] * cov)
-                out.append(_sum_jets(terms))
-            return out
-
-        return self._memo(key, order, build)
+        n = self.n
+        tj = T.jet(self.p, order + 1)
+        t0 = _trunc_tree(tj, order)
+        gam = self.gamma(order)
+        gi = self.metric_inv(order)
+        out = []
+        for j in range(n):
+            terms = []
+            for i in range(n):
+                for kk in range(n):
+                    cov = tj[kk, j].derive(i)
+                    for l in range(n):
+                        cov = cov - gam[l, i, kk] * t0[l, j]
+                        cov = cov - gam[l, i, j] * t0[kk, l]
+                    terms.append(gi[i, kk] * cov)
+            out.append(_sum_jets(terms))
+        return out
 
     # -- operators applied to already-computed jets ------------------------
 
@@ -589,10 +564,6 @@ def _scalar_point(chart: Chart, p) -> np.ndarray:
     if p.shape != (chart.dim,):
         raise ValueError(f"expected a single point of shape ({chart.dim},)")
     return p
-
-
-def metric_values(chart: Chart, p) -> np.ndarray:
-    return _values(chart.metric_jets(p, 0))
 
 
 def check_metric_spd(chart: Chart, points) -> float:

@@ -5,8 +5,11 @@ on an exact structure; running them on deliberately broken structures
 (negative controls) confirms they can fail. The catalog at the bottom lists
 each verifier with the formula it checks and the jet orders it consumes.
 
-Verifiers accept a single point of shape (n,) or a batch of shape (..., n)
-and return a matching float or array.
+Each verifier takes the frame it reads: a `StructureFrame` for identities of
+a structure, any `ChartFrame` for the chart-level ones, built at a single
+point of shape (n,) or a batch of shape (..., n). It returns a matching float
+or array. `run_pointwise_suite` builds a catalog row's frame and reduces the
+row to a per-point magnitude.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (
-    Chart,
     ChartFrame,
     ScalarField,
     VectorField,
@@ -47,18 +49,14 @@ from .qem import (
 _CHUNK = 256
 
 
-def _frame(s: QemStructure, p) -> StructureFrame:
-    return StructureFrame(s, np.asarray(p, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # derivative-of-trace identity
 # ---------------------------------------------------------------------------
 
 
-def trace_gradient_residual(s: QemStructure, p):
+def trace_gradient_residual(fr: StructureFrame):
     """<grad f, grad R> + <grad f, grad lap f> - (1/m)<grad f, grad|grad f|^2> - n<grad lam, grad f>."""
-    fr = _frame(s, p)
+    s = fr.s
     gf = fr.grad_values(s.f)
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
     dlap = fr.partials_of_jet(fr.laplacian(s.f, 1))
@@ -73,9 +71,9 @@ def trace_gradient_residual(s: QemStructure, p):
 # ---------------------------------------------------------------------------
 
 
-def gradient_norm_laplacian_residual(s: QemStructure, p):
+def gradient_norm_laplacian_residual(fr: StructureFrame):
     """(1/2) lap|grad f|^2 = |hess f|^2 - Ric(grad f, grad f) + (2/m)|grad f|^2 lap f - (n-2)<grad lam, grad f>."""
-    fr = _frame(s, p)
+    s = fr.s
     n = fr.n
     g = fr.metric_values()
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(s.f, 2))
@@ -96,13 +94,13 @@ _Z_CHECKS = 5
 _Z_SEED = 0
 
 
-def curvature_gradient_residual(s: QemStructure, p):
+def curvature_gradient_residual(fr: StructureFrame):
     """(1/2) grad R = ((m-1)/m) Ric(grad f) + (1/m)(R - (n-1)lam) grad f + (n-1) grad lam.
 
     Returns the g-norm of the vector residual, folded with the worst of
     `_Z_CHECKS` seeded contractions of the same identity against fixed vectors.
     """
-    fr = _frame(s, p)
+    s = fr.s
     n = fr.n
     g = fr.metric_values()
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
@@ -128,9 +126,9 @@ def curvature_gradient_residual(s: QemStructure, p):
     return res
 
 
-def hamilton_gradient_residual(s: QemStructure, p):
+def hamilton_gradient_residual(fr: StructureFrame):
     """grad(R + |grad f|^2 - 2(n-1)lam) = 2 lam grad f + (2/m){conv + (|grad f|^2 - lap f) grad f}."""
-    fr = _frame(s, p)
+    s = fr.s
     n = fr.n
     g = fr.metric_values()
     combined = (
@@ -180,16 +178,16 @@ def _convective_divergence(fr: StructureFrame, phi: ScalarField):
     return out
 
 
-def curvature_laplacian_residual(s: QemStructure, p, fd_step: Optional[float] = None):
+def curvature_laplacian_residual(fr: StructureFrame, fd_step: Optional[float] = None):
     """(1/2) lap R against its expansion in potential derivatives (needs metric jets of order 4).
 
     With `fd_step` set, the left side uses second central differences of the
     scalar curvature field instead of jets (cross-validation of the
     fourth-order path).
     """
+    s = fr.s
     if not s.m_finite:
         raise ValueError("the curvature-Laplacian identity is stated for finite m")
-    fr = _frame(s, p)
     n = fr.n
     g = fr.metric_values()
     if fd_step is None:
@@ -253,10 +251,9 @@ def _norm2_jet(g: np.ndarray, x: list):
     return _sum_jets([g[i, j] * x[i] * x[j] for i in range(n) for j in range(n)])
 
 
-def conformality_residual(chart: Chart, X: VectorField, p):
+def conformality_residual(fr: ChartFrame, X: VectorField):
     """g-norm of (1/2) L_X g - (div X / n) g."""
-    fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
-    n = chart.dim
+    n = fr.n
     g = fr.metric_values()
     lie = _values(fr.lie_metric(X, 0))
     div = fr.div_vector(X, 0).value
@@ -264,18 +261,16 @@ def conformality_residual(chart: Chart, X: VectorField, p):
     return np.sqrt(np.maximum(tensor2_norm2_g(g, fr.metric_inv_values(), res), 0.0))
 
 
-def u_conformality_residual(s: QemStructure, p):
+def u_conformality_residual(fr: StructureFrame):
     """Conformality defect of grad u; vanishes exactly when the base is Einstein."""
-    return conformality_residual(s.chart, grad_field(s.chart, s.require_u()), p)
+    return conformality_residual(fr, grad_field(fr.chart, fr.s.require_u()))
 
 
-def lie_divergence_residual(chart: Chart, X: VectorField, p):
+def lie_divergence_residual(fr: ChartFrame, X: VectorField):
     """div(L_X g)(X) = (1/2) lap|X|^2 - |nabla X|^2 + Ric(X, X) + <X, grad div X>."""
-    p = np.asarray(p, dtype=np.float64)
-    fr = ChartFrame(chart, p)
     g = fr.metric_values()
     xv = _values(fr.field_jet(X, 0))
-    div_lie = _values(fr.div_tensor2(lie_metric_field(chart, X), 0))
+    div_lie = _values(fr.div_tensor2(lie_metric_field(fr.chart, X), 0))
     lhs = np.einsum("...i,...i->...", div_lie, xv)
     lap_norm2 = fr.laplacian_of_jet(_norm2_jet(fr.metric(2), fr.field_jet(X, 2)))
     covv = _values(fr.covariant_vector(X, 0))
@@ -294,28 +289,25 @@ def lie_divergence_residual(chart: Chart, X: VectorField, p):
 # ---------------------------------------------------------------------------
 
 
-def contracted_bianchi_residual(chart: Chart, p):
+def contracted_bianchi_residual(fr: ChartFrame):
     """g-norm of grad R - 2 div Ric (covariant form)."""
-    fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
-    w = dR - 2.0 * _values(fr.div_tensor2(ricci_field(chart), 0))
+    w = dR - 2.0 * _values(fr.div_tensor2(ricci_field(fr.chart), 0))
     return norm_g(fr.metric_inv_values(), w)
 
 
-def div_hessian_residual(chart: Chart, phi: ScalarField, p):
+def div_hessian_residual(fr: ChartFrame, phi: ScalarField):
     """g-norm of div hess phi - Ric(grad phi) - grad lap phi (covariant form)."""
-    fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
-    div_h = _values(fr.div_tensor2(hessian_field(chart, phi), 0))
+    div_h = _values(fr.div_tensor2(hessian_field(fr.chart, phi), 0))
     gphi = fr.grad_values(phi)
     ric_flat = np.einsum("...ij,...j->...i", fr.ricci_values(), gphi)
     dlap = fr.partials_of_jet(fr.laplacian(phi, 1))
     return norm_g(fr.metric_inv_values(), div_h - ric_flat - dlap)
 
 
-def div_outer_grad_residual(chart: Chart, phi: ScalarField, p):
+def div_outer_grad_residual(fr: ChartFrame, phi: ScalarField):
     """g-norm of div(dphi (x) dphi) - lap phi dphi - hess phi(grad phi, .)."""
-    fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
-    div_t = _values(fr.div_tensor2(outer_grad_field(chart, phi), 0))
+    div_t = _values(fr.div_tensor2(outer_grad_field(fr.chart, phi), 0))
     lap = fr.laplacian(phi, 0).value
     dphi = fr.partials_of_jet(fr.field_jet(phi, 1))
     gphi = fr.grad_values(phi)
@@ -323,9 +315,8 @@ def div_outer_grad_residual(chart: Chart, phi: ScalarField, p):
     return norm_g(fr.metric_inv_values(), div_t - lap[..., None] * dphi - conv_flat)
 
 
-def bochner_residual(chart: Chart, phi: ScalarField, p):
+def bochner_residual(fr: ChartFrame, phi: ScalarField):
     """(1/2) lap|grad phi|^2 = |hess phi|^2 + <grad phi, grad lap phi> + Ric(grad phi, grad phi)."""
-    fr = ChartFrame(chart, np.asarray(p, dtype=np.float64))
     g = fr.metric_values()
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(phi, 2))
     hess = fr.hessian_values(phi)
@@ -374,20 +365,18 @@ class EinsteinHessianProfile:
             hi("hessian_residual"), hi("lap_residual"), hi("gradlam_residual"))
 
 
-def einstein_hessian_profile(s: QemStructure, points,
+def einstein_hessian_profile(fr: StructureFrame,
                              c: Optional[float] = None) -> EinsteinHessianProfile:
     """On an Einstein base with n >= 3 and finite m, u satisfies
     hess u = (-R/(n(n-1)) u + c/m) g with one constant c, and with it
     lap u = (R/m)u - (n/m) lam u and grad(lam u) = R(m+n-1)/(n(n-1)) grad u.
     The residuals use `c` when given, else its estimate at the first point.
     """
-    n = s.chart.dim
+    s, n = fr.s, fr.n
     if n < 3:
         raise ValueError("the Einstein Hessian profile needs dim >= 3")
     if not s.m_finite:
         raise ValueError("the Einstein Hessian profile needs finite m")
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    fr = StructureFrame(s, points)
     u = s.require_u()
     g = fr.metric_values()
     rr = fr.scalar_curvature_value()
@@ -421,11 +410,10 @@ class SignScan:
     sign_changes: bool
 
 
-def sign_scan_r_minus_n_lambda(s: QemStructure, points) -> SignScan:
-    """Range of R - n lambda over the sample; a nontrivial compact structure
-    must see both signs."""
-    fr = StructureFrame(s, np.asarray(points, dtype=np.float64))
-    vals = fr.scalar_curvature_value() - s.chart.dim * fr.lam_jet(0).value
+def sign_scan_r_minus_n_lambda(fr: StructureFrame) -> SignScan:
+    """Range of R - n lambda over the frame's sample; a nontrivial compact
+    structure must see both signs."""
+    vals = fr.scalar_curvature_value() - fr.n * fr.lam_jet(0).value
     lo, hi = float(np.min(vals)), float(np.max(vals))
     return SignScan(lo, hi, lo < 0.0 < hi)
 
@@ -445,21 +433,7 @@ class IdentityInfo:
     needs_finite_m: bool = False
     needs_einstein_base: bool = False
     min_dim: int = 2
-    runner: Optional[Callable] = None
-
-
-def _with_potential(fn):
-    return lambda s, p: fn(s.chart, s.f, p)
-
-
-def _magnitude(residual_fn):
-    """Runner from a signed pointwise residual: |value|, or the largest |component| of a tensor."""
-
-    def runner(s, p):
-        p = np.asarray(p, dtype=np.float64)
-        return np.max(np.abs(residual_fn(s, p)).reshape(p.shape[:-1] + (-1,)), axis=-1)
-
-    return runner
+    runner: Optional[Callable] = None  # runner(frame); a profile row's also takes c
 
 
 CATALOG: tuple[IdentityInfo, ...] = (
@@ -469,7 +443,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 2, "f": 2, "lambda": 0},
         2,
         "pointwise",
-        runner=_magnitude(lambda s, p: _frame(s, p).defining_values()),
+        runner=lambda fr: fr.defining_values(),
     ),
     IdentityInfo(
         "traceless_defining",
@@ -477,7 +451,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 2, "f": 2, "lambda": 0},
         2,
         "pointwise",
-        runner=_magnitude(lambda s, p: _frame(s, p).traceless_values()),
+        runner=lambda fr: fr.traceless_values(),
     ),
     IdentityInfo(
         "radial_identity",
@@ -485,7 +459,8 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 2, "f": 2, "lambda": 0},
         3,
         "pointwise",
-        runner=_magnitude(radial_identity_values),
+        # qem rows call through the module global, which perfbench's tracer patches
+        runner=lambda fr: radial_identity_values(fr),
     ),
     IdentityInfo(
         "trace_gradient",
@@ -502,7 +477,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         3,
         "pointwise",
         needs_finite_m=True,
-        runner=_magnitude(u_transform_values),
+        runner=lambda fr: u_transform_values(fr),
     ),
     IdentityInfo(
         "u_laplacian",
@@ -511,7 +486,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         2,
         "pointwise",
         needs_finite_m=True,
-        runner=_magnitude(u_laplacian_values),
+        runner=lambda fr: u_laplacian_values(fr),
     ),
     IdentityInfo(
         "trace_divergence",
@@ -520,7 +495,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         3,
         "pointwise",
         needs_finite_m=True,
-        runner=_magnitude(trace_divergence_values),
+        runner=lambda fr: trace_divergence_values(fr),
     ),
     IdentityInfo(
         "gradient_norm_laplacian",
@@ -572,7 +547,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 3, "f": 0, "lambda": 0},
         3,
         "pointwise",
-        runner=lambda s, p: contracted_bianchi_residual(s.chart, p),
+        runner=contracted_bianchi_residual,
     ),
     IdentityInfo(
         "div_hessian",
@@ -580,7 +555,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 3, "f": 3, "lambda": 0},
         3,
         "pointwise",
-        runner=_with_potential(div_hessian_residual),
+        runner=lambda fr: div_hessian_residual(fr, fr.s.f),
     ),
     IdentityInfo(
         "div_outer_grad",
@@ -588,7 +563,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 2, "f": 2, "lambda": 0},
         3,
         "pointwise",
-        runner=_with_potential(div_outer_grad_residual),
+        runner=lambda fr: div_outer_grad_residual(fr, fr.s.f),
     ),
     IdentityInfo(
         "bochner",
@@ -596,7 +571,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 3, "f": 3, "lambda": 0},
         3,
         "pointwise",
-        runner=_with_potential(bochner_residual),
+        runner=lambda fr: bochner_residual(fr, fr.s.f),
     ),
     IdentityInfo(
         "lie_divergence",
@@ -604,9 +579,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         {"g": 3, "f": 3, "lambda": 0},
         3,
         "pointwise",
-        runner=lambda s, p: lie_divergence_residual(
-            s.chart, grad_field(s.chart, s.f), p
-        ),
+        runner=lambda fr: lie_divergence_residual(fr, grad_field(fr.chart, fr.s.f)),
     ),
     IdentityInfo(
         "einstein_hessian",
@@ -654,8 +627,10 @@ def run_pointwise_suite(
 ) -> list[SuiteEntry]:
     """Evaluate every applicable catalog identity over the sample points.
 
-    Runners see at most `_CHUNK` points at a time; the entries are those of
-    one batch holding every point.
+    Each row's runner gets a frame of at most `_CHUNK` points at a time; a
+    pointwise row's residual is reduced to |value|, or the largest |component|
+    of a tensor, per point. The entries are those of one batch holding every
+    point.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     chunks = [points[lo : lo + _CHUNK] for lo in range(0, points.shape[0], _CHUNK)]
@@ -666,14 +641,15 @@ def run_pointwise_suite(
             continue
         tol = tolerances[info.order_class]
         if info.kind == "profile":
-            prof = info.runner(s, chunks[0])
+            prof = info.runner(StructureFrame(s, chunks[0]))
             for chunk in chunks[1:]:
-                prof = prof.join(info.runner(s, chunk, prof.c_estimate))
+                prof = prof.join(info.runner(StructureFrame(s, chunk), prof.c_estimate))
             res_max = max(prof.max_residual, prof.c_spread)
             res_mean = res_max
         else:
-            res = np.concatenate([np.asarray(info.runner(s, chunk), dtype=np.float64)
-                                  for chunk in chunks])
+            res = np.concatenate([
+                np.abs(info.runner(StructureFrame(s, chunk))).reshape(len(chunk), -1).max(axis=-1)
+                for chunk in chunks])
             res_max = float(np.max(res))
             res_mean = float(np.mean(res))
         out.append(

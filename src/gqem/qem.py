@@ -196,13 +196,13 @@ def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
 def u_transform_residual(s: QemStructure, p) -> TensorValue:
     """hess f - (1/m) df (x) df + (m/u) hess u; vanishes for any smooth f."""
     p = _scalar_point(s.chart, p)
-    return TensorValue(u_transform_values(s, p), 0, 2, p)
+    return TensorValue(u_transform_values(StructureFrame(s, p)), 0, 2, p)
 
 
-def u_transform_values(s: QemStructure, p) -> np.ndarray:
+def u_transform_values(frame: StructureFrame) -> np.ndarray:
+    s = frame.s
     if not s.m_finite:
         raise jets.OrderCapabilityError("the u-transform requires finite m")
-    frame = StructureFrame(s, p)
     hess_f = frame.hess_f_values()
     hess_u = frame.hessian_values(s.require_u())
     df = frame.partials_of_jet(frame.f_jet(1))
@@ -214,9 +214,9 @@ def u_transform_values(s: QemStructure, p) -> np.ndarray:
     )
 
 
-def radial_identity_values(s: QemStructure, p) -> np.ndarray:
+def radial_identity_values(frame: StructureFrame) -> np.ndarray:
     """Defining equation contracted twice with grad f."""
-    frame = StructureFrame(s, p)
+    s = frame.s
     g = frame.metric_values()
     gf = frame.grad_values(s.f)
     ric = frame.ricci_values()
@@ -231,14 +231,14 @@ def radial_identity_values(s: QemStructure, p) -> np.ndarray:
 
 def radial_identity_residual(s: QemStructure, p) -> float:
     p = _scalar_point(s.chart, p)
-    return float(radial_identity_values(s, p))
+    return float(radial_identity_values(StructureFrame(s, p)))
 
 
-def u_laplacian_values(s: QemStructure, p) -> np.ndarray:
+def u_laplacian_values(frame: StructureFrame) -> np.ndarray:
     """lap u - (u/m)(R - n lambda)."""
+    s = frame.s
     if not s.m_finite:
         raise jets.OrderCapabilityError("the u-laplacian identity requires finite m")
-    frame = StructureFrame(s, p)
     lap_u = frame.laplacian(s.require_u(), 0).value
     u_val = frame.u_jet(0).value
     rr = frame.scalar_curvature_value()
@@ -246,11 +246,11 @@ def u_laplacian_values(s: QemStructure, p) -> np.ndarray:
     return lap_u - (u_val / s.m) * (rr - s.chart.dim * lam)
 
 
-def trace_divergence_values(s: QemStructure, p) -> np.ndarray:
+def trace_divergence_values(frame: StructureFrame) -> np.ndarray:
     """m div grad f - |grad f|^2 - m(n lambda - R)."""
+    s = frame.s
     if not s.m_finite:
         raise jets.OrderCapabilityError("the trace-divergence identity requires finite m")
-    frame = StructureFrame(s, p)
     lap_f = frame.laplacian(s.f, 0).value
     gn2 = frame.grad_norm2(s.f, 0).value
     rr = frame.scalar_curvature_value()

@@ -25,7 +25,7 @@ from gqem.models import (
     make_chart,
     sample_points,
 )
-from gqem.qem import is_gqem, make_structure, rank_one_proportionality
+from gqem.qem import StructureFrame, is_gqem, make_structure, rank_one_proportionality
 
 FAMILIES = ("sphere", "euclidean", "hyperbolic")
 
@@ -80,16 +80,17 @@ def test_criterion_2_lemma_suite():
                 info = idt.CATALOG_BY_ID[ident]
                 if not idt.applicable(info, s):
                     continue
-                worst3 = max(worst3, float(np.max(info.runner(s, pts))))
+                res = info.runner(StructureFrame(s, pts))
+                worst3 = max(worst3, float(np.max(np.abs(res))))
             worst4 = max(
-                worst4, float(np.max(idt.curvature_laplacian_residual(s, pts)))
+                worst4, float(np.max(idt.curvature_laplacian_residual(StructureFrame(s, pts))))
             )
     # cross-validation of the fourth-order path against finite differences
     s = example_structure(ModelSpec("sphere", 2, tau=1.0, m=2.0))
     fd_gap = 0.0
     for p in sample_points(s.chart, 5, seed=2999):
-        r_jet = float(idt.curvature_laplacian_residual(s, p))
-        r_fd = float(idt.curvature_laplacian_residual(s, p, fd_step=1e-3))
+        r_jet = float(idt.curvature_laplacian_residual(StructureFrame(s, p)))
+        r_fd = float(idt.curvature_laplacian_residual(StructureFrame(s, p), fd_step=1e-3))
         fd_gap = max(fd_gap, abs(r_jet - r_fd))
     _report(
         2,
@@ -106,7 +107,8 @@ def test_criterion_3_einstein_hessian_case():
     worst_gradlam = 0.0
     for family, tau in (("sphere", 1.0), ("euclidean", 1.0), ("hyperbolic", 0.5)):
         s = example_structure(ModelSpec(family, 3, tau=tau, m=2.0))
-        prof = idt.einstein_hessian_profile(s, sample_points(s.chart, 30, seed=3000))
+        pts = sample_points(s.chart, 30, seed=3000)
+        prof = idt.einstein_hessian_profile(StructureFrame(s, pts))
         worst_spread = max(worst_spread, prof.c_spread)
         worst_lap = max(worst_lap, prof.lap_residual)
         worst_gradlam = max(worst_gradlam, prof.gradlam_residual)
@@ -157,7 +159,8 @@ def test_criterion_4_integral_suite():
 def test_criterion_5_theorem_consequences():
     """Sign scan, rank-one impossibility, and non-vacuous negative controls."""
     s = example_structure(ModelSpec("sphere", 2, tau=1.0, m=2.0))
-    scan = idt.sign_scan_r_minus_n_lambda(s, sample_points(s.chart, 200, seed=5000))
+    scan = idt.sign_scan_r_minus_n_lambda(
+        StructureFrame(s, sample_points(s.chart, 200, seed=5000)))
     sign_ok = scan.minimum < 0.0 < scan.maximum
 
     rank_ok = True

@@ -66,7 +66,7 @@ def test_poincare_ball_einstein(ball2):
     # curvature -1: Ric = -(n-1) g
     p = np.zeros(2)
     ric = geo.ricci(ball2, p)
-    g = geo.metric_values(ball2, p)
+    g = geo.ChartFrame(ball2, p).metric_values()
     assert np.allclose(ric.components, -g, atol=1e-12)
     assert geo.scalar_curvature(ball2, np.array([0.4, 0.1])) == pytest.approx(-2.0, abs=1e-11)
 
@@ -77,7 +77,7 @@ def test_height_hessian_sphere(sphere_polar):
     h = height_field(spec, sphere_polar)
     for p in sample_points(sphere_polar, 5, seed=1):
         H = geo.ChartFrame(sphere_polar, p).hessian_values(h)
-        g = geo.metric_values(sphere_polar, p)
+        g = geo.ChartFrame(sphere_polar, p).metric_values()
         assert np.max(np.abs(H + h(p) * g)) < 1e-11
 
 
@@ -87,7 +87,7 @@ def test_height_hessian_sphere_radius_scaling():
     h = height_field(spec, chart)
     for p in sample_points(chart, 8, seed=2):
         H = geo.ChartFrame(chart, p).hessian_values(h)
-        g = geo.metric_values(chart, p)
+        g = geo.ChartFrame(chart, p).metric_values()
         assert np.max(np.abs(H + h(p) / 4.0 * g)) < 1e-9
 
 
@@ -96,7 +96,7 @@ def test_height_hessian_hyperbolic(ball2):
     h = height_field(spec, ball2)
     for p in sample_points(ball2, 5, seed=3):
         H = geo.ChartFrame(ball2, p).hessian_values(h)
-        g = geo.metric_values(ball2, p)
+        g = geo.ChartFrame(ball2, p).metric_values()
         assert np.max(np.abs(H - h(p) * g)) < 1e-10
 
 
@@ -182,7 +182,7 @@ def _spy(field):
     return calls
 
 
-def test_field_jet_builds_each_field_once(sphere_stereo):
+def test_field_jet_builds_each_field_once(sphere_stereo, monkeypatch):
     phi = ScalarField.from_coords(2, lambda x, y: jets.sin(x) * y + x * x, "phi")
     psi = ScalarField.from_coords(2, lambda x, y: jets.exp(x) - y, "phi")  # same label
     X = VectorField.from_coords(2, lambda x, y: (x * y, jets.cos(y)), "X")
@@ -202,6 +202,28 @@ def test_field_jet_builds_each_field_once(sphere_stereo):
     assert psi_calls == [1] and phi_calls == [2]
     assert np.array_equal(p1.coeffs, psi.jet(frame.p, 1).coeffs)
     assert not np.array_equal(p1.coeffs, f1.coeffs)
+
+    # every memoized method truncates a cached higher order without rebuilding
+    metric_calls = []
+    metric_jets = geo.Chart.metric_jets
+    monkeypatch.setattr(geo.Chart, "metric_jets", lambda chart, p, order: (
+        metric_calls.append(order) or metric_jets(chart, p, order)))
+    gam2 = frame.gamma(2)
+    gam1 = frame.gamma(1)
+    assert metric_calls == [3]
+    for a, b in zip(gam1.flat, gam2.flat):
+        assert a.order == 1 and np.array_equal(a.coeffs, b.truncated(1).coeffs)
+
+    # fields with the same label get separate entries in a field method too
+    del psi_calls[:]
+    h_phi, h_psi = frame.hessian(phi, 1), frame.hessian(psi, 1)
+    frame.hessian(phi, 0), frame.hessian(psi, 1)
+    assert phi_calls == [2, 3] and psi_calls == [3] and metric_calls == [3]
+    assert not np.array_equal(h_phi[0, 0].coeffs, h_psi[0, 0].coeffs)
+    fresh = geo.ChartFrame(sphere_stereo, frame.p)
+    for h, fld in ((h_phi, phi), (h_psi, psi)):
+        for a, b in zip(h.flat, fresh.hessian(fld, 1).flat):
+            assert np.array_equal(a.coeffs, b.coeffs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -266,20 +288,20 @@ def test_contracted_bianchi_on_models():
                          ("hyperbolic", "poincare_ball")):
         chart = make_chart(ModelSpec(family, 2, tau=1.0, m=1.0, chart_kind=kind))
         pts = sample_points(chart, 50, seed=7)
-        res = idt.contracted_bianchi_residual(chart, pts)
+        res = idt.contracted_bianchi_residual(geo.ChartFrame(chart, pts))
         assert np.max(res) < 1e-7
 
 
 def test_div_hessian_identity(sphere_stereo):
     phi = ScalarField.from_coords(2, lambda x, y: jets.exp(x * 0.4) * jets.sin(y), "phi")
     pts = sample_points(sphere_stereo, 25, seed=8)
-    assert np.max(idt.div_hessian_residual(sphere_stereo, phi, pts)) < 1e-7
+    assert np.max(idt.div_hessian_residual(geo.ChartFrame(sphere_stereo, pts), phi)) < 1e-7
 
 
 def test_div_outer_grad_identity(ball2):
     phi = ScalarField.from_coords(2, lambda x, y: x * x * y + jets.cos(y), "phi")
     pts = sample_points(ball2, 25, seed=9)
-    assert np.max(idt.div_outer_grad_residual(ball2, phi, pts)) < 1e-8
+    assert np.max(idt.div_outer_grad_residual(geo.ChartFrame(ball2, pts), phi)) < 1e-8
 
 
 def test_bochner_identity(sphere_polar):
@@ -287,7 +309,7 @@ def test_bochner_identity(sphere_polar):
     h = height_field(spec, sphere_polar)
     phi = h * h + 0.3 * h
     pts = sample_points(sphere_polar, 25, seed=10)
-    assert np.max(idt.bochner_residual(sphere_polar, phi, pts)) < 1e-7
+    assert np.max(idt.bochner_residual(geo.ChartFrame(sphere_polar, pts), phi)) < 1e-7
 
 
 def test_lie_divergence_rotational_field(sphere_polar):
@@ -299,12 +321,12 @@ def test_lie_divergence_rotational_field(sphere_polar):
         "rot",
     )
     pts = sample_points(sphere_polar, 25, seed=11)
-    assert np.max(idt.lie_divergence_residual(sphere_polar, X, pts)) < 1e-7
+    assert np.max(idt.lie_divergence_residual(geo.ChartFrame(sphere_polar, pts), X)) < 1e-7
     # sanity: it really is non-gradient (lowered nabla X has an antisymmetric part)
     p = pts[0]
     cov = np.array([[c.value for c in row]
                     for row in geo.ChartFrame(sphere_polar, p).covariant_vector(X, 0)])
-    g = geo.metric_values(sphere_polar, p)
+    g = geo.ChartFrame(sphere_polar, p).metric_values()
     lowered = np.einsum("ik,kj->ij", g, cov)
     assert np.max(np.abs(lowered - lowered.T)) > 1e-3
 
@@ -312,7 +334,7 @@ def test_lie_divergence_rotational_field(sphere_polar):
 def test_lie_divergence_sheared_field(sphere_stereo):
     X = VectorField.from_coords(2, lambda x, y: (-y + 0.2 * x * x, x), "shear")
     pts = sample_points(sphere_stereo, 20, seed=12)
-    assert np.max(idt.lie_divergence_residual(sphere_stereo, X, pts)) < 1e-7
+    assert np.max(idt.lie_divergence_residual(geo.ChartFrame(sphere_stereo, pts), X)) < 1e-7
 
 
 def test_div_tensor2_of_ricci(sphere_stereo):
@@ -388,7 +410,7 @@ def test_contracted_bianchi_where_grad_r_is_order_one(conformal2):
     grad_R = frame.grad_values_of_jet(frame.scalar_curvature_jet(1))
     grad_R_norm = geo.norm_g(frame.metric_values(), grad_R)
     assert np.min(grad_R_norm) > 0.1 and np.max(grad_R_norm) > 1.0
-    assert np.max(idt.contracted_bianchi_residual(conformal2, pts)) < 1e-10
+    assert np.max(idt.contracted_bianchi_residual(frame)) < 1e-10
 
 
 def test_degenerate_metric_error():

@@ -9,7 +9,7 @@ import pytest
 from gqem import identities as idt
 from gqem import jets
 from gqem import quadrature as quad
-from gqem.geometry import ScalarField, grad_field
+from gqem.geometry import ChartFrame, ScalarField, grad_field
 from gqem.models import (
     ModelSpec,
     example_structure,
@@ -18,7 +18,7 @@ from gqem.models import (
     sample_points,
     trivial_structure,
 )
-from gqem.qem import is_gqem, make_structure
+from gqem.qem import StructureFrame, is_gqem, make_structure
 
 TOLS = {2: 1e-8, 3: 1e-7, 4: 1e-6}
 
@@ -38,14 +38,14 @@ def test_gradient_norm_laplacian_on_models(sphere22):
                  ModelSpec("hyperbolic", 2, tau=0.5, m=1.0)):
         s = example_structure(spec)
         pts = sample_points(s.chart, 50, seed=0)
-        assert np.max(idt.gradient_norm_laplacian_residual(s, pts)) < 1e-7
+        assert np.max(idt.gradient_norm_laplacian_residual(StructureFrame(s, pts))) < 1e-7
     pts = sample_points(sphere22.chart, 50, seed=0)
-    assert np.max(idt.gradient_norm_laplacian_residual(sphere22, pts)) < 1e-7
+    assert np.max(idt.gradient_norm_laplacian_residual(StructureFrame(sphere22, pts))) < 1e-7
 
 
 def test_gradient_norm_laplacian_constant_potential():
     s = trivial_structure("sphere", 2, m=2.0)
-    assert idt.gradient_norm_laplacian_residual(s, np.array([0.3, 0.4])) < 1e-13
+    assert idt.gradient_norm_laplacian_residual(StructureFrame(s, np.array([0.3, 0.4]))) < 1e-13
 
 
 def test_gradient_norm_laplacian_negative_control(euclid2):
@@ -54,7 +54,7 @@ def test_gradient_norm_laplacian_negative_control(euclid2):
     # LHS = 54, RHS = 36 + 108 = 144
     f3 = ScalarField.from_coords(2, lambda x, y: x * x * x, "x^3")
     bad = make_structure(euclid2, f3, m=1.0)
-    res = idt.gradient_norm_laplacian_residual(bad, np.array([1.0, 0.0]))
+    res = idt.gradient_norm_laplacian_residual(StructureFrame(bad, np.array([1.0, 0.0])))
     assert res == pytest.approx(90.0, abs=1e-9)
 
 
@@ -64,41 +64,41 @@ def test_curvature_gradient_on_models():
                  ModelSpec("hyperbolic", 4, tau=0.5, m=2.0)):
         s = example_structure(spec)
         pts = sample_points(s.chart, 40, seed=1)
-        assert np.max(idt.curvature_gradient_residual(s, pts)) < 1e-7
+        assert np.max(idt.curvature_gradient_residual(StructureFrame(s, pts))) < 1e-7
 
 
 def test_curvature_gradient_trivial_cases():
     s = trivial_structure("sphere", 2, m=2.0)
-    assert idt.curvature_gradient_residual(s, np.array([0.2, -0.3])) < 1e-12
+    assert idt.curvature_gradient_residual(StructureFrame(s, np.array([0.2, -0.3]))) < 1e-12
     gs = gaussian_soliton(2)
-    assert idt.curvature_gradient_residual(gs, np.array([0.5, 0.1])) < 1e-13
+    assert idt.curvature_gradient_residual(StructureFrame(gs, np.array([0.5, 0.1]))) < 1e-13
 
 
 def test_hamilton_gradient_on_models(sphere22):
     pts = sample_points(sphere22.chart, 40, seed=2)
-    assert np.max(idt.hamilton_gradient_residual(sphere22, pts)) < 1e-7
+    assert np.max(idt.hamilton_gradient_residual(StructureFrame(sphere22, pts))) < 1e-7
     s = example_structure(ModelSpec("euclidean", 2, tau=2.0, m=2.0))
     pts = sample_points(s.chart, 40, seed=2)
-    assert np.max(idt.hamilton_gradient_residual(s, pts)) < 1e-7
+    assert np.max(idt.hamilton_gradient_residual(StructureFrame(s, pts))) < 1e-7
 
 
 def test_hamilton_gradient_gaussian_soliton():
     # m = inf with constant lambda: grad(R + |grad f|^2) = 2 lambda grad f
     gs = gaussian_soliton(3)
     pts = sample_points(gs.chart, 20, seed=3)
-    assert np.max(idt.hamilton_gradient_residual(gs, pts)) < 1e-12
+    assert np.max(idt.hamilton_gradient_residual(StructureFrame(gs, pts))) < 1e-12
 
 
 def test_trace_gradient_identity(sphere22):
     pts = sample_points(sphere22.chart, 40, seed=4)
-    assert np.max(idt.trace_gradient_residual(sphere22, pts)) < 1e-7
+    assert np.max(idt.trace_gradient_residual(StructureFrame(sphere22, pts))) < 1e-7
 
 
 def test_einstein_hessian_profile_all_families():
     for family, tau, m in (("sphere", 1.0, 2.0), ("euclidean", 1.0, 2.0),
                            ("hyperbolic", 0.5, 2.0)):
         s = example_structure(ModelSpec(family, 3, tau=tau, m=m))
-        prof = idt.einstein_hessian_profile(s, sample_points(s.chart, 30, seed=5))
+        prof = idt.einstein_hessian_profile(StructureFrame(s, sample_points(s.chart, 30, seed=5)))
         assert prof.c_spread < 1e-9, family
         assert prof.hessian_residual < 1e-8
         assert prof.lap_residual < 1e-8
@@ -107,44 +107,43 @@ def test_einstein_hessian_profile_all_families():
 
 def test_einstein_hessian_constants_hand_values():
     # c = m tau on the unit sphere, c = 2m on euclidean space, c = -m tau hyperbolic
-    s = example_structure(ModelSpec("sphere", 3, tau=1.0, m=2.0))
-    assert idt.einstein_hessian_profile(s, sample_points(s.chart, 5, seed=6)).c_estimate \
-        == pytest.approx(2.0, abs=1e-10)
-    s = example_structure(ModelSpec("euclidean", 3, tau=1.0, m=2.0))
-    assert idt.einstein_hessian_profile(s, sample_points(s.chart, 5, seed=6)).c_estimate \
-        == pytest.approx(4.0, abs=1e-12)
-    s = example_structure(ModelSpec("hyperbolic", 3, tau=0.5, m=2.0))
-    assert idt.einstein_hessian_profile(s, sample_points(s.chart, 5, seed=6)).c_estimate \
-        == pytest.approx(-1.0, abs=1e-10)
+    def c_estimate(family, tau):
+        s = example_structure(ModelSpec(family, 3, tau=tau, m=2.0))
+        fr = StructureFrame(s, sample_points(s.chart, 5, seed=6))
+        return idt.einstein_hessian_profile(fr).c_estimate
+
+    assert c_estimate("sphere", 1.0) == pytest.approx(2.0, abs=1e-10)
+    assert c_estimate("euclidean", 1.0) == pytest.approx(4.0, abs=1e-12)
+    assert c_estimate("hyperbolic", 0.5) == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_einstein_hessian_gates():
     s2 = example_structure(ModelSpec("sphere", 2, tau=1.0, m=2.0))
     with pytest.raises(ValueError, match="dim >= 3"):
-        idt.einstein_hessian_profile(s2, np.zeros((1, 2)))
+        idt.einstein_hessian_profile(StructureFrame(s2, np.zeros((1, 2))))
     gs = gaussian_soliton(3)
     with pytest.raises(ValueError, match="finite m"):
-        idt.einstein_hessian_profile(gs, np.zeros((1, 3)))
+        idt.einstein_hessian_profile(StructureFrame(gs, np.zeros((1, 3))))
 
 
 def test_curvature_laplacian_on_models(sphere22):
     pts = sample_points(sphere22.chart, 25, seed=7)
-    assert np.max(idt.curvature_laplacian_residual(sphere22, pts)) < 1e-6
+    assert np.max(idt.curvature_laplacian_residual(StructureFrame(sphere22, pts))) < 1e-6
     s = example_structure(ModelSpec("euclidean", 2, tau=1.0, m=2.0))
     pts = sample_points(s.chart, 25, seed=7)
-    assert np.max(idt.curvature_laplacian_residual(s, pts)) < 1e-6
+    assert np.max(idt.curvature_laplacian_residual(StructureFrame(s, pts))) < 1e-6
 
 
 def test_curvature_laplacian_constant_potential():
     s = trivial_structure("sphere", 2, m=2.0)
-    assert idt.curvature_laplacian_residual(s, np.array([0.6, 0.1])) < 1e-11
+    assert idt.curvature_laplacian_residual(StructureFrame(s, np.array([0.6, 0.1]))) < 1e-11
 
 
 def test_curvature_laplacian_jet_vs_finite_difference(sphere22):
     # same identity with lap R from second differences of the curvature field
     for p in sample_points(sphere22.chart, 5, seed=8):
-        r_jet = float(idt.curvature_laplacian_residual(sphere22, p))
-        r_fd = float(idt.curvature_laplacian_residual(sphere22, p, fd_step=1e-3))
+        r_jet = float(idt.curvature_laplacian_residual(StructureFrame(sphere22, p)))
+        r_fd = float(idt.curvature_laplacian_residual(StructureFrame(sphere22, p), fd_step=1e-3))
         assert abs(r_jet - r_fd) < 1e-4
 
 
@@ -152,23 +151,24 @@ def test_conformality_residual_cases(euclid2):
     s = example_structure(ModelSpec("euclidean", 2, tau=1.0, m=2.0))
     pts = sample_points(s.chart, 20, seed=9)
     # grad u has hess u = 2 g: conformal
-    assert np.max(idt.u_conformality_residual(s, pts)) < 1e-12
+    assert np.max(idt.u_conformality_residual(StructureFrame(s, pts))) < 1e-12
     # grad(x^3) is not conformal away from x = 0
     phi = ScalarField.from_coords(2, lambda x, y: x * x * x, "x^3")
-    res = idt.conformality_residual(euclid2, grad_field(euclid2, phi), np.array([1.0, 0.0]))
+    res = idt.conformality_residual(ChartFrame(euclid2, np.array([1.0, 0.0])),
+                                    grad_field(euclid2, phi))
     assert res > 1.0
 
 
 def test_sign_scan_detects_both_signs(sphere22):
     pts = sample_points(sphere22.chart, 200, seed=10)
-    scan = idt.sign_scan_r_minus_n_lambda(sphere22, pts)
+    scan = idt.sign_scan_r_minus_n_lambda(StructureFrame(sphere22, pts))
     assert scan.minimum < 0.0 < scan.maximum
     assert scan.sign_changes
 
 
 def test_sign_scan_trivial_structure():
     s = trivial_structure("sphere", 2, m=2.0)
-    scan = idt.sign_scan_r_minus_n_lambda(s, sample_points(s.chart, 50, seed=11))
+    scan = idt.sign_scan_r_minus_n_lambda(StructureFrame(s, sample_points(s.chart, 50, seed=11)))
     assert abs(scan.minimum) < 1e-10 and abs(scan.maximum) < 1e-10
     assert not scan.sign_changes
 
@@ -176,7 +176,7 @@ def test_sign_scan_trivial_structure():
 def test_sign_scan_noncompact_no_assertion():
     # evaluation allowed on a noncompact model, conclusion simply reported
     s = example_structure(ModelSpec("euclidean", 2, tau=1.0, m=2.0))
-    scan = idt.sign_scan_r_minus_n_lambda(s, sample_points(s.chart, 50, seed=12))
+    scan = idt.sign_scan_r_minus_n_lambda(StructureFrame(s, sample_points(s.chart, 50, seed=12)))
     assert scan.maximum > 0.0  # R - n lambda = 2mn/u > 0 on euclidean examples
     assert not scan.sign_changes
 
@@ -227,8 +227,6 @@ def test_curvature_gradient_contracted_rearrangement(sphere22):
     # contracting the half-grad-R identity with grad f and moving terms gives
     # Ric(gf,gf) + (n-1)<grad lam, gf>
     #   = (1/2)<grad R, gf> + (1/m)Ric(gf,gf) - (1/m)(R-(n-1)lam)|gf|^2
-    from gqem.qem import StructureFrame
-
     s = sphere22
     pts = sample_points(s.chart, 30, seed=16)
     fr = StructureFrame(s, pts)
@@ -270,23 +268,30 @@ def test_magnitude_rows_reduce_the_signed_residuals():
     )
     s = make_structure(chart, f, m=2.0)
     largest = lambda tv: float(np.max(np.abs(tv.components)))
+    at = lambda p: StructureFrame(s, p)
     oracles = {
         "defining_equation": lambda p: largest(qem.defining_residual(s, p)),
         "traceless_defining": lambda p: largest(qem.traceless_residual(s, p)),
         "u_transform": lambda p: largest(qem.u_transform_residual(s, p)),
         "radial_identity": lambda p: abs(qem.radial_identity_residual(s, p)),
-        "u_laplacian": lambda p: abs(float(qem.u_laplacian_values(s, p))),
-        "trace_divergence": lambda p: abs(float(qem.trace_divergence_values(s, p))),
+        "u_laplacian": lambda p: abs(float(qem.u_laplacian_values(at(p)))),
+        "trace_divergence": lambda p: abs(float(qem.trace_divergence_values(at(p)))),
     }
     pts = sample_points(chart, 4, seed=21)
-    for ident, oracle in oracles.items():
-        runner = idt.CATALOG_BY_ID[ident].runner
-        batch = runner(s, pts)
-        assert batch.shape == (4,)
-        for k, p in enumerate(pts):
+    suite = lambda sample: {e.identity_id: e for e in
+                            idt.run_pointwise_suite(s, sample, TOLS, ids=list(oracles))}
+    whole = suite(pts)
+    for p in pts:
+        single = suite(p[None, :])
+        for ident, oracle in oracles.items():
             want = oracle(p)
-            assert float(runner(s, p)) == want, ident
-            assert batch[k] == pytest.approx(want, rel=1e-12, abs=1e-15), ident
+            assert single[ident].max_residual == want, ident
+            assert single[ident].mean_residual == want, ident
+    for ident, oracle in oracles.items():
+        wants = [oracle(p) for p in pts]
+        assert whole[ident].n_points == 4
+        assert whole[ident].max_residual == pytest.approx(max(wants), rel=1e-12, abs=1e-15)
+        assert whole[ident].mean_residual == pytest.approx(np.mean(wants), rel=1e-12, abs=1e-15)
     # the residuals the test relies on are really there
     assert oracles["defining_equation"](pts[0]) > 1e-3
     assert oracles["radial_identity"](pts[0]) > 1e-3
@@ -307,9 +312,9 @@ def test_chunked_suite_equals_one_batch(monkeypatch):
     seen, profiles = {}, []
 
     def spy(info):
-        def runner(s, p, *args):
-            seen.setdefault(info.identity_id, []).append(len(p))
-            out = info.runner(s, p, *args)
+        def runner(fr, *args):
+            seen.setdefault(info.identity_id, []).append(len(fr.p))
+            out = info.runner(fr, *args)
             if info.kind == "profile":
                 profiles.append((args, out))
             return out
@@ -340,10 +345,11 @@ def test_chunked_suite_equals_one_batch(monkeypatch):
 def test_joined_profile_equals_the_whole_sample():
     s = _cubic_control_n3()
     pts = sample_points(s.chart, 20, seed=23)
-    whole = idt.einstein_hessian_profile(s, pts)
-    joined = idt.einstein_hessian_profile(s, pts[:7])
+    whole = idt.einstein_hessian_profile(StructureFrame(s, pts))
+    joined = idt.einstein_hessian_profile(StructureFrame(s, pts[:7]))
     for part in (pts[7:14], pts[14:]):
-        joined = joined.join(idt.einstein_hessian_profile(s, part, joined.c_estimate))
+        part_profile = idt.einstein_hessian_profile(StructureFrame(s, part), joined.c_estimate)
+        joined = joined.join(part_profile)
     assert dataclasses.astuple(joined) == dataclasses.astuple(whole)
     assert whole.c_spread > 1e-3 and whole.hessian_residual > 1e-3
     nan = dataclasses.replace(whole, hessian_residual=math.nan)

@@ -24,14 +24,14 @@ from gqem.qem import StructureFrame, is_gqem, trace_lambda_field
 
 def test_chart_metrics_at_reference_points():
     stereo = make_chart(ModelSpec("sphere", 2, tau=1.0, m=1.0))
-    assert np.allclose(geo.metric_values(stereo, np.zeros(2)), 4.0 * np.eye(2))
+    assert np.allclose(geo.ChartFrame(stereo, np.zeros(2)).metric_values(), 4.0 * np.eye(2))
     eucl = make_chart(ModelSpec("euclidean", 3, tau=1.0, m=1.0))
-    assert np.allclose(geo.metric_values(eucl, np.array([1.0, -2.0, 0.5])), np.eye(3))
+    assert np.allclose(geo.ChartFrame(eucl, np.array([1.0, -2.0, 0.5])).metric_values(), np.eye(3))
     ball = make_chart(ModelSpec("hyperbolic", 2, tau=0.0, m=1.0))
-    assert np.allclose(geo.metric_values(ball, np.zeros(2)), 4.0 * np.eye(2))
+    assert np.allclose(geo.ChartFrame(ball, np.zeros(2)).metric_values(), 4.0 * np.eye(2))
     polar = make_chart(ModelSpec("sphere", 3, tau=1.0, m=1.0, radius=2.0, chart_kind="polar"))
     th = np.array([0.8, 1.2, 2.5])
-    g = geo.metric_values(polar, th)
+    g = geo.ChartFrame(polar, th).metric_values()
     want = 4.0 * np.diag([1.0, np.sin(th[0]) ** 2, np.sin(th[0]) ** 2 * np.sin(th[1]) ** 2])
     assert np.allclose(g, want, atol=1e-13)
 
@@ -84,7 +84,7 @@ def test_embedding_pullback_matches_metric():
             for sign, a in zip(chart.ambient_signature, amb):
                 d = np.array([a.derive(i).value for i in range(2)])
                 pulled += sign * np.outer(d, d)
-            assert np.allclose(pulled, geo.metric_values(chart, p), atol=1e-11)
+            assert np.allclose(pulled, geo.ChartFrame(chart, p).metric_values(), atol=1e-11)
 
 
 def test_height_field_polar_is_cosine():

@@ -17,6 +17,7 @@ from gqem.models import (
     trivial_structure,
 )
 from gqem.qem import (
+    StructureFrame,
     bakry_emery_ricci,
     defining_residual,
     is_gqem,
@@ -44,7 +45,7 @@ def test_constant_potential_sphere():
     s = trivial_structure("sphere", 2, m=2.0)
     p = np.array([0.5, -0.4])
     be = bakry_emery_ricci(s, p)
-    g = geo.metric_values(s.chart, p)
+    g = geo.ChartFrame(s.chart, p).metric_values()
     assert np.allclose(be.components, g, atol=1e-12)  # Ric = (n-1) g with n = 2
 
 
@@ -53,7 +54,7 @@ def test_bakry_emery_proportional_to_metric():
     for p in sample_points(s.chart, 10, seed=0):
         be = bakry_emery_ricci(s, p)
         lam = -2.0 * s.m / s.u(p)
-        g = geo.metric_values(s.chart, p)
+        g = geo.ChartFrame(s.chart, p).metric_values()
         assert np.max(np.abs(be.components - lam * g)) < 1e-10
 
 
@@ -106,17 +107,17 @@ def test_u_transform_identity_for_random_potential(euclid2):
     f = ScalarField.from_coords(2, lambda x, y: x * x * y + 0.3 * y * y - x, "poly")
     s = make_structure(euclid2, f, m=2.5)
     pts = sample_points(euclid2, 40, seed=3)
-    assert np.max(np.abs(u_transform_values(s, pts))) < 1e-9
+    assert np.max(np.abs(u_transform_values(StructureFrame(s, pts)))) < 1e-9
 
 
 def test_u_transform_on_example_and_conformality():
     s = example_structure(ModelSpec("sphere", 3, tau=1.0, m=2.0))
     pts = sample_points(s.chart, 30, seed=4)
-    assert np.max(np.abs(u_transform_values(s, pts))) < 1e-9
+    assert np.max(np.abs(u_transform_values(StructureFrame(s, pts)))) < 1e-9
     # grad u conformal on the Einstein base: hess u - (lap u / n) g = 0
     from gqem.identities import u_conformality_residual
 
-    assert np.max(u_conformality_residual(s, pts)) < 1e-9
+    assert np.max(u_conformality_residual(StructureFrame(s, pts))) < 1e-9
 
 
 def test_u_transform_requires_finite_m():
@@ -134,7 +135,7 @@ def test_u_transform_constant_potential(euclid2):
 def test_radial_identity(euclid2):
     s = example_structure(ModelSpec("hyperbolic", 2, tau=0.5, m=2.0))
     pts = sample_points(s.chart, 40, seed=5)
-    assert np.max(np.abs(qem.radial_identity_values(s, pts))) < 1e-8
+    assert np.max(np.abs(qem.radial_identity_values(StructureFrame(s, pts)))) < 1e-8
 
     s0 = make_structure(euclid2, ScalarField.constant(2, 0.7), m=2.0)
     assert radial_identity_residual(s0, np.array([0.3, 0.1])) == 0.0
@@ -155,11 +156,11 @@ def test_defining_residual_tensor_value():
 def test_u_laplacian_and_trace_divergence_identities():
     s = example_structure(ModelSpec("sphere", 2, tau=1.0, m=2.0))
     pts = sample_points(s.chart, 50, seed=6)
-    assert np.max(np.abs(qem.u_laplacian_values(s, pts))) < 1e-8
-    assert np.max(np.abs(qem.trace_divergence_values(s, pts))) < 1e-8
+    assert np.max(np.abs(qem.u_laplacian_values(StructureFrame(s, pts)))) < 1e-8
+    assert np.max(np.abs(qem.trace_divergence_values(StructureFrame(s, pts)))) < 1e-8
     gs = gaussian_soliton(2)
     with pytest.raises(jets.OrderCapabilityError):
-        qem.u_laplacian_values(gs, np.zeros((1, 2)))
+        qem.u_laplacian_values(StructureFrame(gs, np.zeros((1, 2))))
 
 
 def test_rank_one_proportionality_decisions():
