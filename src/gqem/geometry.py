@@ -15,13 +15,14 @@ sphere satisfy Ric = (n-1) g and R = n(n-1).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import jets
-from .jets import Jet, OrderCapabilityError, JetDomainError, MAX_ORDER, seed_point
+from .jets import _BIG_BATCH, Jet, OrderCapabilityError, JetDomainError, MAX_ORDER, seed_point
 
 
 class DegenerateMetricError(ArithmeticError):
@@ -245,7 +246,9 @@ def _memoized(method):
     """Cache `method(self, *fields, order)` per frame, keyed by (method name, fields).
 
     Fields hash by identity, so two fields with the same label get separate
-    entries. A cached result of higher order is reused by exact truncation.
+    entries. A cached result of the requested order is returned itself (no
+    caller writes into a returned list or array); one of higher order is
+    reused by exact truncation.
     """
     name = method.__name__
 
@@ -255,7 +258,7 @@ def _memoized(method):
         key = (name, *fields)
         hit = self._cache.get(key)
         if hit is not None and hit[0] >= order:
-            return _trunc_tree(hit[1], order)
+            return hit[1] if hit[0] == order else _trunc_tree(hit[1], order)
         val = method(self, *args)
         self._cache[key] = (order, val)
         return val
@@ -549,9 +552,29 @@ def norm_g(g: np.ndarray, a: np.ndarray):
     return np.sqrt(np.maximum(dot_g(g, a, a), 0.0))
 
 
-def tensor2_norm2_g(g: np.ndarray, ginv: np.ndarray, t: np.ndarray):
-    """|T|^2_g for a (0,2) tensor of values; batch axes lead."""
-    return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
+def tensor2_norm2_g(ginv: np.ndarray, t: np.ndarray):
+    """|T|^2_g = g^ik g^jl T_ij T_kl for a (0,2) tensor of values; batch axes lead.
+
+    From `_BIG_BATCH` nodes on (in either operand), the n^4 terms are summed
+    over contiguous batch rows in einsum's (i, j, k, l) order, each product
+    taken left to right: this gave `np.einsum`'s bits at n = 2..5 on numpy 2.4
+    in a fraction of its time. Below that, einsum's lower per-call overhead
+    wins, so it is kept.
+    """
+    n = t.shape[-1]
+    if max(ginv.size, t.size) < _BIG_BATCH * n * n:
+        return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
+    shape = np.broadcast_shapes(ginv.shape, t.shape)
+    rows_g, rows_t = (np.moveaxis(np.broadcast_to(x, shape), (-2, -1), (0, 1)).copy()
+                      for x in (ginv, t))
+    out = np.zeros(shape[:-2])
+    term = np.empty(shape[:-2])
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        np.multiply(rows_g[i, k], rows_g[j, l], out=term)
+        term *= rows_t[i, j]
+        term *= rows_t[k, l]
+        out += term
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,10 @@ def gradient_norm_laplacian_residual(fr: StructureFrame):
     """(1/2) lap|grad f|^2 = |hess f|^2 - Ric(grad f, grad f) + (2/m)|grad f|^2 lap f - (n-2)<grad lam, grad f>."""
     s = fr.s
     n = fr.n
-    g = fr.metric_values()
+    fr.metric_values()  # an order-0 metric build that the pinned product counts include
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(s.f, 2))
     hess = fr.hess_f_values()
-    hess2 = tensor2_norm2_g(g, fr.metric_inv_values(), hess)
+    hess2 = tensor2_norm2_g(fr.metric_inv_values(), hess)
     gf = fr.grad_values(s.f)
     ric_ff = np.einsum("...ij,...i,...j->...", fr.ricci_values(), gf, gf)
     gn2 = fr.grad_norm2(s.f, 0).value
@@ -197,7 +197,7 @@ def curvature_laplacian_residual(fr: StructureFrame, fd_step: Optional[float] = 
     hess = fr.hess_f_values()
     lapf = fr.laplacian(s.f, 0).value
     traceless = hess - (lapf / n)[..., None, None] * g
-    traceless2 = tensor2_norm2_g(g, fr.metric_inv_values(), traceless)
+    traceless2 = tensor2_norm2_g(fr.metric_inv_values(), traceless)
     gf = fr.grad_values(s.f)
     pair = lambda w: np.einsum("...i,...i->...", gf, w)
     dlam = fr.partials_of_jet(fr.lam_jet(1))
@@ -258,7 +258,7 @@ def conformality_residual(fr: ChartFrame, X: VectorField):
     lie = _values(fr.lie_metric(X, 0))
     div = fr.div_vector(X, 0).value
     res = 0.5 * lie - (div / n)[..., None, None] * g
-    return np.sqrt(np.maximum(tensor2_norm2_g(g, fr.metric_inv_values(), res), 0.0))
+    return np.sqrt(np.maximum(tensor2_norm2_g(fr.metric_inv_values(), res), 0.0))
 
 
 def u_conformality_residual(fr: StructureFrame):
@@ -317,10 +317,10 @@ def div_outer_grad_residual(fr: ChartFrame, phi: ScalarField):
 
 def bochner_residual(fr: ChartFrame, phi: ScalarField):
     """(1/2) lap|grad phi|^2 = |hess phi|^2 + <grad phi, grad lap phi> + Ric(grad phi, grad phi)."""
-    g = fr.metric_values()
+    fr.metric_values()  # an order-0 metric build that the pinned product counts include
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(phi, 2))
     hess = fr.hessian_values(phi)
-    hess2 = tensor2_norm2_g(g, fr.metric_inv_values(), hess)
+    hess2 = tensor2_norm2_g(fr.metric_inv_values(), hess)
     gphi = fr.grad_values(phi)
     dlap = fr.partials_of_jet(fr.laplacian(phi, 1))
     ric_ff = np.einsum("...ij,...i,...j->...", fr.ricci_values(), gphi, gphi)

@@ -8,7 +8,9 @@ derivatives of a field at many points at once; every operation is
 elementwise over the batch. From `_BIG_BATCH` nodes on, coefficients are
 stored coefficient-major: ``coeffs`` keeps its ``(..., size)`` shape but is a
 transposed view of a C-contiguous ``(size, ...)`` array, so each coefficient
-is one contiguous row over the batch.
+is one contiguous row over the batch. A large-batch jet known to be zero at
+every coefficient and node is a `_ZeroJet`; sums and differences with it
+return the other operand (see `_ZeroJet`).
 """
 
 from __future__ import annotations
@@ -125,7 +127,9 @@ class Jet:
     The coefficients must not be written once the jet has taken part in a
     product, which caches three flags of them on first use: all zero
     (`_is_zero`), all finite (`_is_finite`) and the per-row pair
-    (`_row_flags`).
+    (`_row_flags`). Nor may a jet that an operation returned be written:
+    `truncated` returns a view, and a sum with a `_ZeroJet` returns the
+    other operand itself.
     """
 
     __slots__ = ("dim", "order", "coeffs", "_flags", "_zero", "_finite")
@@ -151,7 +155,8 @@ class Jet:
         if value.size >= _BIG_BATCH:
             rows = np.zeros((size,) + value.shape)
             rows[0] = value
-            return _jet(dim, order, _coeff_major(rows))
+            out = _jet(dim, order, _coeff_major(rows))
+            return out if value.any() else _mark_zero(out)
         coeffs = np.zeros(value.shape + (size,))
         coeffs[..., 0] = value
         return _jet(dim, order, coeffs)
@@ -243,9 +248,13 @@ class Jet:
                 out._zero = out._finite = True
                 return out
             return _jet(self.dim, self.order, _mul_gather(a, b, jet_table(self.dim, self.order)))
-        return _jet(self.dim, self.order,
-                    _mul_coeff_major(a, b, jet_table(self.dim, self.order),
-                                     self._row_flags(), other._row_flags()))
+        t = jet_table(self.dim, self.order)
+        kept = _kept_terms(t, self._row_flags(), other._row_flags())
+        if not kept.any():
+            # every term is ±0 at every node: skip the kernel
+            rows = np.zeros(shape[-1:] + shape[:-1])
+            return _mark_zero(_jet(self.dim, self.order, _coeff_major(rows)))
+        return _jet(self.dim, self.order, _mul_coeff_major(a, b, t, kept))
 
     __rmul__ = __mul__
 
@@ -289,6 +298,65 @@ class Jet:
         except AttributeError:
             self._flags = _row_flags(self.coeffs)
             return self._flags
+
+
+class _ZeroJet(Jet):
+    """A jet of at least `_BIG_BATCH` nodes that is ±0 at every coefficient and node.
+
+    Large-batch products whose row flags leave no term, all-zero large-batch
+    constants, and `derive`, `truncated` and negation of such a jet carry this
+    mark, with `_zero`, `_finite` and `_row_flags` set. A sum or difference
+    with an operand of the same shape returns that operand (or its negation)
+    instead of adding zeros: each value equals the full operation's (`==`),
+    and only the sign of a zero can differ (x + (+0) is +0 where x is -0).
+    Products still go through `Jet.__mul__`. Small-batch jets never carry the
+    mark, so their sums read nothing and pay nothing for it.
+    """
+
+    __slots__ = ()
+
+    def _same_shape(self, other) -> bool:
+        return (isinstance(other, Jet) and other.dim == self.dim and other.order == self.order
+                and other.coeffs.shape == self.coeffs.shape)
+
+    # A subclass's reflected methods run before the left operand's own, so
+    # `x + zero` and `x - zero` land here without a check in `Jet.__add__`.
+
+    def __add__(self, other):
+        return other if self._same_shape(other) else Jet.__add__(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return -other if self._same_shape(other) else Jet.__sub__(self, other)
+
+    def __rsub__(self, other):
+        return other if self._same_shape(other) else Jet.__rsub__(self, other)
+
+    def __neg__(self):
+        return self
+
+    def truncated(self, order: int) -> "Jet":
+        return _mark_zero(Jet.truncated(self, order))
+
+    def derive(self, axis: int) -> "Jet":
+        return _mark_zero(Jet.derive(self, axis))
+
+
+def _mark_zero(j: Jet) -> _ZeroJet:
+    """Mark a large-batch jet whose coefficients are all ±0 (the caller knows they are)."""
+    j.__class__ = _ZeroJet
+    j._zero = j._finite = True
+    j._flags = _zero_row_flags(j.coeffs.shape[-1])
+    return j
+
+
+@lru_cache(maxsize=None)
+def _zero_row_flags(size: int):
+    """`_row_flags` of an all-zero jet of `size` coefficients, shared read-only."""
+    rows = np.ones(size, dtype=bool)
+    rows.flags.writeable = False
+    return rows, rows
 
 
 _new = object.__new__
@@ -337,21 +405,28 @@ def _row_flags(c: np.ndarray):
     return (lo == 0.0) & (hi == 0.0), np.isfinite(lo) & np.isfinite(hi)
 
 
-def _mul_coeff_major(a: np.ndarray, b: np.ndarray, t: _Table,
-                     flags_a=None, flags_b=None) -> np.ndarray:
+def _kept_terms(t: _Table, flags_a, flags_b) -> np.ndarray:
+    """Per product-table triple: False where its term is ±0 at every node.
+
+    That is where one operand's row is all zero and the other's all finite
+    (`_row_flags`), so zero times NaN or ±inf is kept.
+    """
+    (zero_a, finite_a), (zero_b, finite_b) = flags_a, flags_b
+    za, fa, zb, fb = zero_a[t.mul_ii], finite_a[t.mul_ii], zero_b[t.mul_jj], finite_b[t.mul_jj]
+    return ~((za & fb) | (zb & fa))
+
+
+def _mul_coeff_major(a: np.ndarray, b: np.ndarray, t: _Table, kept=None) -> np.ndarray:
     """Leibniz product for large batches: one row per coefficient, summed triple by triple.
 
     Each node's coefficients are summed in table order, so a node's result does
-    not depend on the batch it is computed in. A triple is skipped where one
-    operand's row is all zero and the other's is all finite (`_row_flags`; the
-    flags are computed here when not given): its term is ±0 at every node, so
-    every output equals the full sum up to the sign of a zero, and NaN and ±inf
-    land where they would. The result is coefficient-major.
+    not depend on the batch it is computed in. Only the triples in `kept`
+    (`_kept_terms`, computed here when not given) are summed: a skipped term is
+    ±0 at every node, so every output equals the full sum up to the sign of a
+    zero, and NaN and ±inf land where they would. The result is coefficient-major.
     """
-    zero_a, finite_a = _row_flags(a) if flags_a is None else flags_a
-    zero_b, finite_b = _row_flags(b) if flags_b is None else flags_b
-    za, fa, zb, fb = zero_a[t.mul_ii], finite_a[t.mul_ii], zero_b[t.mul_jj], finite_b[t.mul_jj]
-    kept = ~((za & fb) | (zb & fa))
+    if kept is None:
+        kept = _kept_terms(t, _row_flags(a), _row_flags(b))
     rows_a, rows_b = a.transpose(-1, *range(a.ndim - 1)), b.transpose(-1, *range(b.ndim - 1))
     out = np.empty((t.size,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     tmp = np.empty(out.shape[1:])
@@ -374,7 +449,8 @@ def seed_variable(i: int, x0, dim: int, order: int) -> Jet:
         raise ValueError(f"axis {i} out of range for dim {dim}")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    j = Jet.constant(x0, dim, order)
+    # a plain jet: an all-zero x0 would give a marked zero constant
+    j = _jet(dim, order, Jet.constant(x0, dim, order).coeffs)
     e_i = tuple(1 if k == i else 0 for k in range(dim))
     j.coeffs[..., jet_table(dim, order).index[e_i]] = 1.0
     return j
@@ -447,27 +523,36 @@ def reciprocal(a: Jet) -> Jet:
     return _compose(a, [(-1.0) ** k * v ** (-(k + 1)) for k in range(a.order + 1)])
 
 
-def _cyclic(a: Jet, cycle):
-    """Compose with a function whose derivatives repeat with period len(cycle)."""
+def _cyclic(a: Jet, f, df, sign: float) -> Jet:
+    """Compose with f where f'' = sign * f, evaluating f and f' once each.
+
+    The derivatives at the value cycle f, f', sign f, sign f'; negation is
+    exact, so each equals its own evaluation bit for bit.
+    """
+    cycle = [f(a.value)]
+    if a.order >= 1:
+        cycle.append(df(a.value))
+    if sign < 0 and a.order >= 2:
+        cycle += [-c for c in cycle]
     return _compose(
-        a, [cycle[k % len(cycle)](a.value) / math.factorial(k) for k in range(a.order + 1)]
+        a, [cycle[k % len(cycle)] / math.factorial(k) for k in range(a.order + 1)]
     )
 
 
 def sin(a: Jet) -> Jet:
-    return _cyclic(a, (np.sin, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)))
+    return _cyclic(a, np.sin, np.cos, -1.0)
 
 
 def cos(a: Jet) -> Jet:
-    return _cyclic(a, (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), np.sin))
+    return _cyclic(a, np.cos, lambda v: -np.sin(v), -1.0)
 
 
 def sinh(a: Jet) -> Jet:
-    return _cyclic(a, (np.sinh, np.cosh))
+    return _cyclic(a, np.sinh, np.cosh, 1.0)
 
 
 def cosh(a: Jet) -> Jet:
-    return _cyclic(a, (np.cosh, np.sinh))
+    return _cyclic(a, np.cosh, np.sinh, 1.0)
 
 
 def power(a: Jet, exponent) -> Jet:

@@ -181,8 +181,7 @@ def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
     frame = StructureFrame(s, points)
     res = frame.defining_values()
     sup_comp = np.max(np.abs(res), axis=(-1, -2))
-    g = frame.metric_values()
-    gnorm = np.sqrt(np.maximum(tensor2_norm2_g(g, frame.metric_inv_values(), res), 0.0))
+    gnorm = np.sqrt(np.maximum(tensor2_norm2_g(frame.metric_inv_values(), res), 0.0))
     return GqemCheck(
         n_points=int(np.prod(points.shape[:-1])),
         sup_residual=float(np.max(sup_comp)),

@@ -148,7 +148,7 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
             lap = fr.laplacian(phi, 0).value
             grad = fr.grad_values(phi)
             traceless = hess - (lap / n)[..., None, None] * g
-            acc[f"traceless2_{x}"].append(tensor2_norm2_g(g, ginv, traceless))
+            acc[f"traceless2_{x}"].append(tensor2_norm2_g(ginv, traceless))
             acc[f"lap{x}"].append(lap)
             acc[f"lap{x}2"].append(lap**2)
             acc[f"ric_{x}{x}"].append(np.einsum("...ij,...i,...j->...", ric, grad, grad))
@@ -156,7 +156,7 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
             if x == "f":
                 dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
                 dlam = fr.partials_of_jet(fr.lam_jet(1))
-                acc["hess2_f"].append(tensor2_norm2_g(g, ginv, hess))
+                acc["hess2_f"].append(tensor2_norm2_g(ginv, hess))
                 acc["gf_dot_gR"].append(np.einsum("...i,...i->...", grad, dR))
                 acc["gf_dot_glam"].append(np.einsum("...i,...i->...", grad, dlam))
     return {k: np.concatenate(parts) if parts else None for k, parts in acc.items()}

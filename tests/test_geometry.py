@@ -255,21 +255,35 @@ def test_tensor_norms(sphere_stereo):
     frame = geo.ChartFrame(sphere_stereo, p)
     g = frame.metric_values()
     ginv = frame.metric_inv_values()
-    assert tensor2_norm2_g(g, ginv, g) == pytest.approx(2.0, abs=1e-12)
+    assert tensor2_norm2_g(ginv, g) == pytest.approx(2.0, abs=1e-12)
 
     phi = ScalarField.from_coords(2, lambda x, y: jets.sin(x + y) + x * x, "phi")
     gf = frame.grad_values(phi)
     df = np.einsum("ij,j->i", g, gf)  # covariant gradient
     rank_one = np.outer(df, df)
     gn2 = float(frame.grad_norm2(phi, 0).value)
-    assert tensor2_norm2_g(g, ginv, rank_one) == pytest.approx(gn2**2, rel=1e-12)
+    assert tensor2_norm2_g(ginv, rank_one) == pytest.approx(gn2**2, rel=1e-12)
 
     # orthogonal decomposition: |hess - (lap/n) g|^2 = |hess|^2 - (lap)^2 / n
     H = frame.hessian_values(phi)
     lap = float(frame.laplacian(phi, 0).value)
-    lhs = tensor2_norm2_g(g, ginv, H - lap / 2.0 * g)
-    rhs = tensor2_norm2_g(g, ginv, H) - lap**2 / 2.0
+    lhs = tensor2_norm2_g(ginv, H - lap / 2.0 * g)
+    rhs = tensor2_norm2_g(ginv, H) - lap**2 / 2.0
     assert lhs == pytest.approx(rhs, abs=1e-11)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tensor_norm_agrees_with_einsum_on_both_sides_of_the_batch_threshold(n):
+    rng = np.random.default_rng(n)
+    for batch in (1, 100, jets._BIG_BATCH - 1, jets._BIG_BATCH, 16384):
+        a = rng.normal(size=(batch, n, n))
+        ginv = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(n)  # SPD, not diagonal
+        t = rng.normal(size=(batch, n, n))
+        want = np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
+        scale = np.einsum("...ik,...jl,...ij,...kl->...", *map(np.abs, (ginv, ginv, t, t)))
+        got = tensor2_norm2_g(ginv, t)
+        assert got.shape == (batch,)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(scale))
 
 
 def test_riemann_symmetries(sphere_stereo, ball2):

@@ -377,9 +377,8 @@ def coeff_rows(c: np.ndarray) -> np.ndarray:
 
 
 def full_sum(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
-    """The coefficient-major product with flags that let it skip no triple."""
-    nothing = (np.zeros(t.size, dtype=bool), np.ones(t.size, dtype=bool))
-    return jets._mul_coeff_major(a, b, t, nothing, nothing)
+    """The coefficient-major product told to skip no triple."""
+    return jets._mul_coeff_major(a, b, t, np.ones(len(t.mul_triples), dtype=bool))
 
 
 @pytest.mark.parametrize("dim,order", [(1, 4), (2, 4), (3, 4), (5, 2)])
@@ -477,6 +476,140 @@ def test_row_flags_are_computed_once_per_jet():
     assert zero.tolist() == [False] + [True] * (size - 1)
     b * a
     assert a._flags is flags
+
+
+# -- large-batch zero marks -----------------------------------------------------
+
+
+def big_jet(rng, dim: int, order: int, batch: int = 600, special: bool = False) -> Jet:
+    """A dense coefficient-major jet, with -0, NaN and ±inf entries if `special`."""
+    rows = rng.normal(size=(jet_table(dim, order).size, batch))
+    if special:
+        rows = with_special_values(rows, rng)
+    return Jet(dim, order, rows.T)
+
+
+def marked_zeros(rng, dim: int, order: int, batch: int = 600) -> list:
+    """Marked zero jets: a constant, a -0 constant, a product zero by its flags, and its negation."""
+    zero = Jet.constant(np.zeros(batch), dim, order)
+    negative = Jet.constant(np.full(batch, -0.0), dim, order)
+    product = zero * big_jet(rng, dim, order, batch)
+    return [zero, negative, product, -product]
+
+
+def assert_same_values(got: np.ndarray, want: np.ndarray) -> None:
+    """`==` at every entry (so only the sign of a zero may differ), with equal NaN and ±inf masks."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    for mask in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(mask(got), mask(want))
+
+
+def test_large_batch_zero_jets_are_marked():
+    rng = np.random.default_rng(30)
+    zeros = marked_zeros(rng, 3, 3)
+    for z in zeros + [zeros[0].truncated(2), zeros[2].derive(1)]:
+        assert isinstance(z, jets._ZeroJet)
+        assert z._zero and z._finite and not z.coeffs.any()
+        assert coeff_rows(z.coeffs).flags.c_contiguous
+        assert all(np.array_equal(f, rows) for f, rows in zip(z._row_flags(), jets._row_flags(z.coeffs)))
+    assert type(Jet.constant(np.zeros(jets._BIG_BATCH - 1), 3, 3)) is Jet
+    assert type(Jet.constant(np.r_[np.zeros(599), np.nan], 3, 3)) is Jet
+    assert type(Jet.constant(np.r_[np.zeros(599), 1e-300], 3, 3)) is Jet
+
+
+@pytest.mark.parametrize("dim,order", [(1, 4), (2, 3), (3, 4)])
+def test_sums_with_a_marked_zero_equal_numpy(dim, order):
+    rng = np.random.default_rng(31 + dim)
+    x = big_jet(rng, dim, order, special=True)
+    with np.errstate(invalid="ignore"):
+        for z in marked_zeros(rng, dim, order):
+            cases = (
+                (x + z, x.coeffs + z.coeffs), (z + x, z.coeffs + x.coeffs),
+                (x - z, x.coeffs - z.coeffs), (z - x, z.coeffs - x.coeffs),
+                (-z, -z.coeffs), (z + z, z.coeffs + z.coeffs), (z - z, z.coeffs - z.coeffs),
+            )
+            for got, want in cases:
+                assert_same_values(got.coeffs, want)
+                assert coeff_rows(got.coeffs).flags.c_contiguous
+            assert x + z is x and z + x is x and x - z is x
+            assert isinstance(-z, jets._ZeroJet) and isinstance(z + z, jets._ZeroJet)
+
+
+def test_marked_zero_against_a_broadcast_operand_runs_the_full_sum():
+    rng = np.random.default_rng(32)
+    size = jet_table(2, 3).size
+    z = Jet.constant(np.zeros(600), 2, 3)
+    for other in (Jet(2, 3, rng.normal(size=size)), 1.5, Jet(2, 3, rng.normal(size=(2, 600, size)))):
+        oc = other.coeffs if isinstance(other, Jet) else Jet.constant(1.5, 2, 3).coeffs
+        for got, want in ((z + other, z.coeffs + oc), (other + z, oc + z.coeffs),
+                          (z - other, z.coeffs - oc), (other - z, oc - z.coeffs)):
+            assert type(got) is Jet
+            assert_same_values(got.coeffs, want)
+
+
+def test_product_zero_by_its_row_flags_is_marked_and_skips_the_kernel(monkeypatch):
+    rng = np.random.default_rng(33)
+    dim, order = 2, 4
+    t = jet_table(dim, order)
+    degree = np.array([sum(a) for a in t.alphas])
+    a = big_jet(rng, dim, order)
+    b = big_jet(rng, dim, order)
+    a.coeffs[:, degree < 3] = 0.0  # every term of degree >= 3 x degree >= 2 is truncated
+    b.coeffs[:, degree < 2] = 0.0
+    want = jets._mul_coeff_major(a.coeffs, b.coeffs, t)
+    calls = []
+    kernel = jets._mul_coeff_major
+    monkeypatch.setattr(jets, "_mul_coeff_major", lambda *args: calls.append(1) or kernel(*args))
+    for got in (a * b, b * a):
+        assert isinstance(got, jets._ZeroJet) and got._zero and got._finite
+        assert np.array_equal(got.coeffs, want)
+        assert coeff_rows(got.coeffs).flags.c_contiguous
+    assert calls == []
+    # a product with a term left runs the kernel and is not marked
+    assert type(a * Jet.constant(np.ones(600), dim, order)) is Jet and calls == [1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_marked_zero_times_nonfinite_runs_the_full_kernel(bad, monkeypatch):
+    rng = np.random.default_rng(34)
+    t = jet_table(2, 3)
+    other = big_jet(rng, 2, 3)
+    other.coeffs[7, 4] = bad
+    zero = Jet.constant(np.zeros(600), 2, 3)
+    calls = []
+    kernel = jets._mul_coeff_major
+    monkeypatch.setattr(jets, "_mul_coeff_major", lambda *args: calls.append(1) or kernel(*args))
+    with np.errstate(invalid="ignore"):
+        for got in (zero * other, other * zero):
+            assert type(got) is Jet
+            assert np.isnan(got.coeffs[7]).any()  # 0 * NaN and 0 * ±inf
+            assert_same_values(got.coeffs, kernel(zero.coeffs, other.coeffs, t))
+    assert calls == [1, 1]
+
+
+def test_small_batch_sums_neither_set_nor_read_the_mark():
+    rng = np.random.default_rng(35)
+    size = jet_table(2, 3).size
+    x = Jet(2, 3, rng.normal(size=(100, size)))
+    zero = Jet(2, 3, np.zeros((100, size))) * x  # the small-batch short-circuit's zeros
+    assert zero._zero and type(zero) is Jet
+    # a flag that lies shows whether a sum reads it
+    liar = Jet(2, 3, rng.normal(size=(100, size)))
+    liar._zero = liar._finite = True
+    for a, b in ((x, zero), (zero, x), (x, liar), (liar, x)):
+        for got, want in ((a + b, a.coeffs + b.coeffs), (a - b, a.coeffs - b.coeffs), (-a, -a.coeffs)):
+            assert type(got) is Jet and got is not a and got is not b
+            assert not hasattr(got, "_zero") and not hasattr(got, "_flags")
+            assert got.coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(600,), (2, 600)])
+def test_seed_at_the_origin_of_a_large_batch_is_not_marked(shape):
+    x, y = seed_point(np.zeros(shape + (2,)), 3)
+    for j in (x, y):
+        assert type(j) is Jet and not hasattr(j, "_zero")
+    assert np.all((x * y).partial((1, 1)) == 1.0)
 
 
 # -- small-batch zero-operand short-circuit -----------------------------------
@@ -654,3 +787,25 @@ def canonical_nan(c: np.ndarray) -> np.ndarray:
     compared.
     """
     return np.where(np.isnan(c), np.nan, c)
+
+
+# -- elementary functions with cyclic derivatives ----------------------------------
+
+CYCLES = {
+    jets.sin: (np.sin, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
+    jets.cos: (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), np.sin),
+    jets.sinh: (np.sinh, np.cosh),
+    jets.cosh: (np.cosh, np.sinh),
+}
+
+
+@pytest.mark.parametrize("fn", list(CYCLES), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (1,), (600,)])
+def test_cyclic_functions_equal_the_per_order_series(fn, order, batch):
+    rng = np.random.default_rng(40 + order)
+    size = jet_table(2, order).size
+    a = Jet(2, order, rng.normal(size=batch + (size,)))
+    cycle = CYCLES[fn]
+    taylor = [cycle[k % len(cycle)](a.value) / math.factorial(k) for k in range(order + 1)]
+    assert fn(a).coeffs.tobytes() == jets._compose(a, taylor).coeffs.tobytes()
