@@ -13,16 +13,21 @@ on verify or integrate).
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
 usage error, 3 numerical failure: a non-finite residual (written as null, its
 row marked ``"status": "nan"``) or an arithmetic error, which writes no report.
-No partial reports are written on exit 2.
+No partial reports are written on exit 2. An output path whose directory does
+not exist, or that is a directory, exits 2 before any structure is built; an
+``OSError`` while writing the report exits 2 and leaves no temporary file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -248,14 +253,55 @@ def _report_skeleton(cfg: RunConfig, seed: int) -> dict:
     return report
 
 
-def _emit_json(report: dict, path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False,
-                      allow_nan=False) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _check_output_path(path: Optional[str]) -> None:
+    """Reject an output path that cannot be written, before any work is done."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output directory {parent!r} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+
+
+def _emit_text(text: str, path: Optional[str]) -> None:
+    """Write `text` to `path`, or to stdout when no path is given.
+
+    A missing or regular-file path gets a fresh inode: the text goes to a
+    temporary file in the same directory, the old file is unlinked and the
+    temporary renamed into its name. On ext4 (default ``auto_da_alloc``),
+    truncating a just-written file or renaming over it forces its blocks to be
+    allocated first, about 55 ms per report; a rename into a free name does
+    not. Any other path (a symlink, ``/dev/stdout``, a FIFO) is written through
+    in place and never unlinked. An ``OSError`` becomes a `ConfigError`.
+    """
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        try:
+            regular = stat.S_ISREG(os.lstat(path).st_mode)
+        except FileNotFoundError:
+            regular = True
+        if not regular:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        # mode 0o666 under the umask: the permissions `open(path, "w")` gives
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+            os.rename(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _finish_report(report: dict, rows: list, json_path: Optional[str], start: float) -> int:
@@ -273,7 +319,8 @@ def _finish_report(report: dict, rows: list, json_path: Optional[str], start: fl
             nonfinite = True
     report["overall_pass"] = all(r["pass"] for r in rows)
     report["wall_time_s"] = time.perf_counter() - start
-    _emit_json(report, json_path)
+    _emit_text(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False,
+                          allow_nan=False) + "\n", json_path)
     return 3 if nonfinite else 0 if report["overall_pass"] else 1
 
 
@@ -348,12 +395,7 @@ def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tols: dict) -> 
             )
             all_pass = all_pass and e.passed
             all_finite = all_finite and math.isfinite(e.max_residual)
-    text = buf.getvalue()
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_text(buf.getvalue(), csv_path)
     return 3 if not all_finite else 0 if all_pass else 1
 
 
@@ -410,6 +452,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         flag, path = ("--json", args.json) if args.command == "scan" else ("--csv", args.csv)
         if path is not None:
             raise ConfigError(f"'{args.command}' does not write {flag}")
+        _check_output_path(args.csv if args.command == "scan" else args.json)
         cfg = load_config(args.config)
         scale = 1.0 if args.tol_scale is None else args.tol_scale
         tols = {k: v * scale for k, v in cfg.tolerances.items()}

@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -456,3 +458,106 @@ def test_degenerate_metric_at_a_quadrature_node_exits_three(tmp_path, capsys, mo
     assert not out.exists()
     err = capsys.readouterr().err
     assert "DegenerateMetricError" in err and "quadrature node" in err
+
+
+def _report_without_time(path):
+    report = json.loads(pathlib.Path(path).read_text())
+    report.pop("wall_time_s")
+    return report
+
+
+def test_rewrite_puts_the_report_on_a_fresh_inode(tmp_path):
+    # a fresh inode is what spares ext4 the flush that truncation forces
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    out, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 0
+    first = out.stat().st_ino
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 0
+    assert out.stat().st_ino != first
+    assert main(["verify", "--config", cfg, "--json", str(fresh)]) == 0
+    assert _report_without_time(out) == _report_without_time(fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.txt", "fresh.json", "report.json"]
+
+
+def test_report_mode_follows_the_umask(tmp_path):
+    out = tmp_path / "report.txt"
+    old = os.umask(0o022)
+    try:
+        cli._emit_text("first\n", str(out))
+        before = stat.S_IMODE(out.stat().st_mode)
+        cli._emit_text("second\n", str(out))
+        after = stat.S_IMODE(out.stat().st_mode)
+    finally:
+        os.umask(old)
+    assert before == after == 0o644
+    assert out.read_text() == "second\n"
+
+
+@pytest.mark.parametrize("command, flag", [("verify", "--json"), ("scan", "--csv")])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_path_exits_two_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, flag, where):
+    def refuse(*args):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(cli, "_build_structure", refuse)
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    out = tmp_path / "no" / "such" / "out" if where == "missing directory" else tmp_path
+    assert main([command, "--config", cfg, flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
+
+
+@pytest.mark.parametrize("command, flag", [("verify", "--json"), ("scan", "--csv")])
+def test_failed_write_exits_two_and_leaves_no_temporary(tmp_path, capsys, monkeypatch,
+                                                        command, flag):
+    real_open = open
+
+    def open_failing_writes(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            def write(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = write
+        return fh
+
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    out = tmp_path / "out"
+    out.write_text("previous report\n")
+    monkeypatch.setattr(cli, "open", open_failing_writes, raising=False)
+    assert main([command, "--config", cfg, flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert os.strerror(errno.ENOSPC) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "out"]
+    assert out.read_text() == "previous report\n"
+
+
+@pytest.mark.parametrize("kind", ["symlink", "fifo"])
+def test_non_regular_report_path_is_written_through(tmp_path, monkeypatch, kind):
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    out, target = tmp_path / "report.json", tmp_path / "target.json"
+    if kind == "symlink":
+        target.write_text("previous report\n")
+        out.symlink_to(target)
+    else:
+        os.mkfifo(out)
+        # a reader opened first lets the writer's open return; the report fits the pipe
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", lambda path, *args, **kwargs: unlinked.append(path))
+    try:
+        assert main(["verify", "--config", cfg, "--json", str(out)]) == 0
+        if kind == "fifo":
+            target.write_bytes(os.read(reader, 1 << 16))
+    finally:
+        if kind == "fifo":
+            os.close(reader)
+    assert unlinked == []
+    if kind == "symlink":
+        assert out.is_symlink() and os.readlink(out) == str(target)
+    else:
+        assert stat.S_ISFIFO(out.lstat().st_mode)
+    assert json.loads(target.read_text())["overall_pass"] is True
