@@ -13,9 +13,10 @@ on verify or integrate).
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
 usage error, 3 numerical failure: a non-finite residual (written as null, its
 row marked ``"status": "nan"``) or an arithmetic error, which writes no report.
-No partial reports are written on exit 2. An output path whose directory does
-not exist, or that is a directory, exits 2 before any structure is built; an
-``OSError`` while writing the report exits 2 and leaves no temporary file.
+No partial reports are written on exit 2. An output path that is empty, whose
+directory does not exist, or that is a directory exits 2 before any structure
+is built; an ``OSError`` while writing the report exits 2 and leaves no
+temporary file.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class ConfigError(Exception):
 
 # Largest dimension and sample size a config may ask for. n = 6 is the largest
 # dimension measured (100 points take about 3 s); the pointwise suite runs the
-# sample in chunks of `identities._CHUNK` points, about 0.4 MB per point at n = 6.
+# sample in chunks of `qem._CHUNK` points, about 0.4 MB per point at n = 6.
 MAX_N = 6
 MAX_POINTS = 1000
 # Largest quadrature grid: node count per angle and in total. `leggauss(k)`
@@ -255,8 +256,10 @@ def _report_skeleton(cfg: RunConfig, seed: int) -> dict:
 
 def _check_output_path(path: Optional[str]) -> None:
     """Reject an output path that cannot be written, before any work is done."""
-    if not path:
+    if path is None:
         return
+    if not path:
+        raise ConfigError("output path is empty")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"output directory {parent!r} does not exist")
@@ -275,7 +278,7 @@ def _emit_text(text: str, path: Optional[str]) -> None:
     not. Any other path (a symlink, ``/dev/stdout``, a FIFO) is written through
     in place and never unlinked. An ``OSError`` becomes a `ConfigError`.
     """
-    if not path:
+    if path is None:
         sys.stdout.write(text)
         return
     try:

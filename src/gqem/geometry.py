@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,8 +63,13 @@ class Chart:
         return np.asarray(self.domain_fn(np.asarray(p, dtype=np.float64)))
 
 
-class ScalarField:
-    """A scalar function of chart coordinates, evaluable to jets of any order <= 4."""
+class Field:
+    """A field of chart coordinates, evaluable to jets of any order <= 4.
+
+    jet(p, order) returns a `Jet` for a scalar field, a sequence of component
+    jets for a contravariant vector field, or an (n, n) object array of jets
+    for a (0,2)-tensor field. The arithmetic operators combine scalar fields.
+    """
 
     def __init__(self, dim: int, jet_fn: Callable, label: str = ""):
         self.dim = dim
@@ -72,21 +77,16 @@ class ScalarField:
         self.label = label
 
     @staticmethod
-    def from_coords(dim: int, fn: Callable, label: str = "") -> "ScalarField":
+    def from_coords(dim: int, fn: Callable, label: str = "") -> "Field":
         """Build a field from a formula in coordinate jets."""
-        return ScalarField(dim, lambda p, order: fn(*seed_point(p, order)), label)
+        return Field(dim, lambda p, order: fn(*seed_point(p, order)), label)
 
     @staticmethod
-    def constant(dim: int, c: float, label: str = "") -> "ScalarField":
-        return ScalarField(
-            dim,
-            lambda p, order: Jet.constant(
-                np.full(np.shape(p)[:-1], float(c)), dim, order
-            ),
-            label or f"{c}",
-        )
+    def constant(dim: int, c: float, label: str = "") -> "Field":
+        jet_fn = lambda p, order: Jet.constant(np.full(np.shape(p)[:-1], float(c)), dim, order)
+        return Field(dim, jet_fn, label or f"{c}")
 
-    def jet(self, p, order: int) -> Jet:
+    def jet(self, p, order: int):
         if order > MAX_ORDER:
             raise OrderCapabilityError(
                 f"field {self.label!r} requested at jet order {order} > max {MAX_ORDER}"
@@ -98,13 +98,13 @@ class ScalarField:
 
     def _combine(self, other, op, template):
         """Field of op(self, other), labelled by `template` with {0} = self, {1} = other."""
-        if isinstance(other, ScalarField):
+        if isinstance(other, Field):
             fn = lambda p, order: op(self.jet(p, order), other.jet(p, order))
             label = template.format(self.label, other.label)
         else:
             fn = lambda p, order: op(self.jet(p, order), other)
             label = template.format(self.label, other)
-        return ScalarField(self.dim, fn, label)
+        return Field(self.dim, fn, label)
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b, "({0}+{1})")
@@ -129,44 +129,11 @@ class ScalarField:
         return self._combine(other, lambda a, b: b / a, "({1}/{0})")
 
     def __neg__(self):
-        return ScalarField(self.dim, lambda p, order: -self.jet(p, order),
-                           f"(-{self.label})")
+        return Field(self.dim, lambda p, order: -self.jet(p, order), f"(-{self.label})")
 
 
-class VectorField:
-    """A contravariant vector field; jet(p, order) returns a list of component jets."""
-
-    def __init__(self, dim: int, jet_fn: Callable, label: str = ""):
-        self.dim = dim
-        self._jet_fn = jet_fn
-        self.label = label
-
-    @staticmethod
-    def from_coords(dim: int, fn: Callable, label: str = "") -> "VectorField":
-        return VectorField(dim, lambda p, order: list(fn(*seed_point(p, order))), label)
-
-    def jet(self, p, order: int) -> list:
-        if order > MAX_ORDER:
-            raise OrderCapabilityError(
-                f"vector field {self.label!r} requested at jet order {order} > max {MAX_ORDER}"
-            )
-        return self._jet_fn(p, order)
-
-
-class Tensor2Field:
-    """A (0,2)-tensor field; jet(p, order) returns an (n, n) object array of jets."""
-
-    def __init__(self, dim: int, jet_fn: Callable, label: str = ""):
-        self.dim = dim
-        self._jet_fn = jet_fn
-        self.label = label
-
-    def jet(self, p, order: int) -> np.ndarray:
-        if order > MAX_ORDER:
-            raise OrderCapabilityError(
-                f"tensor field {self.label!r} requested at jet order {order} > max {MAX_ORDER}"
-            )
-        return self._jet_fn(p, order)
+# the public API names a field by its kind; all three are this one class
+ScalarField = VectorField = Tensor2Field = Field
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +151,6 @@ class TensorValue:
     components: np.ndarray
     con: int
     cov: int
-    point: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         self.components = np.asarray(self.components, dtype=np.float64)
@@ -366,12 +332,12 @@ class ChartFrame:
     # -- fields ----------------------------------------------------------
 
     @_memoized
-    def field_jet(self, X: ScalarField | VectorField, order: int) -> Jet | list:
+    def field_jet(self, X: Field, order: int) -> Jet | list:
         """A scalar field's jet, or a vector field's list of component jets."""
         return X.jet(self.p, order)
 
     @_memoized
-    def grad(self, phi: ScalarField, order: int) -> list:
+    def grad(self, phi: Field, order: int) -> list:
         """Contravariant gradient components as jets."""
         n = self.n
         gi = self.metric_inv(order)
@@ -379,7 +345,7 @@ class ChartFrame:
         return [_sum_jets([gi[i, j] * df[j] for j in range(n)]) for i in range(n)]
 
     @_memoized
-    def hessian(self, phi: ScalarField, order: int) -> np.ndarray:
+    def hessian(self, phi: Field, order: int) -> np.ndarray:
         n = self.n
         fj = self.field_jet(phi, order + 2)
         d1 = [fj.derive(i).truncated(order) for i in range(n)]
@@ -395,21 +361,21 @@ class ChartFrame:
         return out
 
     @_memoized
-    def laplacian(self, phi: ScalarField, order: int) -> Jet:
+    def laplacian(self, phi: Field, order: int) -> Jet:
         gi = self.metric_inv(order)
         h = self.hessian(phi, order)
         n = self.n
         return _sum_jets([gi[i, j] * h[i, j] for i in range(n) for j in range(n)])
 
     @_memoized
-    def grad_norm2(self, phi: ScalarField, order: int) -> Jet:
+    def grad_norm2(self, phi: Field, order: int) -> Jet:
         n = self.n
         gi = self.metric_inv(order)
         df = [self.field_jet(phi, order + 1).derive(j) for j in range(n)]
         return _sum_jets([gi[i, j] * df[i] * df[j] for i in range(n) for j in range(n)])
 
     @_memoized
-    def covariant_vector(self, X: VectorField, order: int) -> np.ndarray:
+    def covariant_vector(self, X: Field, order: int) -> np.ndarray:
         """nabla X as jets, component [i, j] = nabla_j X^i."""
         n = self.n
         xj = self.field_jet(X, order + 1)
@@ -424,12 +390,12 @@ class ChartFrame:
                 out[i, j] = acc
         return out
 
-    def div_vector(self, X: VectorField, order: int) -> Jet:
+    def div_vector(self, X: Field, order: int) -> Jet:
         cov = self.covariant_vector(X, order)
         return _sum_jets([cov[i, i] for i in range(self.n)])
 
     @_memoized
-    def lie_metric(self, X: VectorField, order: int) -> np.ndarray:
+    def lie_metric(self, X: Field, order: int) -> np.ndarray:
         """(L_X g)_{ij} as jets."""
         n = self.n
         g = self.metric(order + 1)
@@ -448,7 +414,7 @@ class ChartFrame:
         return out
 
     @_memoized
-    def div_tensor2(self, T: Tensor2Field, order: int) -> list:
+    def div_tensor2(self, T: Field, order: int) -> list:
         """Divergence (div T)_j = g^{ik} nabla_i T_{kj} of a (0,2)-tensor field, as jets."""
         n = self.n
         tj = T.jet(self.p, order + 1)
@@ -517,10 +483,10 @@ class ChartFrame:
     def scalar_curvature_value(self):
         return self.scalar_curvature_jet(0).value
 
-    def grad_values(self, phi: ScalarField) -> np.ndarray:
+    def grad_values(self, phi: Field) -> np.ndarray:
         return _values(self.grad(phi, 0))
 
-    def hessian_values(self, phi: ScalarField) -> np.ndarray:
+    def hessian_values(self, phi: Field) -> np.ndarray:
         return _values(self.hessian(phi, 0))
 
 
@@ -606,18 +572,18 @@ def check_metric_spd(chart: Chart, points) -> float:
 def christoffel(chart: Chart, p) -> TensorValue:
     p = _scalar_point(chart, p)
     comp = _values(ChartFrame(chart, p).gamma(0))
-    return TensorValue(comp, con=1, cov=2, point=p)
+    return TensorValue(comp, con=1, cov=2)
 
 
 def riemann(chart: Chart, p) -> TensorValue:
     p = _scalar_point(chart, p)
     comp = _values(ChartFrame(chart, p).riemann(0))
-    return TensorValue(comp, con=1, cov=3, point=p)
+    return TensorValue(comp, con=1, cov=3)
 
 
 def ricci(chart: Chart, p) -> TensorValue:
     p = _scalar_point(chart, p)
-    return TensorValue(ChartFrame(chart, p).ricci_values(), con=0, cov=2, point=p)
+    return TensorValue(ChartFrame(chart, p).ricci_values(), con=0, cov=2)
 
 
 def scalar_curvature(chart: Chart, p) -> float:
@@ -630,34 +596,26 @@ def scalar_curvature(chart: Chart, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def grad_field(chart: Chart, phi: ScalarField) -> VectorField:
-    return VectorField(
-        chart.dim,
-        lambda p, order: ChartFrame(chart, p).grad(phi, order),
-        f"grad({phi.label})",
-    )
+def grad_field(chart: Chart, phi: Field) -> Field:
+    return Field(chart.dim, lambda p, order: ChartFrame(chart, p).grad(phi, order),
+                 f"grad({phi.label})")
 
 
-def hessian_field(chart: Chart, phi: ScalarField) -> Tensor2Field:
-    return Tensor2Field(
-        chart.dim,
-        lambda p, order: ChartFrame(chart, p).hessian(phi, order),
-        f"hess({phi.label})",
-    )
+def hessian_field(chart: Chart, phi: Field) -> Field:
+    return Field(chart.dim, lambda p, order: ChartFrame(chart, p).hessian(phi, order),
+                 f"hess({phi.label})")
 
 
-def ricci_field(chart: Chart) -> Tensor2Field:
-    return Tensor2Field(
-        chart.dim, lambda p, order: ChartFrame(chart, p).ricci(order), "Ric"
-    )
+def ricci_field(chart: Chart) -> Field:
+    return Field(chart.dim, lambda p, order: ChartFrame(chart, p).ricci(order), "Ric")
 
 
-def outer_grad_field(chart: Chart, phi: ScalarField) -> Tensor2Field:
+def outer_grad_field(chart: Chart, phi: Field) -> Field:
     """The covariant tensor dphi (x) dphi."""
 
     def jet_fn(p, order):
         n = chart.dim
-        fj = ScalarField.jet(phi, p, order + 1)
+        fj = phi.jet(p, order + 1)
         df = [fj.derive(i) for i in range(n)]
         out = np.empty((n, n), dtype=object)
         for i in range(n):
@@ -666,12 +624,9 @@ def outer_grad_field(chart: Chart, phi: ScalarField) -> Tensor2Field:
                 out[j, i] = out[i, j]
         return out
 
-    return Tensor2Field(chart.dim, jet_fn, f"d{phi.label}(x)d{phi.label}")
+    return Field(chart.dim, jet_fn, f"d{phi.label}(x)d{phi.label}")
 
 
-def lie_metric_field(chart: Chart, X: VectorField) -> Tensor2Field:
-    return Tensor2Field(
-        chart.dim,
-        lambda p, order: ChartFrame(chart, p).lie_metric(X, order),
-        f"L_{X.label} g",
-    )
+def lie_metric_field(chart: Chart, X: Field) -> Field:
+    return Field(chart.dim, lambda p, order: ChartFrame(chart, p).lie_metric(X, order),
+                 f"L_{X.label} g")

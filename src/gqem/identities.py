@@ -36,17 +36,12 @@ from .geometry import (
 from .qem import (
     QemStructure,
     StructureFrame,
+    chunks,
     radial_identity_values,
     trace_divergence_values,
     u_laplacian_values,
     u_transform_values,
 )
-
-# Sample points per runner call in `run_pointwise_suite`. It bounds the suite's
-# memory (about 0.4 MB per point at n = 6) and stays below `jets._BIG_BATCH`, so
-# every point runs the gather product and its residual does not depend on the
-# sample size. The default 100 points are one chunk.
-_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +622,12 @@ def run_pointwise_suite(
 ) -> list[SuiteEntry]:
     """Evaluate every applicable catalog identity over the sample points.
 
-    Each row's runner gets a frame of at most `_CHUNK` points at a time; a
+    Each row's runner gets a frame of at most `qem._CHUNK` points at a time; a
     pointwise row's residual is reduced to |value|, or the largest |component|
     of a tensor, per point. The entries are those of one batch holding every
     point.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    chunks = [points[lo : lo + _CHUNK] for lo in range(0, points.shape[0], _CHUNK)]
+    batches = chunks(points)
     selected = list(CATALOG) if ids is None else [CATALOG_BY_ID[i] for i in ids]
     out = []
     for info in selected:
@@ -641,22 +635,22 @@ def run_pointwise_suite(
             continue
         tol = tolerances[info.order_class]
         if info.kind == "profile":
-            prof = info.runner(StructureFrame(s, chunks[0]))
-            for chunk in chunks[1:]:
+            prof = info.runner(StructureFrame(s, batches[0]))
+            for chunk in batches[1:]:
                 prof = prof.join(info.runner(StructureFrame(s, chunk), prof.c_estimate))
             res_max = max(prof.max_residual, prof.c_spread)
             res_mean = res_max
         else:
             res = np.concatenate([
                 np.abs(info.runner(StructureFrame(s, chunk))).reshape(len(chunk), -1).max(axis=-1)
-                for chunk in chunks])
+                for chunk in batches])
             res_max = float(np.max(res))
             res_mean = float(np.mean(res))
         out.append(
             SuiteEntry(
                 identity_id=info.identity_id,
                 formula=info.formula,
-                n_points=int(points.shape[0]),
+                n_points=sum(map(len, batches)),
                 max_residual=res_max,
                 mean_residual=res_mean,
                 tolerance=tol,

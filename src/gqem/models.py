@@ -81,12 +81,12 @@ class ModelSpec:
             raise ValueError("hyperbolic height functions only support v_axis = 0 (apex)")
 
 
-def _diag_conformal(coords, factor_jet, n):
-    zero = Jet.constant(np.zeros(coords[0].batch_shape), n, coords[0].order)
-    out = np.empty((n, n), dtype=object)
+def _diagonal(entries):
+    """The (n, n) object array of jets with `entries` on its diagonal and zeros off it."""
+    n, e = len(entries), entries[0]
+    out = np.full((n, n), Jet.constant(np.zeros(e.batch_shape), e.dim, e.order), dtype=object)
     for i in range(n):
-        for j in range(n):
-            out[i, j] = factor_jet if i == j else zero
+        out[i, i] = entries[i]
     return out
 
 
@@ -104,7 +104,7 @@ def make_chart(spec: ModelSpec) -> Chart:
 
         def metric_fn(coords):
             one = Jet.constant(np.ones(coords[0].batch_shape), n, coords[0].order)
-            return _diag_conformal(coords, one, n)
+            return _diagonal([one] * n)
 
         return Chart(
             dim=n,
@@ -125,7 +125,7 @@ def make_chart(spec: ModelSpec) -> Chart:
 
         def metric_fn(coords):
             q = r2 + _norm2(coords)
-            return _diag_conformal(coords, (4.0 * r4) / (q * q), n)
+            return _diagonal([(4.0 * r4) / (q * q)] * n)
 
         def embedding_fn(coords):
             s = _norm2(coords)
@@ -151,18 +151,11 @@ def make_chart(spec: ModelSpec) -> Chart:
     if spec.family == "sphere" and spec.chart_kind == "polar":
         # coordinates (theta_1 .. theta_{n-1}, phi); metric r^2 diag(1, sin^2 th_1, ...)
         def metric_fn(coords):
-            out = np.empty((n, n), dtype=object)
-            zero = Jet.constant(np.zeros(coords[0].batch_shape), n, coords[0].order)
-            for i in range(n):
-                for j in range(n):
-                    out[i, j] = zero
-            acc = Jet.constant(np.full(coords[0].batch_shape, r * r), n, coords[0].order)
-            out[0, 0] = acc
-            for i in range(1, n):
-                s = jets.sin(coords[i - 1])
-                acc = acc * s * s
-                out[i, i] = acc
-            return out
+            diag = [Jet.constant(np.full(coords[0].batch_shape, r * r), n, coords[0].order)]
+            for c in coords[:-1]:
+                s = jets.sin(c)
+                diag.append(diag[-1] * s * s)
+            return _diagonal(diag)
 
         def embedding_fn(coords):
             amb = []
@@ -195,7 +188,7 @@ def make_chart(spec: ModelSpec) -> Chart:
 
         def metric_fn(coords):
             q = 1.0 - _norm2(coords)
-            return _diag_conformal(coords, 4.0 * jets.reciprocal(q * q), n)
+            return _diagonal([4.0 * jets.reciprocal(q * q)] * n)
 
         def embedding_fn(coords):
             # hyperboloid sheet <x,x>_0 = -1; time axis first
@@ -228,13 +221,11 @@ def height_field(spec: ModelSpec, chart: Chart, v_axis: Optional[int] = None) ->
     Sphere: the ambient coordinate of the embedding. Hyperbolic: cosh of the
     geodesic distance to the apex, i.e. minus the Minkowski pairing with it.
     """
-    axis = spec.v_axis if v_axis is None else v_axis
-    if not 0 <= axis <= spec.dim:
-        raise ValueError(f"v_axis must be in 0..{spec.dim}, got {axis}")
+    if v_axis is not None:
+        spec = replace(spec, v_axis=v_axis)  # ModelSpec checks the axis
+    axis = spec.v_axis
     if spec.family == "euclidean":
         raise ValueError("height fields are defined on the sphere and hyperbolic models")
-    if spec.family == "hyperbolic" and axis != 0:
-        raise ValueError("hyperbolic height functions only support v_axis = 0 (apex)")
 
     def fn(*coords):
         amb = chart.embedding_fn(coords)

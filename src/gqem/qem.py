@@ -93,6 +93,20 @@ def make_structure(
     return QemStructure(chart, f, m, lam, provenance, u, label)
 
 
+# Sample points per frame in `run_pointwise_suite` and `is_gqem`. It bounds their
+# memory (about 0.4 MB per point at n = 6) and stays below `jets._BIG_BATCH`, so
+# every point runs the gather product and a residual does not depend on the
+# sample size. The default 100 points are one chunk.
+_CHUNK = 256
+
+
+def chunks(points) -> list:
+    """The sample as rows of shape (n,), in consecutive batches of at most `_CHUNK`."""
+    points = np.asarray(points, dtype=np.float64)
+    points = points.reshape(-1, points.shape[-1])
+    return [points[lo : lo + _CHUNK] for lo in range(0, len(points), _CHUNK)]
+
+
 class StructureFrame(ChartFrame):
     """Chart frame extended with the structure's potential, lambda and u fields."""
 
@@ -147,18 +161,18 @@ class StructureFrame(ChartFrame):
 def bakry_emery_ricci(s: QemStructure, p) -> TensorValue:
     """Ric + hess f - (1/m) df (x) df as a symmetric (0,2) value."""
     p = _scalar_point(s.chart, p)
-    return TensorValue(StructureFrame(s, p).bakry_emery_values(), 0, 2, p)
+    return TensorValue(StructureFrame(s, p).bakry_emery_values(), 0, 2)
 
 
 def defining_residual(s: QemStructure, p) -> TensorValue:
     """Ric_f - lambda g at p; identically zero for an exact structure."""
     p = _scalar_point(s.chart, p)
-    return TensorValue(StructureFrame(s, p).defining_values(), 0, 2, p)
+    return TensorValue(StructureFrame(s, p).defining_values(), 0, 2)
 
 
 def traceless_residual(s: QemStructure, p) -> TensorValue:
     p = _scalar_point(s.chart, p)
-    return TensorValue(StructureFrame(s, p).traceless_values(), 0, 2, p)
+    return TensorValue(StructureFrame(s, p).traceless_values(), 0, 2)
 
 
 @dataclass
@@ -174,16 +188,19 @@ class GqemCheck:
 
 
 def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
-    """Componentwise and g-invariant residual statistics over a sample set."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
+    """Componentwise and g-invariant residual statistics over a sample set, in chunks."""
+    if np.size(points) == 0:
         raise ValueError("empty sample")
-    frame = StructureFrame(s, points)
-    res = frame.defining_values()
-    sup_comp = np.max(np.abs(res), axis=(-1, -2))
-    gnorm = np.sqrt(np.maximum(tensor2_norm2_g(frame.metric_inv_values(), res), 0.0))
+    sup_comp, norm2 = [], []
+    for chunk in chunks(points):
+        frame = StructureFrame(s, chunk)
+        res = frame.defining_values()
+        sup_comp.append(np.max(np.abs(res), axis=(-1, -2)))
+        norm2.append(tensor2_norm2_g(frame.metric_inv_values(), res))
+    sup_comp = np.concatenate(sup_comp)
+    gnorm = np.sqrt(np.maximum(np.concatenate(norm2), 0.0))
     return GqemCheck(
-        n_points=int(np.prod(points.shape[:-1])),
+        n_points=len(sup_comp),
         sup_residual=float(np.max(sup_comp)),
         mean_residual=float(np.mean(sup_comp)),
         sup_gnorm=float(np.max(gnorm)),
@@ -195,7 +212,7 @@ def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
 def u_transform_residual(s: QemStructure, p) -> TensorValue:
     """hess f - (1/m) df (x) df + (m/u) hess u; vanishes for any smooth f."""
     p = _scalar_point(s.chart, p)
-    return TensorValue(u_transform_values(StructureFrame(s, p)), 0, 2, p)
+    return TensorValue(u_transform_values(StructureFrame(s, p)), 0, 2)
 
 
 def u_transform_values(frame: StructureFrame) -> np.ndarray:

@@ -131,9 +131,8 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
         raise ValueError("grid and structure must share one chart")
     n = s.chart.dim
     names = (
-        "traceless2_f", "hess2_f", "lapf", "lapf2", "ric_ff",
-        "gf_dot_gR", "gf_dot_glam", "gn2f_lapf",
-        "traceless2_u", "lapu", "lapu2", "ric_uu", "gn2u_lapu",
+        "traceless2_f", "hess2_f", "lapf2", "ric_ff", "gf_dot_gR", "gf_dot_glam", "gn2f_lapf",
+        "traceless2_u", "lapu2", "ric_uu", "gn2u_lapu",
     )
     fields = [("f", s.f)] + ([("u", s.require_u())] if s.m_finite else [])
     acc = {k: [] for k in names}
@@ -149,7 +148,6 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
             grad = fr.grad_values(phi)
             traceless = hess - (lap / n)[..., None, None] * g
             acc[f"traceless2_{x}"].append(tensor2_norm2_g(ginv, traceless))
-            acc[f"lap{x}"].append(lap)
             acc[f"lap{x}2"].append(lap**2)
             acc[f"ric_{x}{x}"].append(np.einsum("...ij,...i,...j->...", ric, grad, grad))
             acc[f"gn2{x}_lap{x}"].append(fr.grad_norm2(phi, 0).value * lap)

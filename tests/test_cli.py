@@ -494,8 +494,9 @@ def test_report_mode_follows_the_umask(tmp_path):
     assert out.read_text() == "second\n"
 
 
-@pytest.mark.parametrize("command, flag", [("verify", "--json"), ("scan", "--csv")])
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command, flag",
+                         [("verify", "--json"), ("integrate", "--json"), ("scan", "--csv")])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
 def test_unwritable_output_path_exits_two_before_any_work(tmp_path, capsys, monkeypatch,
                                                           command, flag, where):
     def refuse(*args):
@@ -503,11 +504,38 @@ def test_unwritable_output_path_exits_two_before_any_work(tmp_path, capsys, monk
 
     monkeypatch.setattr(cli, "_build_structure", refuse)
     cfg = write_config(tmp_path, SPHERE_CFG)
-    out = tmp_path / "no" / "such" / "out" if where == "missing directory" else tmp_path
+    out = {"missing directory": tmp_path / "no" / "such" / "out", "directory": tmp_path,
+           "empty": ""}[where]
     assert main([command, "--config", cfg, flag, str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: output") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: output") and captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("verify", "--json", SPHERE_CFG),
+    ("integrate", "--json", "family = sphere\nn = 2\ntau = 1.0\nm = 2\ngrid = 16,32\n"),
+    ("scan", "--csv", SPHERE_CFG),
+])
+def test_report_goes_to_stdout_without_an_output_path(tmp_path, capsys, command, flag, text):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "report"
+    assert main([command, "--config", cfg, flag, str(out)]) == 0
+    assert main([command, "--config", cfg]) == 0
+    printed = capsys.readouterr().out
+    if command == "scan":
+        assert printed == out.read_text()
+        return
+
+    def strict(doc):
+        def refuse(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+        report = json.loads(doc, parse_constant=refuse)
+        report.pop("wall_time_s")
+        return report
+
+    assert strict(printed) == strict(out.read_text())
 
 
 @pytest.mark.parametrize("command, flag", [("verify", "--json"), ("scan", "--csv")])

@@ -378,6 +378,15 @@ def test_reflected_operator_labels():
         (2.0 / x).jet(np.ones(2), 5)
 
 
+def test_one_field_class_negates_every_jet_coefficient():
+    assert ScalarField is VectorField is geo.Tensor2Field is geo.Field
+    phi = ScalarField.from_coords(2, lambda x, y: jets.sin(x) * y + x * x, "phi")
+    p = np.array([[0.3, -0.7], [1.1, 0.4]])
+    neg = -phi
+    assert neg.label == "(-phi)"
+    assert np.array_equal(neg.jet(p, 3).coeffs, (-phi.jet(p, 3)).coeffs)
+
+
 # g = e^{2 phi} delta on R^2 with phi = A x^2 + B y: R = -2 e^{-2 phi} lap_0 phi = -4A e^{-2 phi},
 # so R, grad R and lap R are non-constant closed forms.
 A, B = 0.3, 0.5

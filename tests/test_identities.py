@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gqem import identities as idt
-from gqem import jets
+from gqem import jets, qem
 from gqem import quadrature as quad
 from gqem.geometry import ChartFrame, ScalarField, grad_field
 from gqem.models import (
@@ -325,7 +325,7 @@ def test_chunked_suite_equals_one_batch(monkeypatch):
         whole = idt.run_pointwise_suite(s, pts, TOLS)
         if s.chart.family == "euclidean":  # the control fails the profile row
             assert {e.identity_id: e for e in whole}["einstein_hessian"].max_residual > 1e-3
-        monkeypatch.setattr(idt, "_CHUNK", 7)
+        monkeypatch.setattr(qem, "_CHUNK", 7)
         monkeypatch.setattr(idt, "CATALOG", tuple(
             dataclasses.replace(info, runner=spy(info)) for info in idt.CATALOG))
         seen.clear()
@@ -340,6 +340,18 @@ def test_chunked_suite_equals_one_batch(monkeypatch):
         assert bits(chunked) == bits(whole)
         assert "einstein_hessian" in seen
         assert all(sizes == [7, 7, 6] for sizes in seen.values()), seen
+
+
+def test_is_gqem_equals_the_defining_row_past_one_chunk():
+    # 600 points are three chunks; one frame over them all would run the
+    # large-batch product and give other bits
+    s = example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0))
+    pts = sample_points(s.chart, 600, seed=4)
+    (row,) = idt.run_pointwise_suite(s, pts, TOLS, ids=["defining_equation"])
+    chk = is_gqem(s, pts, 1e-8)
+    assert chk.n_points == row.n_points == 600
+    assert chk.sup_residual.hex() == row.max_residual.hex()
+    assert chk.mean_residual.hex() == row.mean_residual.hex()
 
 
 def test_joined_profile_equals_the_whole_sample():

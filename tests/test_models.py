@@ -113,6 +113,17 @@ def test_height_field_euclidean_rejected():
         height_field(spec, chart)
 
 
+@pytest.mark.parametrize("family, axis, message", [
+    ("sphere", 3, "v_axis must be in 0..2"),
+    ("sphere", -1, "v_axis must be in 0..2"),
+    ("hyperbolic", 1, "only support v_axis = 0"),
+])
+def test_height_field_axis_is_checked_like_the_spec(family, axis, message):
+    spec = ModelSpec(family, 2, tau=1.0, m=1.0)
+    with pytest.raises(ValueError, match=message):
+        height_field(spec, make_chart(spec), v_axis=axis)
+
+
 def test_example_lambda_values():
     # hand-substituted closed forms at reference points
     s = example_structure(ModelSpec("sphere", 2, tau=1.0, m=2.0))
