@@ -56,7 +56,6 @@ from .models import (  # noqa: F401
 from .identities import CATALOG, run_pointwise_suite  # noqa: F401
 from .quadrature import (  # noqa: F401
     QuadratureGrid,
-    bochner_integrals,
     integrate,
     make_sphere_grid,
     run_integral_suite,

@@ -103,6 +103,8 @@ _CHUNK = 256
 def chunks(points) -> list:
     """The sample as rows of shape (n,), in consecutive batches of at most `_CHUNK`."""
     points = np.asarray(points, dtype=np.float64)
+    if points.size == 0:
+        raise ValueError("empty sample")
     points = points.reshape(-1, points.shape[-1])
     return [points[lo : lo + _CHUNK] for lo in range(0, len(points), _CHUNK)]
 
@@ -189,8 +191,6 @@ class GqemCheck:
 
 def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
     """Componentwise and g-invariant residual statistics over a sample set, in chunks."""
-    if np.size(points) == 0:
-        raise ValueError("empty sample")
     sup_comp, norm2 = [], []
     for chunk in chunks(points):
         frame = StructureFrame(s, chunk)

@@ -6,16 +6,16 @@ strictly interior, so the coordinate singularities of the polar chart are
 never touched. Node ordering and the summation order are fixed, making every
 integral bitwise reproducible.
 
-Integral identities are only meaningful on compact models; constructors
-reject non-sphere charts.
+Integral identities are only meaningful on compact models, so grids reject
+non-sphere charts and `run_integral_suite` rejects non-compact structures.
+Each suite call makes one chunked pass over the nodes for every integrand its
+identities read; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 import numpy as np
 
 from .geometry import Chart, ChartFrame, DegenerateMetricError, ScalarField, tensor2_norm2_g
@@ -84,25 +84,30 @@ def sphere_area(dim: int, radius: float = 1.0) -> float:
 
 
 def integrate(grid: QuadratureGrid, phi: ScalarField) -> float:
-    """Integral of a scalar field over the grid."""
-    try:
-        values = np.asarray(phi(grid.nodes), dtype=np.float64)
-    except JetDomainError as exc:
-        values = _locate_node_failure(grid, phi, exc)
-    if values.shape != grid.weights.shape:
-        raise ValueError(
-            f"integrand produced shape {values.shape}, expected {grid.weights.shape}"
-        )
+    """Integral of a scalar field over the grid, evaluated `_CHUNK` nodes at a time."""
+    values = np.empty(grid.weights.shape)
+    for lo in range(0, grid.nodes.shape[0], _CHUNK):
+        chunk = grid.nodes[lo : lo + _CHUNK]
+        try:
+            block = np.asarray(phi(chunk), dtype=np.float64)
+        except JetDomainError as exc:
+            block = _locate_node_failure(chunk, lo, phi, exc)
+        if block.shape != (len(chunk),):
+            raise ValueError(
+                f"integrand produced shape {block.shape}, expected {(len(chunk),)}"
+            )
+        values[lo : lo + _CHUNK] = block
     return float(np.sum(grid.weights * values))
 
 
-def _locate_node_failure(grid, phi, exc):
-    for k, node in enumerate(grid.nodes):
+def _locate_node_failure(chunk, lo, phi, exc):
+    """Re-raise `exc` naming the first node of `chunk` (grid index lo + k) that fails."""
+    for k, node in enumerate(chunk):
         try:
             phi(node)
         except JetDomainError:
             raise JetDomainError(
-                f"integrand failed at node {k} with coordinates {node}: {exc}"
+                f"integrand failed at node {lo + k} with coordinates {node}: {exc}"
             ) from exc
     raise exc
 
@@ -119,14 +124,8 @@ def stokes_sanity(grid: QuadratureGrid, phi: ScalarField) -> float:
     return total
 
 
-# ---------------------------------------------------------------------------
-# cached node quantities for the structure integrands
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=4)
 def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
-    """All pointwise integrand ingredients at every node (one chunked pass)."""
+    """All pointwise integrand ingredients at every node, in one chunked pass."""
     if s.chart is not grid.chart:
         raise ValueError("grid and structure must share one chart")
     n = s.chart.dim
@@ -161,144 +160,69 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
 
 
 def _integrals(grid: QuadratureGrid, s: QemStructure) -> dict:
-    q = _node_quantities(grid, s)
+    """The integral of each node quantity; None for the u quantities when m is infinite."""
     return {
         k: (None if v is None else float(np.sum(grid.weights * v)))
-        for k, v in q.items()
+        for k, v in _node_quantities(grid, s).items()
     }
 
 
-@dataclass
-class IntegralCheck:
-    """Both sides of one integral identity and their normalized gap."""
-
-    identity_id: str
-    formula: str
-    lhs: float
-    rhs: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def relative_gap(self) -> float:
-        return self.gap / (1.0 + abs(self.lhs))
-
-
-def _require_compact(s: QemStructure):
-    if not s.chart.compact:
-        raise ValueError(
-            f"integral identities need a compact model; chart {s.chart.label!r} is not"
-        )
-
-
-@dataclass(frozen=True)
-class IntegralIdentity:
-    """A two-sided integral identity, called as `identity(grid, s)`.
-
-    `sides(I, n, inv_m)` gives (lhs, rhs) from the node integrals `I` of
-    `_integrals`, the dimension and 1/m.
-    """
-
-    identity_id: str
-    formula: str
-    sides: Callable
-    needs_finite_m: bool = False
-
-    def __call__(self, grid: QuadratureGrid, s: QemStructure) -> IntegralCheck:
-        _require_compact(s)
-        if self.needs_finite_m and not s.m_finite:
-            raise ValueError(f"the integral identity {self.identity_id!r} needs finite m")
-        lhs, rhs = self.sides(_integrals(grid, s), s.chart.dim, s.inv_m)
-        return IntegralCheck(self.identity_id, self.formula, lhs, rhs)
-
-
-traceless_hessian_balance = IntegralIdentity(
-    "traceless_hessian_balance",
-    "∫|∇²f−(Δf/n)g|² + ((n+2)/2n)∫(Δf)² = ∫⟨∇f,∇R⟩ − ((n+2)/2)∫⟨∇f,∇λ⟩",
-    lambda I, n, inv_m: (I["traceless2_f"] + (n + 2) / (2 * n) * I["lapf2"],
-                         I["gf_dot_gR"] - (n + 2) / 2 * I["gf_dot_glam"]),
+# The integral identities as (id, formula, sides, needs finite m). `sides(I, n, inv_m)`
+# gives (lhs, rhs) from the node integrals `I` of `_integrals`, the dimension and 1/m.
+_IDENTITIES = (
+    ("traceless_hessian_balance",
+     "∫|∇²f−(Δf/n)g|² + ((n+2)/2n)∫(Δf)² = ∫⟨∇f,∇R⟩ − ((n+2)/2)∫⟨∇f,∇λ⟩",
+     lambda I, n, inv_m: (I["traceless2_f"] + (n + 2) / (2 * n) * I["lapf2"],
+                          I["gf_dot_gR"] - (n + 2) / 2 * I["gf_dot_glam"]),
+     False),
+    ("ricci_energy_balance",
+     "∫(Ric(∇f,∇f) + ⟨∇f,∇R⟩) = (3/2)∫(Δf)² + ((n+2)/2)∫⟨∇f,∇λ⟩",
+     lambda I, n, inv_m: (I["ric_ff"] + I["gf_dot_gR"],
+                          1.5 * I["lapf2"] + (n + 2) / 2 * I["gf_dot_glam"]),
+     False),
+    ("traceless_hessian_flux",
+     "∫|∇²f−(Δf/n)g|² = ((n−2)/2n)∫⟨∇f,∇R⟩ − ((n+2)/2nm)∫|∇f|²Δf",
+     lambda I, n, inv_m: (I["traceless2_f"],
+                          (n - 2) / (2 * n) * I["gf_dot_gR"]
+                          - (n + 2) / (2 * n) * inv_m * I["gn2f_lapf"]),
+     False),
+    ("hessian_energy_identity",
+     "∫|∇²f|² = ∫Ric(∇f,∇f) − (2/m)∫|∇f|²Δf + (n−2)∫⟨∇λ,∇f⟩",
+     lambda I, n, inv_m: (I["hess2_f"],
+                          I["ric_ff"] - 2 * inv_m * I["gn2f_lapf"] + (n - 2) * I["gf_dot_glam"]),
+     False),
+    # rhs is 0 in the conformal equality case ∫Ric(∇u,∇u) = ((n−1)/n)∫(Δu)²
+    ("bochner_integral_balance",
+     "∫|∇²u−(Δu/n)g|² = ((n−1)/n)∫(Δu)² − ∫Ric(∇u,∇u)",
+     lambda I, n, inv_m: (I["traceless2_u"], (n - 1) / n * I["lapu2"] - I["ric_uu"]),
+     True),
 )
-ricci_energy_balance = IntegralIdentity(
-    "ricci_energy_balance",
-    "∫(Ric(∇f,∇f) + ⟨∇f,∇R⟩) = (3/2)∫(Δf)² + ((n+2)/2)∫⟨∇f,∇λ⟩",
-    lambda I, n, inv_m: (I["ric_ff"] + I["gf_dot_gR"],
-                         1.5 * I["lapf2"] + (n + 2) / 2 * I["gf_dot_glam"]),
-)
-traceless_hessian_flux = IntegralIdentity(
-    "traceless_hessian_flux",
-    "∫|∇²f−(Δf/n)g|² = ((n−2)/2n)∫⟨∇f,∇R⟩ − ((n+2)/2nm)∫|∇f|²Δf",
-    lambda I, n, inv_m: (I["traceless2_f"],
-                         (n - 2) / (2 * n) * I["gf_dot_gR"]
-                         - (n + 2) / (2 * n) * inv_m * I["gn2f_lapf"]),
-)
-hessian_energy_identity = IntegralIdentity(
-    "hessian_energy_identity",
-    "∫|∇²f|² = ∫Ric(∇f,∇f) − (2/m)∫|∇f|²Δf + (n−2)∫⟨∇λ,∇f⟩",
-    lambda I, n, inv_m: (I["hess2_f"],
-                         I["ric_ff"] - 2 * inv_m * I["gn2f_lapf"] + (n - 2) * I["gf_dot_glam"]),
-)
-bochner_integral_balance = IntegralIdentity(
-    "bochner_integral_balance",
-    "∫|∇²u−(Δu/n)g|² = ((n−1)/n)∫(Δu)² − ∫Ric(∇u,∇u)",
-    lambda I, n, inv_m: (I["traceless2_u"], (n - 1) / n * I["lapu2"] - I["ric_uu"]),
-    needs_finite_m=True,
-)
-
-
-@dataclass
-class BochnerIntegrals:
-    """The integrated Bochner balance for u and the conformal equality case."""
-
-    d2u_traceless: float  # ∫|∇²u − (Δu/n)g|²
-    ric_term: float  # ∫Ric(∇u,∇u)
-    lap_term: float  # ((n−1)/n)∫(Δu)²
-    lemflat_term: float  # ∫|∇u|²Δu, zero for conformal ∇u
-
-    @property
-    def balance_gap(self) -> float:
-        """Gap of ∫|∇²u−(Δu/n)g|² = ((n−1)/n)∫(Δu)² − ∫Ric(∇u,∇u)."""
-        return abs(self.d2u_traceless - (self.lap_term - self.ric_term))
-
-    @property
-    def equality_gap(self) -> float:
-        """Relative gap of ∫Ric(∇u,∇u) = ((n−1)/n)∫(Δu)² (conformal equality case)."""
-        return abs(self.ric_term - self.lap_term) / (1.0 + abs(self.ric_term))
-
-
-def bochner_integrals(grid: QuadratureGrid, s: QemStructure) -> BochnerIntegrals:
-    _require_compact(s)
-    if not s.m_finite:
-        raise ValueError("the integrated Bochner balance for u needs finite m")
-    n = s.chart.dim
-    I = _integrals(grid, s)
-    return BochnerIntegrals(
-        d2u_traceless=I["traceless2_u"],
-        ric_term=I["ric_uu"],
-        lap_term=(n - 1) / n * I["lapu2"],
-        lemflat_term=I["gn2u_lapu"],
-    )
-
-
-INTEGRAL_SUITE = tuple(
-    (check.identity_id, check, check.needs_finite_m)
-    for check in (traceless_hessian_balance, ricci_energy_balance, traceless_hessian_flux,
-                  hessian_energy_identity, bochner_integral_balance)
-)
+INTEGRAL_SUITE = tuple((rid, sides, needs_m) for rid, _formula, sides, needs_m in _IDENTITIES)
+_FORMULAS = {rid: formula for rid, formula, _sides, _needs_m in _IDENTITIES}
 
 
 def run_integral_suite(
     grid: QuadratureGrid, s: QemStructure, tol: float
 ) -> list[dict]:
-    """Every two-sided integral identity plus the Stokes sanity check."""
-    checks = [fn(grid, s) for _name, fn, needs_m in INTEGRAL_SUITE if s.m_finite or not needs_m]
-    stokes = IntegralCheck("stokes_sanity", "∫Δf dμ = 0", stokes_sanity(grid, s.f), 0.0)
-    # the Stokes gap is the bare |∫Δf|, not normalized by 1 + |lhs|
-    rows = [(chk, chk.relative_gap) for chk in checks] + [(stokes, stokes.gap)]
+    """Every two-sided integral identity plus the Stokes sanity check.
+
+    One node pass feeds every identity; an identity's gap is |lhs − rhs| / (1 + |lhs|),
+    while the Stokes gap is the bare |∫Δf|.
+    """
+    if not s.chart.compact:
+        raise ValueError(
+            f"integral identities need a compact model; chart {s.chart.label!r} is not"
+        )
+    I, n = _integrals(grid, s), s.chart.dim
+    rows = []
+    for rid, sides, needs_m in INTEGRAL_SUITE:
+        if s.m_finite or not needs_m:
+            lhs, rhs = sides(I, n, s.inv_m)
+            rows.append((rid, _FORMULAS[rid], lhs, rhs, abs(lhs - rhs) / (1.0 + abs(lhs))))
+    stokes = stokes_sanity(grid, s.f)
+    rows.append(("stokes_sanity", "∫Δf dμ = 0", stokes, 0.0, abs(stokes)))
     return [
-        {"id": chk.identity_id, "formula": chk.formula, "lhs": chk.lhs, "rhs": chk.rhs,
-         "relative_gap": gap, "resolution": list(grid.resolution), "tolerance": tol,
-         "pass": gap < tol}
-        for chk, gap in rows
+        {"id": rid, "formula": formula, "lhs": lhs, "rhs": rhs, "relative_gap": gap,
+         "resolution": list(grid.resolution), "tolerance": tol, "pass": gap < tol}
+        for rid, formula, lhs, rhs, gap in rows
     ]

@@ -381,6 +381,17 @@ def test_residual_paths_call_no_lapack_inverse(monkeypatch):
     assert len(entries) == len(idt.CATALOG)
     assert all(e.passed for e in entries)
     assert is_gqem(s3, pts, 1e-8).passed
+    node_passes = []
+    node_pass = quad._node_quantities
+    monkeypatch.setattr(quad, "_node_quantities", lambda *a: node_passes.append(1) or node_pass(*a))
     s2 = example_structure(ModelSpec("sphere", 2, tau=1.5, m=2.0, chart_kind="polar"))
     rows = quad.run_integral_suite(quad.make_sphere_grid(s2.chart, (8, 16)), s2, 1e-6)
     assert len(rows) == 6 and all(np.isfinite(r["relative_gap"]) for r in rows)
+    assert len(node_passes) == 1
+
+
+@pytest.mark.parametrize("ids", [None, ["defining_equation"], ["einstein_hessian"]])
+def test_empty_sample_is_rejected_by_name(ids):
+    s3 = example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0))
+    with pytest.raises(ValueError, match="^empty sample$"):
+        idt.run_pointwise_suite(s3, np.empty((0, 3)), TOLS, ids=ids)

@@ -98,7 +98,7 @@ def test_gaussian_soliton_passes():
 
 def test_is_gqem_empty_sample_rejected():
     s = trivial_structure("euclidean", 2)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^empty sample$"):
         is_gqem(s, np.zeros((0, 2)), 1e-8)
 
 

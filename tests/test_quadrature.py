@@ -22,6 +22,10 @@ def s2_grid(s2_structure):
     return quad.make_sphere_grid(s2_structure.chart, (64, 128))
 
 
+def _rows(grid, s):
+    return {r["id"]: r for r in quad.run_integral_suite(grid, s, 1e-6)}
+
+
 def test_grid_rejects_non_polar_charts():
     stereo = make_chart(ModelSpec("sphere", 2, tau=1.0, m=1.0))
     with pytest.raises(ValueError, match="polar"):
@@ -124,33 +128,35 @@ def test_integral_identities_reject_noncompact():
     chart = make_chart(ModelSpec("sphere", 2, tau=1.0, m=1.0, chart_kind="polar"))
     grid = quad.make_sphere_grid(chart, (8, 16))
     with pytest.raises(ValueError, match="compact"):
-        quad.traceless_hessian_balance(grid, s)
+        quad.run_integral_suite(grid, s, 1e-6)
 
 
 def test_n2_flux_drops_curvature_term(s2_structure, s2_grid):
     # with n = 2 the (n-2) coefficient vanishes; the traceless energy reduces
     # to the pure potential-flux term, which is then strictly positive
-    chk = quad.traceless_hessian_flux(s2_grid, s2_structure)
+    row = _rows(s2_grid, s2_structure)["traceless_hessian_flux"]
     n, m = 2, s2_structure.m
     I_gn2lap = quad._integrals(s2_grid, s2_structure)["gn2f_lapf"]
-    assert chk.rhs == pytest.approx(-(n + 2) / (2 * n * m) * I_gn2lap, rel=1e-12)
-    assert chk.lhs > 0.0
+    assert row["rhs"] == pytest.approx(-(n + 2) / (2 * n * m) * I_gn2lap, rel=1e-12)
+    assert row["lhs"] > 0.0
     assert I_gn2lap < 0.0
 
 
 def test_bochner_integrals_hand_values(s2_structure, s2_grid):
     # u = 1 - cos(theta)/2: int Ric(grad u, grad u) = 2 pi / 3 = (1/2) int (lap u)^2
-    b = quad.bochner_integrals(s2_grid, s2_structure)
-    assert b.ric_term == pytest.approx(2 * math.pi / 3, rel=1e-12)
-    assert b.lap_term == pytest.approx(2 * math.pi / 3, rel=1e-12)
-    assert b.d2u_traceless < 1e-13
-    assert abs(b.lemflat_term) < 1e-9  # conformal grad u: int |grad u|^2 lap u = 0
-    assert b.balance_gap < 1e-12
-    assert b.equality_gap < 1e-8
+    I = quad._integrals(s2_grid, s2_structure)
+    assert I["ric_uu"] == pytest.approx(2 * math.pi / 3, rel=1e-12)
+    assert (2 - 1) / 2 * I["lapu2"] == pytest.approx(2 * math.pi / 3, rel=1e-12)
+    assert I["traceless2_u"] < 1e-13
+    assert abs(I["gn2u_lapu"]) < 1e-9  # conformal grad u: int |grad u|^2 lap u = 0
+    row = _rows(s2_grid, s2_structure)["bochner_integral_balance"]
+    assert row["lhs"] == I["traceless2_u"]
+    assert abs(row["lhs"] - row["rhs"]) < 1e-12
+    assert abs(row["rhs"]) < 1e-8  # the conformal equality case
 
 
 def test_triviality_margin_positive(s2_structure, s2_grid):
-    assert quad.traceless_hessian_balance(s2_grid, s2_structure).rhs > 1.0
+    assert _rows(s2_grid, s2_structure)["traceless_hessian_balance"]["rhs"] > 1.0
 
 
 def test_resolution_doubling_convergence():
@@ -159,8 +165,7 @@ def test_resolution_doubling_convergence():
     gaps = []
     for res in ((4, 8), (8, 16)):
         grid = quad.make_sphere_grid(s.chart, res)
-        chk = quad.traceless_hessian_balance(grid, s)
-        gaps.append(chk.relative_gap)
+        gaps.append(_rows(grid, s)["traceless_hessian_balance"]["relative_gap"])
     assert gaps[1] < 1e-12 or gaps[0] / gaps[1] >= 4.0
 
 
@@ -185,6 +190,36 @@ def test_integrand_failure_at_one_node_is_a_domain_error_naming_it(s2_grid):
 
     with pytest.raises(jets.JetDomainError, match=f"node {k} "):
         quad.integrate(s2_grid, fails_at_one_node)
+
+
+def test_integrate_evaluates_in_chunks_with_the_one_batch_sum():
+    s = example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0, radius=2.0, chart_kind="polar"))
+    grid = quad.make_sphere_grid(s.chart, (24, 24, 48))
+    assert grid.nodes.shape[0] == 27648 > quad._CHUNK
+    one_batch = float(np.sum(grid.weights * s.lam(grid.nodes)))
+    sizes = []
+
+    def counted(p):
+        sizes.append(len(p))
+        return s.lam(p)
+
+    assert quad.integrate(grid, counted).hex() == one_batch.hex()
+    assert sum(sizes) == 27648 and all(512 <= k <= quad._CHUNK for k in sizes)
+
+
+def test_integrate_rejects_a_wrong_shaped_integrand(s2_grid):
+    with pytest.raises(ValueError, match="shape"):
+        quad.integrate(s2_grid, lambda p: np.zeros((len(p), 2)))
+
+
+def test_suite_makes_one_node_pass_per_call(monkeypatch, s2_structure):
+    calls = []
+    node_pass = quad._node_quantities
+    monkeypatch.setattr(quad, "_node_quantities", lambda *a: calls.append(1) or node_pass(*a))
+    grid = quad.make_sphere_grid(s2_structure.chart, (8, 16))
+    for _ in range(2):
+        assert len(quad.run_integral_suite(grid, s2_structure, 1e-6)) == 6
+    assert len(calls) == 2
 
 
 def test_integrate_is_deterministic(s2_structure, s2_grid):
