@@ -8,9 +8,10 @@ derivatives of a field at many points at once; every operation is
 elementwise over the batch. From `_BIG_BATCH` nodes on, coefficients are
 stored coefficient-major: ``coeffs`` keeps its ``(..., size)`` shape but is a
 transposed view of a C-contiguous ``(size, ...)`` array, so each coefficient
-is one contiguous row over the batch. A large-batch jet known to be zero at
-every coefficient and node is a `_ZeroJet`; sums and differences with it
-return the other operand (see `_ZeroJet`).
+is one contiguous row over the batch. A jet known to be zero at every
+coefficient and node, at any batch size, is a `_ZeroJet`: sums, differences
+and products with it return an operand or a mark instead of running over
+zeros (see `_ZeroJet`).
 """
 
 from __future__ import annotations
@@ -127,9 +128,10 @@ class Jet:
     The coefficients must not be written once the jet has taken part in a
     product, which caches three flags of them on first use: all zero
     (`_is_zero`), all finite (`_is_finite`) and the per-row pair
-    (`_row_flags`). Nor may a jet that an operation returned be written:
-    `truncated` returns a view, and a sum with a `_ZeroJet` returns the
-    other operand itself.
+    (`_row_flags`), and may mark it a `_ZeroJet`. Nor may a jet that an
+    operation returned be written: `truncated`, and `derive` of a mark,
+    return views, and sums and products with a mark can return an operand
+    itself.
     """
 
     __slots__ = ("dim", "order", "coeffs", "_flags", "_zero", "_finite")
@@ -151,15 +153,8 @@ class Jet:
     @staticmethod
     def constant(value, dim: int, order: int) -> "Jet":
         value = np.asarray(value, dtype=np.float64)
-        size = jet_table(dim, order).size
-        if value.size >= _BIG_BATCH:
-            rows = np.zeros((size,) + value.shape)
-            rows[0] = value
-            out = _jet(dim, order, _coeff_major(rows))
-            return out if value.any() else _mark_zero(out)
-        coeffs = np.zeros(value.shape + (size,))
-        coeffs[..., 0] = value
-        return _jet(dim, order, coeffs)
+        out = _jet(dim, order, _value_coeffs(value, jet_table(dim, order).size))
+        return out if np.count_nonzero(value) else _mark_zero(out)
 
     @property
     def value(self):
@@ -191,12 +186,15 @@ class Jet:
 
     def derive(self, axis: int) -> "Jet":
         """Jet of the partial derivative along `axis`, one order lower."""
+        return _jet(self.dim, self.order - 1, self.coeffs[..., self._derive_src(axis)])
+
+    def _derive_src(self, axis: int) -> np.ndarray:
+        """The coefficients `derive(axis)` reads, after checking its arguments."""
         if self.order < 1:
             raise ValueError("cannot derive an order-0 jet")
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        src = jet_table(self.dim, self.order).derive_src[axis]
-        return _jet(self.dim, self.order - 1, self.coeffs[..., src])
+        return jet_table(self.dim, self.order).derive_src[axis]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -234,20 +232,27 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return _jet(self.dim, self.order,
-                        self.coeffs * np.asarray(other, dtype=np.float64)[..., None])
+            scalar = np.asarray(other, dtype=np.float64)
+            # a mark times a finite number is ±0 at every coefficient
+            if self.__class__ is _ZeroJet and scalar.ndim == 0 and math.isfinite(scalar):
+                return self
+            return _jet(self.dim, self.order, self.coeffs * scalar[..., None])
         if other.dim != self.dim or other.order != self.order:
             other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
         shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
         if math.prod(shape[:-1]) < _BIG_BATCH:
             # zero times finite is ±0 at every coefficient: skip the gather
-            if ((self._is_zero() and other._is_finite())
-                    or (other._is_zero() and self._is_finite())):
-                out = _jet(self.dim, self.order, np.zeros(shape))
-                out._zero = out._finite = True
-                return out
-            return _jet(self.dim, self.order, _mul_gather(a, b, jet_table(self.dim, self.order)))
+            if self._is_zero() and other._is_finite():
+                zero = self
+            elif other._is_zero() and self._is_finite():
+                zero = other
+            else:
+                return _jet(self.dim, self.order,
+                            _mul_gather(a, b, jet_table(self.dim, self.order)))
+            if zero.coeffs.shape == shape:
+                return zero
+            return _mark_zero(_jet(self.dim, self.order, np.zeros(shape)))
         t = jet_table(self.dim, self.order)
         kept = _kept_terms(t, self._row_flags(), other._row_flags())
         if not kept.any():
@@ -273,11 +278,17 @@ class Jet:
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 
     def _is_zero(self) -> bool:
-        """Whether every coefficient is ±0, computed on first use and cached."""
+        """Whether every coefficient is ±0, computed on first use and cached.
+
+        A jet found to be zero is marked (`_mark_zero`).
+        """
         try:
             return self._zero
         except AttributeError:
-            self._zero = not np.count_nonzero(self.coeffs)
+            if np.count_nonzero(self.coeffs):
+                self._zero = False
+            else:
+                _mark_zero(self)
             return self._zero
 
     def _is_finite(self) -> bool:
@@ -292,25 +303,31 @@ class Jet:
         """`_row_flags` of the coefficients, computed on first use and cached.
 
         The slot stays unset until then, so small-batch jets never pay for it.
+        A jet whose every row is zero is marked (`_mark_zero`).
         """
         try:
             return self._flags
         except AttributeError:
             self._flags = _row_flags(self.coeffs)
+            if self._flags[0].all():
+                _mark_zero(self)
             return self._flags
 
 
 class _ZeroJet(Jet):
-    """A jet of at least `_BIG_BATCH` nodes that is ±0 at every coefficient and node.
+    """A jet, of any batch size, that is ±0 at every coefficient and node.
 
-    Large-batch products whose row flags leave no term, all-zero large-batch
-    constants, and `derive`, `truncated` and negation of such a jet carry this
-    mark, with `_zero`, `_finite` and `_row_flags` set. A sum or difference
-    with an operand of the same shape returns that operand (or its negation)
-    instead of adding zeros: each value equals the full operation's (`==`),
-    and only the sign of a zero can differ (x + (+0) is +0 where x is -0).
-    Products still go through `Jet.__mul__`. Small-batch jets never carry the
-    mark, so their sums read nothing and pay nothing for it.
+    All-zero constants, zero-operand products (below `_BIG_BATCH` the zero
+    operand itself when it has the product's shape, from `_BIG_BATCH` on
+    those whose row flags leave no term), jets that `_is_zero` or
+    `_row_flags` find all zero, and `derive`, `truncated`, negation and
+    finite scalar multiples of a mark carry it, with `_zero`, `_finite` and
+    `_row_flags` set. A sum or difference with an operand of the same shape
+    returns that operand (or its negation) instead of adding zeros, and a
+    product with a finite operand returns a mark. Each value equals the full
+    operation's (`==`); only the sign of a zero can differ (x + (+0) is +0
+    where x is -0). Zero times NaN or ±inf runs the full product, and
+    products go through `Jet.__mul__`.
     """
 
     __slots__ = ()
@@ -340,11 +357,13 @@ class _ZeroJet(Jet):
         return _mark_zero(Jet.truncated(self, order))
 
     def derive(self, axis: int) -> "Jet":
-        return _mark_zero(Jet.derive(self, axis))
+        # every coefficient is zero, so the leading ones serve as the derivative's
+        self._derive_src(axis)
+        return self.truncated(self.order - 1)
 
 
 def _mark_zero(j: Jet) -> _ZeroJet:
-    """Mark a large-batch jet whose coefficients are all ±0 (the caller knows they are)."""
+    """Mark a jet whose coefficients are all ±0 (the caller knows they are)."""
     j.__class__ = _ZeroJet
     j._zero = j._finite = True
     j._flags = _zero_row_flags(j.coeffs.shape[-1])
@@ -388,6 +407,20 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     prod = a[..., t.mul_ii] * b[..., t.mul_jj]
     prod *= t.mul_ff
     return np.add.reduceat(prod, t.mul_starts, axis=-1)
+
+
+def _value_coeffs(value: np.ndarray, size: int) -> np.ndarray:
+    """Fresh coefficients with `value` in the value row and zeros elsewhere.
+
+    From `_BIG_BATCH` nodes on they are stored coefficient-major.
+    """
+    if value.size >= _BIG_BATCH:
+        rows = np.zeros((size,) + value.shape)
+        rows[0] = value
+        return _coeff_major(rows)
+    coeffs = np.zeros(value.shape + (size,))
+    coeffs[..., 0] = value
+    return coeffs
 
 
 def _coeff_major(rows: np.ndarray) -> np.ndarray:
@@ -449,11 +482,11 @@ def seed_variable(i: int, x0, dim: int, order: int) -> Jet:
         raise ValueError(f"axis {i} out of range for dim {dim}")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    # a plain jet: an all-zero x0 would give a marked zero constant
-    j = _jet(dim, order, Jet.constant(x0, dim, order).coeffs)
-    e_i = tuple(1 if k == i else 0 for k in range(dim))
-    j.coeffs[..., jet_table(dim, order).index[e_i]] = 1.0
-    return j
+    t = jet_table(dim, order)
+    # fresh coefficients, never a zero constant's: those belong to a mark
+    coeffs = _value_coeffs(np.asarray(x0, dtype=np.float64), t.size)
+    coeffs[..., t.index[tuple(1 if k == i else 0 for k in range(dim))]] = 1.0
+    return _jet(dim, order, coeffs)
 
 
 def seed_point(p, order: int) -> tuple[Jet, ...]:

@@ -513,7 +513,7 @@ def test_large_batch_zero_jets_are_marked():
         assert z._zero and z._finite and not z.coeffs.any()
         assert coeff_rows(z.coeffs).flags.c_contiguous
         assert all(np.array_equal(f, rows) for f, rows in zip(z._row_flags(), jets._row_flags(z.coeffs)))
-    assert type(Jet.constant(np.zeros(jets._BIG_BATCH - 1), 3, 3)) is Jet
+    assert isinstance(Jet.constant(np.zeros(jets._BIG_BATCH - 1), 3, 3), jets._ZeroJet)
     assert type(Jet.constant(np.r_[np.zeros(599), np.nan], 3, 3)) is Jet
     assert type(Jet.constant(np.r_[np.zeros(599), 1e-300], 3, 3)) is Jet
 
@@ -588,23 +588,116 @@ def test_marked_zero_times_nonfinite_runs_the_full_kernel(bad, monkeypatch):
     assert calls == [1, 1]
 
 
-def test_small_batch_sums_neither_set_nor_read_the_mark():
+def test_small_batch_marks_return_an_operand_or_a_mark():
     rng = np.random.default_rng(35)
-    size = jet_table(2, 3).size
-    x = Jet(2, 3, rng.normal(size=(100, size)))
-    zero = Jet(2, 3, np.zeros((100, size))) * x  # the small-batch short-circuit's zeros
-    assert zero._zero and type(zero) is Jet
-    # a flag that lies shows whether a sum reads it
-    liar = Jet(2, 3, rng.normal(size=(100, size)))
+    dim, order = 2, 3
+    t = jet_table(dim, order)
+    finite = Jet(dim, order, rng.normal(size=(100, t.size)))
+    x = Jet(dim, order, with_special_values(rng.normal(size=(100, t.size)), rng))
+    found = Jet(dim, order, np.zeros((100, t.size)))
+    for zero in (Jet.constant(np.zeros(100), dim, order), found * finite):
+        assert isinstance(zero, jets._ZeroJet) and zero._zero and zero._finite
+        with np.errstate(invalid="ignore"):
+            cases = (
+                (x + zero, x.coeffs + zero.coeffs), (zero + x, zero.coeffs + x.coeffs),
+                (x - zero, x.coeffs - zero.coeffs), (zero - x, zero.coeffs - x.coeffs),
+                (-zero, -zero.coeffs), (zero + zero, zero.coeffs + zero.coeffs),
+                (zero * finite, jets._mul_gather(zero.coeffs, finite.coeffs, t)),
+                (finite * zero, jets._mul_gather(finite.coeffs, zero.coeffs, t)),
+                (zero * x, jets._mul_gather(zero.coeffs, x.coeffs, t)),
+                (x * zero, jets._mul_gather(x.coeffs, zero.coeffs, t)),
+                (zero * 2.5, zero.coeffs * 2.5), (2.5 * zero, zero.coeffs * 2.5),
+                (zero * np.nan, zero.coeffs * np.nan),
+                (zero.derive(1), zero.coeffs[..., t.derive_src[1]]),
+                (zero.truncated(1), zero.coeffs[..., :t.grade_sizes[1]]),
+            )
+        for got, want in cases:
+            assert_same_values(got.coeffs, want)
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert zero * finite is zero and finite * zero is zero and zero * 2.5 is zero
+        for got in (-zero, zero + zero, 2.5 * zero, zero / 4.0, zero.derive(1), zero.truncated(1)):
+            assert isinstance(got, jets._ZeroJet)
+        assert np.shares_memory(zero.derive(1).coeffs, zero.coeffs)
+        # zero times NaN or ±inf runs the full product and is not marked
+        with np.errstate(invalid="ignore"):
+            for got in (zero * x, x * zero, zero * np.nan):
+                assert type(got) is Jet and np.isnan(got.coeffs).any()
+    assert found._zero and isinstance(found, jets._ZeroJet)
+    # a flag that lies on an unmarked jet shows whether a sum reads it
+    liar = Jet(dim, order, rng.normal(size=(100, t.size)))
     liar._zero = liar._finite = True
-    for a, b in ((x, zero), (zero, x), (x, liar), (liar, x)):
+    for a, b in ((finite, liar), (liar, finite)):
         for got, want in ((a + b, a.coeffs + b.coeffs), (a - b, a.coeffs - b.coeffs), (-a, -a.coeffs)):
             assert type(got) is Jet and got is not a and got is not b
             assert not hasattr(got, "_zero") and not hasattr(got, "_flags")
             assert got.coeffs.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(600,), (2, 600)])
+MARK_BATCHES = [(), (1,), (100,), (jets._BIG_BATCH - 1,), (jets._BIG_BATCH,), (600,)]
+SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf]
+
+
+@given(
+    batch=st.sampled_from(MARK_BATCHES),
+    dim_order=st.sampled_from([(1, 4), (2, 3), (3, 2)]),
+    source=st.sampled_from(["constant", "negative", "found", "product", "batchless"]),
+    specials=st.lists(st.sampled_from(SPECIALS), max_size=6),
+    scalar=st.sampled_from([2.5, -0.5] + SPECIALS),
+    seed=st.integers(0, 2**16),
+)
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_every_operation_with_a_mark_equals_the_unmarked_reference(
+        batch, dim_order, source, specials, scalar, seed):
+    dim, order = dim_order
+    t = jet_table(dim, order)
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=batch + (t.size,))
+    dense[..., rng.random(t.size) < 0.3] = 0.0  # rows zero at every node, as in a chart's jets
+    flat = dense.reshape(-1)
+    for special in specials:
+        flat[rng.integers(flat.size)] = special
+    x = Jet(dim, order, dense)
+    finite = Jet(dim, order, rng.normal(size=batch + (t.size,)))
+    batchless = Jet(dim, order, rng.normal(size=t.size))
+    zero_batch = () if source == "batchless" else batch
+    if source == "negative":
+        zero = Jet.constant(np.full(zero_batch, -0.0), dim, order)
+    elif source == "found":
+        zero = Jet(dim, order, np.zeros(zero_batch + (t.size,)))
+        assert zero._is_zero()
+    elif source == "product":
+        zero = Jet.constant(np.zeros(zero_batch), dim, order) * finite
+    else:
+        zero = Jet.constant(np.zeros(zero_batch), dim, order)
+    assert isinstance(zero, jets._ZeroJet)
+    z, xc = zero.coeffs.copy(), x.coeffs.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        cases = [
+            (x + zero, xc + z), (zero + x, z + xc), (x - zero, xc - z), (zero - x, z - xc),
+            (-zero, -z), (zero + zero, z + z), (zero - zero, z - z),
+            (zero * x, reference_gather(z, xc, t)), (x * zero, reference_gather(xc, z, t)),
+            (zero * finite, reference_gather(z, finite.coeffs, t)),
+            (zero * zero, reference_gather(z, z, t)),
+            (zero + batchless, z + batchless.coeffs), (batchless - zero, batchless.coeffs - z),
+            (batchless * zero, reference_gather(batchless.coeffs, z, t)),
+            (zero * scalar, z * scalar), (scalar * zero, z * scalar),
+            (zero.truncated(order - 1), z[..., :t.grade_sizes[order - 1]]),
+        ] + [(zero.derive(axis), z[..., src]) for axis, src in enumerate(t.derive_src)]
+        if scalar:
+            cases.append((zero / scalar, z * (1.0 / scalar)))
+    for got, want in cases:
+        assert_same_values(got.coeffs, want)
+        if isinstance(got, jets._ZeroJet):
+            assert not np.count_nonzero(got.coeffs) and got._zero and got._finite
+    # zero times NaN or ±inf is NaN, and no operation wrote into an operand
+    if not np.isfinite(xc).all():
+        assert np.isnan(cases[7][0].coeffs).any() and np.isnan(cases[8][0].coeffs).any()
+    assert np.array_equal(x.coeffs, xc, equal_nan=True) and not np.count_nonzero(zero.coeffs)
+    # an operand is marked only if it is zero
+    assert isinstance(x, jets._ZeroJet) == (not np.count_nonzero(xc))
+
+
+@pytest.mark.parametrize("shape", [(600,), (2, 600), (), (1,), (100,)])
 def test_seed_at_the_origin_of_a_large_batch_is_not_marked(shape):
     x, y = seed_point(np.zeros(shape + (2,)), 3)
     for j in (x, y):
