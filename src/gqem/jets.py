@@ -130,8 +130,8 @@ class Jet:
     (`_is_zero`), all finite (`_is_finite`) and the per-row pair
     (`_row_flags`), and may mark it a `_ZeroJet`. Nor may a jet that an
     operation returned be written: `truncated`, and `derive` of a mark,
-    return views, and sums and products with a mark can return an operand
-    itself.
+    return views, sums and products with a mark can return an operand
+    itself, and a large-batch `Jet.constant` is built with its row flags.
     """
 
     __slots__ = ("dim", "order", "coeffs", "_flags", "_zero", "_finite")
@@ -152,9 +152,21 @@ class Jet:
 
     @staticmethod
     def constant(value, dim: int, order: int) -> "Jet":
+        """Jet of `value` with every derivative zero; an all-zero one is a mark.
+
+        From `_BIG_BATCH` nodes on it is built with its `_row_flags` set: the
+        value row is zero or finite as `value` is, and every other row is
+        both, so no product scans its zero rows.
+        """
         value = np.asarray(value, dtype=np.float64)
-        out = _jet(dim, order, _value_coeffs(value, jet_table(dim, order).size))
-        return out if np.count_nonzero(value) else _mark_zero(out)
+        size = jet_table(dim, order).size
+        out = _jet(dim, order, _value_coeffs(value, size))
+        if not np.count_nonzero(value):
+            return _mark_zero(out)
+        if value.size >= _BIG_BATCH:
+            (zero,), (finite,) = _row_flags(value[..., None])
+            out._flags = _constant_row_flags(size, bool(zero), bool(finite))
+        return out
 
     @property
     def value(self):
@@ -257,6 +269,9 @@ class Jet:
         kept = _kept_terms(t, self._row_flags(), other._row_flags())
         if not kept.any():
             # every term is ±0 at every node: skip the kernel
+            for zero in (self, other):
+                if zero.__class__ is _ZeroJet and zero.coeffs.shape == shape:
+                    return zero
             rows = np.zeros(shape[-1:] + shape[:-1])
             return _mark_zero(_jet(self.dim, self.order, _coeff_major(rows)))
         return _jet(self.dim, self.order, _mul_coeff_major(a, b, t, kept))
@@ -317,14 +332,15 @@ class Jet:
 class _ZeroJet(Jet):
     """A jet, of any batch size, that is ±0 at every coefficient and node.
 
-    All-zero constants, zero-operand products (below `_BIG_BATCH` the zero
-    operand itself when it has the product's shape, from `_BIG_BATCH` on
-    those whose row flags leave no term), jets that `_is_zero` or
+    All-zero constants, products with no term left, jets that `_is_zero` or
     `_row_flags` find all zero, and `derive`, `truncated`, negation and
     finite scalar multiples of a mark carry it, with `_zero`, `_finite` and
-    `_row_flags` set. A sum or difference with an operand of the same shape
-    returns that operand (or its negation) instead of adding zeros, and a
-    product with a finite operand returns a mark. Each value equals the full
+    `_row_flags` set. A product with no term left (below `_BIG_BATCH` a zero
+    times a finite operand, from `_BIG_BATCH` on one whose row flags leave
+    no term) returns a marked operand of the product's shape, at any batch
+    size, and fresh marked zeros otherwise, such as for a broadcast one. A sum or
+    difference with an operand of the same shape returns that operand (or
+    its negation) instead of adding zeros. Each value equals the full
     operation's (`==`); only the sign of a zero can differ (x + (+0) is +0
     where x is -0). Zero times NaN or ±inf runs the full product, and
     products go through `Jet.__mul__`.
@@ -366,16 +382,20 @@ def _mark_zero(j: Jet) -> _ZeroJet:
     """Mark a jet whose coefficients are all ±0 (the caller knows they are)."""
     j.__class__ = _ZeroJet
     j._zero = j._finite = True
-    j._flags = _zero_row_flags(j.coeffs.shape[-1])
+    j._flags = _constant_row_flags(j.coeffs.shape[-1], True, True)
     return j
 
 
 @lru_cache(maxsize=None)
-def _zero_row_flags(size: int):
-    """`_row_flags` of an all-zero jet of `size` coefficients, shared read-only."""
-    rows = np.ones(size, dtype=bool)
-    rows.flags.writeable = False
-    return rows, rows
+def _constant_row_flags(size: int, zero: bool, finite: bool):
+    """`_row_flags` of a constant jet of `size` coefficients, shared read-only.
+
+    The value row is all zero and all finite as given; every other row is both.
+    """
+    zeros, finites = np.ones(size, dtype=bool), np.ones(size, dtype=bool)
+    zeros[0], finites[0] = zero, finite
+    zeros.flags.writeable = finites.flags.writeable = False
+    return zeros, finites
 
 
 _new = object.__new__
@@ -506,13 +526,26 @@ def seed_point(p, order: int) -> tuple[Jet, ...]:
 
 
 def _compose(a: Jet, taylor):
-    """Evaluate sum_k taylor[k] * (a - a0)^k by Horner; taylor[k] ~ f^(k)(a0)/k!."""
+    """Evaluate sum_k taylor[k] * (a - a0)^k by Horner; taylor[k] ~ f^(k)(a0)/k!.
+
+    Each step is one jet product, acc * rem, into whose value row taylor[k]
+    is then added in place: the constant taylor[k] is zero in every other
+    row, so a full constant and sum would only add zeros there. Values equal
+    the constant + sum's (`==`); only the sign of a zero can differ. A
+    product returns an operand only when that is a mark, so a plain `Jet`
+    product is fresh; a mark is never written and takes the constant + sum.
+    """
     rem_coeffs = a.coeffs.copy(order="K")
     rem_coeffs[..., 0] = 0.0
     rem = _jet(a.dim, a.order, rem_coeffs)
     acc = Jet.constant(taylor[a.order], a.dim, a.order)
     for k in range(a.order - 1, -1, -1):
-        acc = acc * rem + Jet.constant(taylor[k], a.dim, a.order)
+        product = acc * rem
+        if product.__class__ is Jet:
+            product.coeffs[..., 0] += taylor[k]
+            acc = product
+        else:
+            acc = product + Jet.constant(taylor[k], a.dim, a.order)
     return acc
 
 

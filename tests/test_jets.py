@@ -1,13 +1,17 @@
 """Unit tests for the truncated Taylor arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gqem import jets
+from gqem import quadrature as quad
 from gqem.jets import Jet, JetDomainError, jet_table, seed_point, seed_variable
+from gqem.models import ModelSpec, example_structure, height_field, make_chart
+from gqem.qem import make_structure
 
 
 def test_seed_square_polynomial():
@@ -466,16 +470,36 @@ def test_constant_layout_follows_the_batch():
 def test_row_flags_are_computed_once_per_jet():
     rng = np.random.default_rng(16)
     size = jet_table(2, 2).size
-    a = Jet.constant(rng.normal(size=600), 2, 2)
+    a = Jet(2, 2, rng.normal(size=(600, size)))
+    a.coeffs[:, 3] = 0.0
     b = Jet(2, 2, rng.normal(size=(600, size)))
     assert not hasattr(a, "_flags")
     a * b
     flags = a._flags
     zero, finite = jets._row_flags(a.coeffs)
     assert np.array_equal(flags[0], zero) and np.array_equal(flags[1], finite)
-    assert zero.tolist() == [False] + [True] * (size - 1)
+    assert zero.tolist() == [i == 3 for i in range(size)]
     b * a
     assert a._flags is flags
+
+
+@pytest.mark.parametrize("special", [None, -0.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("batch", [(jets._BIG_BATCH,), (600,), (2, 300)])
+def test_large_batch_constant_is_built_with_its_row_flags(special, batch):
+    rng = np.random.default_rng(17)
+    value = rng.normal(size=batch)
+    if special is not None:
+        value.reshape(-1)[rng.integers(value.size, size=3)] = special
+    one_entry = np.zeros(batch)
+    one_entry.reshape(-1)[-1] = 1.0 if special is None else special
+    for v in (value, one_entry):
+        c = Jet.constant(v, 3, 3)
+        flags = c._flags
+        want = jets._row_flags(c.coeffs)
+        assert np.array_equal(flags[0], want[0]) and np.array_equal(flags[1], want[1])
+        assert c._row_flags() is flags
+    # below `_BIG_BATCH` a non-zero constant leaves its flags to first use
+    assert not hasattr(Jet.constant(value.reshape(-1)[:jets._BIG_BATCH - 1], 3, 3), "_flags")
 
 
 # -- large-batch zero marks -----------------------------------------------------
@@ -586,6 +610,27 @@ def test_marked_zero_times_nonfinite_runs_the_full_kernel(bad, monkeypatch):
             assert np.isnan(got.coeffs[7]).any()  # 0 * NaN and 0 * ±inf
             assert_same_values(got.coeffs, kernel(zero.coeffs, other.coeffs, t))
     assert calls == [1, 1]
+
+
+def test_large_batch_zero_product_returns_its_marked_operand(monkeypatch):
+    rng = np.random.default_rng(36)
+    dim, order = 3, 3
+    size = jet_table(dim, order).size
+    finite = big_jet(rng, dim, order)
+    calls = []
+    kernel = jets._mul_coeff_major
+    monkeypatch.setattr(jets, "_mul_coeff_major", lambda *args: calls.append(1) or kernel(*args))
+    for zero in marked_zeros(rng, dim, order):
+        assert zero * finite is zero and finite * zero is zero
+        assert Jet(dim, order, rng.normal(size=size)) * zero is zero
+    # a broadcast mark gets a fresh mark of the product's shape
+    for zero in (Jet.constant(0.0, dim, order), Jet.constant(np.zeros((1, 600)), dim, order)):
+        wide = Jet(dim, order, rng.normal(size=(2, 600, size)))
+        for got in (zero * wide, wide * zero):
+            assert isinstance(got, jets._ZeroJet) and got is not zero
+            assert got.coeffs.shape == (2, 600, size) and not got.coeffs.any()
+            assert coeff_rows(got.coeffs).flags.c_contiguous
+    assert calls == []
 
 
 def test_small_batch_marks_return_an_operand_or_a_mark():
@@ -902,3 +947,124 @@ def test_cyclic_functions_equal_the_per_order_series(fn, order, batch):
     cycle = CYCLES[fn]
     taylor = [cycle[k % len(cycle)](a.value) / math.factorial(k) for k in range(order + 1)]
     assert fn(a).coeffs.tobytes() == jets._compose(a, taylor).coeffs.tobytes()
+
+
+# -- Taylor compositions -----------------------------------------------------------
+
+
+def reference_compose(a: Jet, taylor) -> Jet:
+    """Horner with a full `Jet.constant` and a full jet sum at every step."""
+    rem_coeffs = a.coeffs.copy(order="K")
+    rem_coeffs[..., 0] = 0.0
+    rem = Jet(a.dim, a.order, rem_coeffs)
+    acc = Jet.constant(taylor[a.order], a.dim, a.order)
+    for k in range(a.order - 1, -1, -1):
+        acc = acc * rem + Jet.constant(taylor[k], a.dim, a.order)
+    return acc
+
+
+COMPOSITIONS = {
+    "exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt, "reciprocal": jets.reciprocal,
+    "sin": jets.sin, "cos": jets.cos, "sinh": jets.sinh, "cosh": jets.cosh,
+    "power 2.5": lambda a: jets.power(a, 2.5),
+}
+
+
+def counting_products(fn, *args):
+    """`fn(*args)` and the number of `Jet × Jet` products it ran."""
+    calls = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Jet):
+            calls.append(1)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet, "__mul__", counted)
+        mp.setattr(Jet, "__rmul__", counted)
+        return fn(*args), len(calls)
+
+
+@given(
+    name=st.sampled_from(list(COMPOSITIONS)),
+    batch=st.sampled_from([(), (1,), (100,), (jets._BIG_BATCH - 1,), (jets._BIG_BATCH,), (600,)]),
+    dim_order=st.sampled_from([(1, 4), (2, 3), (3, 4), (2, 1), (2, 0)]),
+    coefficient_major=st.booleans(),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    at_zero=st.booleans(),
+    specials=st.lists(st.sampled_from(SPECIALS), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_compositions_equal_the_constant_and_sum_horner(
+        name, batch, dim_order, coefficient_major, zero_share, at_zero, specials, seed):
+    dim, order = dim_order
+    size = jet_table(dim, order).size
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(size,) + batch)
+    # rows zero at every node, as in a chart's jets; with all of them zero a product returns `rem`
+    rows[rng.random(size) < zero_share] = 0.0
+    rows[0] = rng.uniform(0.5, 2.0, size=batch)  # in every function's domain
+    if at_zero and name in ("exp", "sin", "cos", "sinh", "cosh"):
+        rows[0] = 0.0  # sin(0) = 0 and sinh(0) = 0: some Horner constants are marks
+    if size > 1:
+        for special in specials:
+            rows[(rng.integers(1, size),) + tuple(rng.integers(n) for n in batch)] = special
+    coeffs = np.moveaxis(rows, 0, -1)
+    a = Jet(dim, order, coeffs if coefficient_major else coeffs.copy())
+    before = a.coeffs.copy()
+    fn = COMPOSITIONS[name]
+    with np.errstate(all="ignore"):
+        got, products = counting_products(fn, a)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets, "_compose", reference_compose)
+            want, want_products = counting_products(fn, a)
+    assert_same_values(got.coeffs, want.coeffs)
+    assert products == want_products
+    assert np.array_equal(a.coeffs, before, equal_nan=True)
+
+
+def sphere_control(seed: int):
+    """Polar S², f = a h0³ + b h1 in ambient heights with seeded a and b, λ trace-solved."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.8, 1.2), rng.uniform(0.2, 0.4)
+    spec = ModelSpec("sphere", 2, tau=1.5, m=2.0, chart_kind="polar")
+    chart = make_chart(spec)
+    h0, h1 = height_field(spec, chart, 0), height_field(spec, chart, 1)
+    return make_structure(chart, h0 * h0 * h0 * a + h1 * b, 2.0, label="S2 control")
+
+
+@pytest.mark.parametrize("structure", ["sphere", "control"])
+def test_integral_suite_is_unchanged_by_the_in_place_horner(structure, monkeypatch):
+    if structure == "sphere":
+        s = example_structure(ModelSpec("sphere", 2, tau=1.5, m=2.0, chart_kind="polar"))
+    else:
+        s = sphere_control(5)
+
+    def suite():
+        rows = quad.run_integral_suite(quad.make_sphere_grid(s.chart, (32, 64)), s, 1e-6)
+        return [(r["id"],) + tuple(float(r[k]).hex() for k in ("lhs", "rhs", "relative_gap"))
+                for r in rows]
+
+    got = suite()
+    monkeypatch.setattr(jets, "_compose", reference_compose)
+    assert got == suite()
+    assert len(got) == 6
+
+
+def test_compositions_peak_below_three_and_a_half_results():
+    rng = np.random.default_rng(37)
+    a = big_jet(rng, 3, 4, batch=16_384)
+    a.coeffs[:, 0] = rng.uniform(0.5, 2.0, size=16_384)
+    tracemalloc.start()
+    try:
+        for fn in (jets.exp, jets.log, jets.sin):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= 3.5 * out.coeffs.nbytes, (fn.__name__, peak / out.coeffs.nbytes)
+            del out
+    finally:
+        tracemalloc.stop()
