@@ -13,10 +13,11 @@ on verify or integrate).
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
 usage error, 3 numerical failure: a non-finite residual (written as null, its
 row marked ``"status": "nan"``) or an arithmetic error, which writes no report.
-No partial reports are written on exit 2. An output path that is empty, whose
-directory does not exist, or that is a directory exits 2 before any structure
-is built; an ``OSError`` while writing the report exits 2 and leaves no
-temporary file.
+No partial reports are written on exit 2. A ``suite`` with an empty or
+repeated id, or of which no row applies to a structure, exits 2. An output path
+that is empty, whose directory does not exist, or that is a directory exits 2
+before any structure is built; an ``OSError`` while writing the report exits 2
+and leaves no temporary file.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import __version__
-from .identities import CATALOG, run_pointwise_suite
+from .identities import CATALOG, CATALOG_BY_ID, run_pointwise_suite
 from .jets import OrderCapabilityError
 from .models import (
     CHART_KINDS,
@@ -203,11 +204,14 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(
                 f"'grid' must have at most {MAX_GRID_NODES} nodes, got {raw['grid']!r}")
     if "suite" in raw and raw["suite"].strip() != "all":
-        ids = [t.strip() for t in raw["suite"].split(",") if t.strip()]
-        known = {info.identity_id for info in CATALOG}
-        for ident in ids:
-            if ident not in known:
+        ids = [t.strip() for t in raw["suite"].split(",")]
+        for k, ident in enumerate(ids):
+            if not ident:
+                raise ConfigError(f"empty identity id in 'suite' = {raw['suite']!r}")
+            if ident not in CATALOG_BY_ID:
                 raise ConfigError(f"unknown identity id {ident!r} in 'suite'")
+            if ident in ids[:k]:
+                raise ConfigError(f"duplicate identity id {ident!r} in 'suite'")
         cfg.suite = ids
     for key, slot in (
         ("tol.order2", 2),
@@ -407,8 +411,7 @@ def cmd_catalog() -> int:
         {
             "id": info.identity_id,
             "formula": info.formula,
-            "orders": {"g": info.orders["g"], "f": info.orders["f"],
-                       "lambda": info.orders["lambda"]},
+            "orders": dict(info.orders),
             "order_class": info.order_class,
             "kind": info.kind,
             "needs_finite_m": info.needs_finite_m,

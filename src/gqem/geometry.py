@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -170,10 +171,7 @@ def _trunc_tree(obj, order: int):
     if isinstance(obj, Jet):
         return obj.truncated(order) if obj.order > order else obj
     if isinstance(obj, np.ndarray) and obj.dtype == object:
-        out = np.empty(obj.shape, dtype=object)
-        for idx in np.ndindex(obj.shape):
-            out[idx] = _trunc_tree(obj[idx], order)
-        return out
+        return np.frompyfunc(lambda x: _trunc_tree(x, order), 1, 1)(obj)
     if isinstance(obj, (list, tuple)):
         return type(obj)(_trunc_tree(x, order) for x in obj)
     return obj
@@ -201,11 +199,7 @@ def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
             for j in range(n):
                 a[row][j] = a[row][j] - factor * a[col][j]
                 eye[row][j] = eye[row][j] - factor * eye[col][j]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = eye[i][j]
-    return out
+    return np.array(eye, dtype=object)
 
 
 def _memoized(method):
@@ -318,16 +312,7 @@ class ChartFrame:
 
     @_memoized
     def scalar_curvature_jet(self, order: int) -> Jet:
-        gi = self.metric_inv(order)
-        ric = self.ricci(order)
-        n = self.n
-        acc = gi[0, 0] * ric[0, 0]
-        for i in range(n):
-            for j in range(n):
-                if i == 0 and j == 0:
-                    continue
-                acc = acc + gi[i, j] * ric[i, j]
-        return acc
+        return np.dot(self.metric_inv(order).ravel(), self.ricci(order).ravel())
 
     # -- fields ----------------------------------------------------------
 
@@ -339,10 +324,9 @@ class ChartFrame:
     @_memoized
     def grad(self, phi: Field, order: int) -> list:
         """Contravariant gradient components as jets."""
-        n = self.n
         gi = self.metric_inv(order)
-        df = [self.field_jet(phi, order + 1).derive(j) for j in range(n)]
-        return [_sum_jets([gi[i, j] * df[j] for j in range(n)]) for i in range(n)]
+        fj = self.field_jet(phi, order + 1)
+        return list(gi @ np.array([fj.derive(j) for j in range(self.n)], dtype=object))
 
     @_memoized
     def hessian(self, phi: Field, order: int) -> np.ndarray:
@@ -362,17 +346,14 @@ class ChartFrame:
 
     @_memoized
     def laplacian(self, phi: Field, order: int) -> Jet:
-        gi = self.metric_inv(order)
-        h = self.hessian(phi, order)
-        n = self.n
-        return _sum_jets([gi[i, j] * h[i, j] for i in range(n) for j in range(n)])
+        return (self.metric_inv(order) * self.hessian(phi, order)).sum()
 
     @_memoized
     def grad_norm2(self, phi: Field, order: int) -> Jet:
         n = self.n
         gi = self.metric_inv(order)
         df = [self.field_jet(phi, order + 1).derive(j) for j in range(n)]
-        return _sum_jets([gi[i, j] * df[i] * df[j] for i in range(n) for j in range(n)])
+        return _quadratic_form(gi, df)
 
     @_memoized
     def covariant_vector(self, X: Field, order: int) -> np.ndarray:
@@ -391,8 +372,7 @@ class ChartFrame:
         return out
 
     def div_vector(self, X: Field, order: int) -> Jet:
-        cov = self.covariant_vector(X, order)
-        return _sum_jets([cov[i, i] for i in range(self.n)])
+        return self.covariant_vector(X, order).trace()
 
     @_memoized
     def lie_metric(self, X: Field, order: int) -> np.ndarray:
@@ -491,10 +471,17 @@ class ChartFrame:
 
 
 def _sum_jets(js):
-    acc = js[0]
-    for j in js[1:]:
-        acc = acc + j
-    return acc
+    return functools.reduce(operator.add, js)
+
+
+def _quadratic_form(a: np.ndarray, x) -> Jet:
+    """a_ij x^i x^j as one jet, from an (n, n) jet array and n jets of equal order.
+
+    Every product a_ij x^i x^j is formed before the sum, which adds them in
+    (i, j) order.
+    """
+    n = len(x)
+    return _sum_jets([a[i, j] * x[i] * x[j] for i in range(n) for j in range(n)])
 
 
 def _values(js) -> np.ndarray:

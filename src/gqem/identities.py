@@ -23,7 +23,7 @@ from .geometry import (
     ChartFrame,
     ScalarField,
     VectorField,
-    _sum_jets,
+    _quadratic_form,
     _values,
     grad_field,
     hessian_field,
@@ -240,12 +240,6 @@ def _fd_laplacian_scalar_curvature(fr: StructureFrame, step: float):
 # ---------------------------------------------------------------------------
 
 
-def _norm2_jet(g: np.ndarray, x: list):
-    """|X|^2 = g_ij X^i X^j as one jet, from metric and vector jets of equal order."""
-    n = len(x)
-    return _sum_jets([g[i, j] * x[i] * x[j] for i in range(n) for j in range(n)])
-
-
 def conformality_residual(fr: ChartFrame, X: VectorField):
     """g-norm of (1/2) L_X g - (div X / n) g."""
     n = fr.n
@@ -267,7 +261,7 @@ def lie_divergence_residual(fr: ChartFrame, X: VectorField):
     xv = _values(fr.field_jet(X, 0))
     div_lie = _values(fr.div_tensor2(lie_metric_field(fr.chart, X), 0))
     lhs = np.einsum("...i,...i->...", div_lie, xv)
-    lap_norm2 = fr.laplacian_of_jet(_norm2_jet(fr.metric(2), fr.field_jet(X, 2)))
+    lap_norm2 = fr.laplacian_of_jet(_quadratic_form(fr.metric(2), fr.field_jet(X, 2)))
     covv = _values(fr.covariant_vector(X, 0))
     # |nabla X|^2 with the (1,1) valence: g_{ik} g^{jl} covv[i,j] covv[k,l]
     ginv = fr.metric_inv_values()
@@ -422,7 +416,7 @@ def sign_scan_r_minus_n_lambda(fr: StructureFrame) -> SignScan:
 class IdentityInfo:
     identity_id: str
     formula: str
-    orders: dict  # required jet orders, keys "g", "f", "lambda"
+    orders: dict  # highest jet order requested of "g", "f", "lambda", "u"; None: never read
     order_class: int  # 2, 3 or 4; selects the tolerance class
     kind: str  # "pointwise" | "profile"
     needs_finite_m: bool = False
@@ -435,7 +429,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "defining_equation",
         "Ric + ∇²f − (1/m)df⊗df = λg",
-        {"g": 2, "f": 2, "lambda": 0},
+        {"g": 2, "f": 2, "lambda": 0, "u": None},
         2,
         "pointwise",
         runner=lambda fr: fr.defining_values(),
@@ -443,7 +437,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "traceless_defining",
         "∇²f − (Δf/n)g = (1/m)(df⊗df − (|∇f|²/n)g) − (Ric − (R/n)g)",
-        {"g": 2, "f": 2, "lambda": 0},
+        {"g": 2, "f": 2, "lambda": None, "u": None},
         2,
         "pointwise",
         runner=lambda fr: fr.traceless_values(),
@@ -451,7 +445,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "radial_identity",
         "Ric(∇f,∇f) + ⟨∇_∇f∇f,∇f⟩ = (1/m)|∇f|⁴ + λ|∇f|²",
-        {"g": 2, "f": 2, "lambda": 0},
+        {"g": 2, "f": 2, "lambda": 0, "u": None},
         3,
         "pointwise",
         # qem rows call through the module global, which perfbench's tracer patches
@@ -460,7 +454,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "trace_gradient",
         "⟨∇f,∇R⟩ + ⟨∇f,∇Δf⟩ = (1/m)⟨∇f,∇|∇f|²⟩ + n⟨∇λ,∇f⟩",
-        {"g": 3, "f": 3, "lambda": 1},
+        {"g": 3, "f": 3, "lambda": 1, "u": None},
         3,
         "pointwise",
         runner=trace_gradient_residual,
@@ -468,7 +462,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "u_transform",
         "∇²f − (1/m)df⊗df = −(m/u)∇²u",
-        {"g": 1, "f": 2, "lambda": 0},
+        {"g": 1, "f": 2, "lambda": None, "u": 2},
         3,
         "pointwise",
         needs_finite_m=True,
@@ -477,7 +471,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "u_laplacian",
         "Δu = (u/m)(R − nλ)",
-        {"g": 2, "f": 2, "lambda": 0},
+        {"g": 2, "f": None, "lambda": 0, "u": 2},
         2,
         "pointwise",
         needs_finite_m=True,
@@ -486,7 +480,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "trace_divergence",
         "m·div∇f = |∇f|² + m(nλ − R)",
-        {"g": 2, "f": 2, "lambda": 0},
+        {"g": 2, "f": 2, "lambda": 0, "u": None},
         3,
         "pointwise",
         needs_finite_m=True,
@@ -495,7 +489,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "gradient_norm_laplacian",
         "½Δ|∇f|² = |∇²f|² − Ric(∇f,∇f) + (2/m)|∇f|²Δf − (n−2)⟨∇λ,∇f⟩",
-        {"g": 3, "f": 3, "lambda": 1},
+        {"g": 2, "f": 3, "lambda": 1, "u": None},
         3,
         "pointwise",
         runner=gradient_norm_laplacian_residual,
@@ -503,7 +497,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "curvature_gradient",
         "½∇R = ((m−1)/m)Ric(∇f) + (1/m)(R−(n−1)λ)∇f + (n−1)∇λ",
-        {"g": 3, "f": 2, "lambda": 1},
+        {"g": 3, "f": 1, "lambda": 1, "u": None},
         3,
         "pointwise",
         runner=curvature_gradient_residual,
@@ -511,7 +505,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "hamilton_gradient",
         "∇(R + |∇f|² − 2(n−1)λ) = 2λ∇f + (2/m){∇_∇f∇f + (|∇f|²−Δf)∇f}",
-        {"g": 3, "f": 3, "lambda": 1},
+        {"g": 3, "f": 2, "lambda": 1, "u": None},
         3,
         "pointwise",
         runner=hamilton_gradient_residual,
@@ -520,7 +514,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         "curvature_laplacian",
         "½ΔR = −|∇²f−(Δf/n)g|² − ((m+n)/nm)(Δf)² − (n/2)⟨∇f,∇λ⟩ + ⟨∇f,∇R⟩"
         " + ((m−2)/2m)⟨∇f,∇Δf⟩ + (1/m)div(∇_∇f∇f) + (n−1)Δλ + λΔf",
-        {"g": 4, "f": 3, "lambda": 2},
+        {"g": 4, "f": 3, "lambda": 2, "u": None},
         4,
         "pointwise",
         needs_finite_m=True,
@@ -529,7 +523,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "u_conformality",
         "½L_∇u g = (Δu/n)g on an Einstein base",
-        {"g": 2, "f": 2, "lambda": 0},
+        {"g": 1, "f": None, "lambda": None, "u": 2},
         3,
         "pointwise",
         needs_finite_m=True,
@@ -539,7 +533,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "contracted_bianchi",
         "∇R = 2 div Ric",
-        {"g": 3, "f": 0, "lambda": 0},
+        {"g": 3, "f": None, "lambda": None, "u": None},
         3,
         "pointwise",
         runner=contracted_bianchi_residual,
@@ -547,7 +541,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "div_hessian",
         "div ∇²f = Ric(∇f) + ∇Δf",
-        {"g": 3, "f": 3, "lambda": 0},
+        {"g": 2, "f": 3, "lambda": None, "u": None},
         3,
         "pointwise",
         runner=lambda fr: div_hessian_residual(fr, fr.s.f),
@@ -555,7 +549,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "div_outer_grad",
         "div(df⊗df) = Δf·df + ∇²f(∇f,·)",
-        {"g": 2, "f": 2, "lambda": 0},
+        {"g": 1, "f": 2, "lambda": None, "u": None},
         3,
         "pointwise",
         runner=lambda fr: div_outer_grad_residual(fr, fr.s.f),
@@ -563,7 +557,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "bochner",
         "½Δ|∇f|² = |∇²f|² + ⟨∇f,∇Δf⟩ + Ric(∇f,∇f)",
-        {"g": 3, "f": 3, "lambda": 0},
+        {"g": 2, "f": 3, "lambda": None, "u": None},
         3,
         "pointwise",
         runner=lambda fr: bochner_residual(fr, fr.s.f),
@@ -571,7 +565,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
     IdentityInfo(
         "lie_divergence",
         "div(L_X g)(X) = ½Δ|X|² − |∇X|² + Ric(X,X) + ⟨X,∇div X⟩  (X = ∇f)",
-        {"g": 3, "f": 3, "lambda": 0},
+        {"g": 2, "f": 3, "lambda": None, "u": None},
         3,
         "pointwise",
         runner=lambda fr: lie_divergence_residual(fr, grad_field(fr.chart, fr.s.f)),
@@ -580,7 +574,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         "einstein_hessian",
         "∇²u = (−R/(n(n−1))·u + c/m)g;  Δu = (R/m)u − (n/m)λu;"
         "  ∇(λu) = R(m+n−1)/(n(n−1))·∇u",
-        {"g": 2, "f": 2, "lambda": 1},
+        {"g": 2, "f": None, "lambda": 1, "u": 2},
         2,
         "profile",
         needs_finite_m=True,
@@ -625,14 +619,17 @@ def run_pointwise_suite(
     Each row's runner gets a frame of at most `qem._CHUNK` points at a time; a
     pointwise row's residual is reduced to |value|, or the largest |component|
     of a tensor, per point. The entries are those of one batch holding every
-    point.
+    point. A selection of which no row applies to `s` raises a `ValueError`
+    that names the skipped ids, so that a run that checks nothing cannot pass.
     """
     batches = chunks(points)
     selected = list(CATALOG) if ids is None else [CATALOG_BY_ID[i] for i in ids]
+    rows = [info for info in selected if applicable(info, s)]
+    if not rows:
+        raise ValueError(f"no selected identity applies to {s.label}; skipped: "
+                         + ", ".join(info.identity_id for info in selected))
     out = []
-    for info in selected:
-        if not applicable(info, s):
-            continue
+    for info in rows:
         tol = tolerances[info.order_class]
         if info.kind == "profile":
             prof = info.runner(StructureFrame(s, batches[0]))

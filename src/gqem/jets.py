@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,24 +102,20 @@ def jet_table(dim: int, order: int) -> "_Table":
                   mul_ii, mul_jj, mul_ff, mul_starts, mul_triples, derive_src)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class _Table:
-    __slots__ = ("dim", "order", "alphas", "index", "size", "grade_sizes",
-                 "mul_ii", "mul_jj", "mul_ff", "mul_starts", "mul_triples", "derive_src")
-
-    def __init__(self, dim, order, alphas, index, size, grade_sizes,
-                 mul_ii, mul_jj, mul_ff, mul_starts, mul_triples, derive_src):
-        self.dim = dim
-        self.order = order
-        self.alphas = alphas
-        self.index = index
-        self.size = size
-        self.grade_sizes = grade_sizes
-        self.mul_ii = mul_ii
-        self.mul_jj = mul_jj
-        self.mul_ff = mul_ff
-        self.mul_starts = mul_starts
-        self.mul_triples = mul_triples
-        self.derive_src = derive_src
+    dim: int
+    order: int
+    alphas: tuple
+    index: dict
+    size: int
+    grade_sizes: tuple
+    mul_ii: np.ndarray
+    mul_jj: np.ndarray
+    mul_ff: np.ndarray
+    mul_starts: np.ndarray
+    mul_triples: tuple
+    derive_src: Optional[tuple]
 
 
 class Jet:
@@ -155,17 +152,19 @@ class Jet:
         """Jet of `value` with every derivative zero; an all-zero one is a mark.
 
         From `_BIG_BATCH` nodes on it is built with its `_row_flags` set: the
-        value row is zero or finite as `value` is, and every other row is
-        both, so no product scans its zero rows.
+        value row is not all zero (that would be a mark) and is finite as
+        `value` is, and every other row is zero and finite, so no product
+        scans its zero rows.
         """
         value = np.asarray(value, dtype=np.float64)
         size = jet_table(dim, order).size
-        out = _jet(dim, order, _value_coeffs(value, size))
+        coeffs = _zero_coeffs(value.shape + (size,))
+        coeffs[..., 0] = value
+        out = _jet(dim, order, coeffs)
         if not np.count_nonzero(value):
             return _mark_zero(out)
         if value.size >= _BIG_BATCH:
-            (zero,), (finite,) = _row_flags(value[..., None])
-            out._flags = _constant_row_flags(size, bool(zero), bool(finite))
+            out._flags = _constant_row_flags(size, False, bool(np.isfinite(value).all()))
         return out
 
     @property
@@ -254,27 +253,22 @@ class Jet:
         a, b = self.coeffs, other.coeffs
         shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
         if math.prod(shape[:-1]) < _BIG_BATCH:
-            # zero times finite is ±0 at every coefficient: skip the gather
-            if self._is_zero() and other._is_finite():
-                zero = self
-            elif other._is_zero() and self._is_finite():
-                zero = other
-            else:
+            # a term is left unless one operand is all zero and the other finite
+            if not ((self._is_zero() and other._is_finite())
+                    or (other._is_zero() and self._is_finite())):
                 return _jet(self.dim, self.order,
                             _mul_gather(a, b, jet_table(self.dim, self.order)))
-            if zero.coeffs.shape == shape:
-                return zero
-            return _mark_zero(_jet(self.dim, self.order, np.zeros(shape)))
-        t = jet_table(self.dim, self.order)
-        kept = _kept_terms(t, self._row_flags(), other._row_flags())
-        if not kept.any():
-            # every term is ±0 at every node: skip the kernel
-            for zero in (self, other):
-                if zero.__class__ is _ZeroJet and zero.coeffs.shape == shape:
-                    return zero
-            rows = np.zeros(shape[-1:] + shape[:-1])
-            return _mark_zero(_jet(self.dim, self.order, _coeff_major(rows)))
-        return _jet(self.dim, self.order, _mul_coeff_major(a, b, t, kept))
+        else:
+            t = jet_table(self.dim, self.order)
+            kept = _kept_terms(t, self._row_flags(), other._row_flags())
+            if kept.any():
+                return _jet(self.dim, self.order, _mul_coeff_major(a, b, t, kept))
+        # no term left, every one is ±0 at every node: skip the kernel
+        if self.__class__ is _ZeroJet and a.shape == shape:
+            return self
+        if other.__class__ is _ZeroJet and b.shape == shape:
+            return other
+        return _mark_zero(_jet(self.dim, self.order, _zero_coeffs(shape)))
 
     __rmul__ = __mul__
 
@@ -429,18 +423,11 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     return np.add.reduceat(prod, t.mul_starts, axis=-1)
 
 
-def _value_coeffs(value: np.ndarray, size: int) -> np.ndarray:
-    """Fresh coefficients with `value` in the value row and zeros elsewhere.
-
-    From `_BIG_BATCH` nodes on they are stored coefficient-major.
-    """
-    if value.size >= _BIG_BATCH:
-        rows = np.zeros((size,) + value.shape)
-        rows[0] = value
-        return _coeff_major(rows)
-    coeffs = np.zeros(value.shape + (size,))
-    coeffs[..., 0] = value
-    return coeffs
+def _zero_coeffs(shape: tuple) -> np.ndarray:
+    """Fresh zero coefficients of `shape`, stored coefficient-major from `_BIG_BATCH` nodes on."""
+    if math.prod(shape[:-1]) >= _BIG_BATCH:
+        return _coeff_major(np.zeros(shape[-1:] + shape[:-1]))
+    return np.zeros(shape)
 
 
 def _coeff_major(rows: np.ndarray) -> np.ndarray:
@@ -469,17 +456,15 @@ def _kept_terms(t: _Table, flags_a, flags_b) -> np.ndarray:
     return ~((za & fb) | (zb & fa))
 
 
-def _mul_coeff_major(a: np.ndarray, b: np.ndarray, t: _Table, kept=None) -> np.ndarray:
+def _mul_coeff_major(a: np.ndarray, b: np.ndarray, t: _Table, kept: np.ndarray) -> np.ndarray:
     """Leibniz product for large batches: one row per coefficient, summed triple by triple.
 
     Each node's coefficients are summed in table order, so a node's result does
     not depend on the batch it is computed in. Only the triples in `kept`
-    (`_kept_terms`, computed here when not given) are summed: a skipped term is
-    ±0 at every node, so every output equals the full sum up to the sign of a
-    zero, and NaN and ±inf land where they would. The result is coefficient-major.
+    (`_kept_terms`) are summed: a skipped term is ±0 at every node, so every
+    output equals the full sum up to the sign of a zero, and NaN and ±inf land
+    where they would. The result is coefficient-major.
     """
-    if kept is None:
-        kept = _kept_terms(t, _row_flags(a), _row_flags(b))
     rows_a, rows_b = a.transpose(-1, *range(a.ndim - 1)), b.transpose(-1, *range(b.ndim - 1))
     out = np.empty((t.size,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     tmp = np.empty(out.shape[1:])
@@ -504,7 +489,8 @@ def seed_variable(i: int, x0, dim: int, order: int) -> Jet:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     t = jet_table(dim, order)
     # fresh coefficients, never a zero constant's: those belong to a mark
-    coeffs = _value_coeffs(np.asarray(x0, dtype=np.float64), t.size)
+    coeffs = _zero_coeffs(np.shape(x0) + (t.size,))
+    coeffs[..., 0] = x0
     coeffs[..., t.index[tuple(1 if k == i else 0 for k in range(dim))]] = 1.0
     return _jet(dim, order, coeffs)
 
@@ -629,8 +615,8 @@ def power(a: Jet, exponent) -> Jet:
         k = int(exponent)
         if k < 0:
             return reciprocal(power(a, -k))
-        acc = Jet.constant(np.ones(a.batch_shape), a.dim, a.order)
-        for _ in range(k):
+        acc = a if k else Jet.constant(np.ones(a.batch_shape), a.dim, a.order)
+        for _ in range(k - 1):
             acc = acc * a
         return acc
     if np.any(a.value <= 0.0):

@@ -74,6 +74,43 @@ def test_unknown_identity_in_suite(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("suite =", "empty identity id"),
+    ("suite = ,", "empty identity id"),
+    ("suite = bochner,", "empty identity id"),
+    ("suite = bochner,bochner", "duplicate identity id 'bochner'"),
+])
+def test_empty_or_repeated_suite_id_exits_two_without_a_report(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path, SPHERE_CFG + line + "\n")
+    out = tmp_path / "never.json"
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_verify_with_no_applicable_row_exits_two_naming_the_skipped_ids(tmp_path, capsys):
+    # einstein_hessian needs n >= 3, so on n = 2 nothing selected would run,
+    # which must not read as a pass
+    cfg = write_config(tmp_path, SPHERE_CFG + "suite = einstein_hessian\n")
+    out = tmp_path / "never.json"
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 2
+    assert not out.exists()
+    assert "skipped: einstein_hessian" in capsys.readouterr().err
+    cfg = write_config(tmp_path, SPHERE_CFG + "suite = einstein_hessian,bochner\n")
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 0
+    assert [row["id"] for row in json.loads(out.read_text())["pointwise"]] == ["bochner"]
+
+
+def test_scan_with_a_combination_no_row_applies_to_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, "family = sphere\nn = 3,2\ntau = 1.5\nm = 2\npoints = 4\n"
+                                 "suite = einstein_hessian\n")
+    out = tmp_path / "never.csv"
+    assert main(["scan", "--config", cfg, "--csv", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "n=2" in err and "skipped: einstein_hessian" in err
+
+
 def test_missing_config_flag(capsys):
     assert main(["verify"]) == 2
 
@@ -170,7 +207,8 @@ def test_catalog_lists_every_verifier(capsys):
     entries = json.loads(capsys.readouterr().out)
     assert len(entries) == len(CATALOG)
     by_id = {e["id"]: e for e in entries}
-    assert by_id["curvature_laplacian"]["orders"] == {"g": 4, "f": 3, "lambda": 2}
+    assert by_id["curvature_laplacian"]["orders"] == {"g": 4, "f": 3, "lambda": 2, "u": None}
+    assert by_id["u_conformality"]["orders"] == {"g": 1, "f": None, "lambda": None, "u": 2}
     for e in entries:
         assert e["formula"].strip()
 

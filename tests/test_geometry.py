@@ -456,3 +456,40 @@ def test_metric_spd_check(sphere_polar):
     pts = sample_points(sphere_polar, 30, seed=13)
     smallest = geo.check_metric_spd(sphere_polar, pts)
     assert smallest > 0.0
+
+
+class Term:
+    """An element of an object array that records the expression it was built by."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __mul__(self, other):
+        return Term(f"({self.text}*{other.text})")
+
+    def __add__(self, other):
+        return Term(f"({self.text}+{other.text})")
+
+
+def terms(name, shape):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = Term(name + "".join(map(str, idx)))
+    return out
+
+
+def test_object_array_sums_multiply_left_to_right_and_add_from_the_first_term():
+    # the frame's contractions (`@` in grad, np.dot in the scalar curvature,
+    # .sum() in the Laplacian, .trace() in div_vector) give the bits of a loop
+    # that starts from the first product and adds the rest in order; a numpy
+    # whose object loops start from 0 or pair the terms differently would
+    # change residual bits, and this test says so
+    a, b, v = terms("a", (3, 3)), terms("b", (3, 3)), terms("v", 3)
+    assert [t.text for t in a @ v] == [
+        f"(((a{i}0*v0)+(a{i}1*v1))+(a{i}2*v2))" for i in range(3)]
+    assert np.dot(v, v).text == "(((v0*v0)+(v1*v1))+(v2*v2))"
+    assert np.dot(a.ravel(), b.ravel()).text == (
+        "(((((((((a00*b00)+(a01*b01))+(a02*b02))+(a10*b10))+(a11*b11))"
+        "+(a12*b12))+(a20*b20))+(a21*b21))+(a22*b22))")
+    assert (a * b).sum().text == np.dot(a.ravel(), b.ravel()).text
+    assert a.trace().text == "((a00+a11)+a22)"

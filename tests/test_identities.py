@@ -9,7 +9,7 @@ import pytest
 from gqem import identities as idt
 from gqem import jets, qem
 from gqem import quadrature as quad
-from gqem.geometry import ChartFrame, ScalarField, grad_field
+from gqem.geometry import Chart, ChartFrame, Field, ScalarField, grad_field
 from gqem.models import (
     ModelSpec,
     example_structure,
@@ -250,10 +250,63 @@ def test_catalog_is_complete_and_anchored():
     assert len(ids) == len(set(ids))
     for info in idt.CATALOG:
         assert info.formula.strip()
-        assert set(info.orders) == {"g", "f", "lambda"}
+        assert set(info.orders) == {"g", "f", "lambda", "u"}
         assert info.order_class in (2, 3, 4)
     heavy = idt.CATALOG_BY_ID["curvature_laplacian"]
-    assert heavy.orders == {"g": 4, "f": 3, "lambda": 2}
+    assert heavy.orders == {"g": 4, "f": 3, "lambda": 2, "u": None}
+
+
+def requested_orders(s, runner, pts, monkeypatch):
+    """Highest jet order `runner` requests of the metric (`Chart.metric_jets`)
+    and of the structure's f, lambda and u (`Field.jet`); None for one never read.
+
+    A request made while one of those three fields is evaluated belongs to
+    that field (a model's f and lambda are formulas in u), so only requests
+    outside them count; requests through derived fields such as grad f count.
+    """
+    got = dict.fromkeys(("g", "f", "lambda", "u"))
+    keys = {id(s.f): "f", id(s.lam): "lambda", id(s.u): "u"}
+    depth = [0]
+    metric_jets, jet = Chart.metric_jets, Field.jet
+
+    def note(key, order):
+        if not depth[0]:
+            got[key] = max(order, got[key] or 0)
+
+    def metric_wrapper(chart, p, order):
+        note("g", order)
+        return metric_jets(chart, p, order)
+
+    def jet_wrapper(field, p, order):
+        key = keys.get(id(field))
+        if key is None:
+            return jet(field, p, order)
+        note(key, order)
+        depth[0] += 1
+        try:
+            return jet(field, p, order)
+        finally:
+            depth[0] -= 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Chart, "metric_jets", metric_wrapper)
+        patch.setattr(Field, "jet", jet_wrapper)
+        runner(StructureFrame(s, pts))
+    return got
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("sphere", 3, tau=1.5, m=2.0),
+    ModelSpec("sphere", 2, tau=1.5, m=2.0, chart_kind="polar"),
+    ModelSpec("euclidean", 3, tau=1.0, m=0.5),
+    ModelSpec("hyperbolic", 4, tau=0.5, m=2.0),
+], ids=lambda spec: f"{spec.family}-{spec.dim}-{spec.chart_kind}")
+def test_declared_orders_equal_the_orders_each_row_requests(spec, monkeypatch):
+    s = example_structure(spec)
+    pts = sample_points(s.chart, 2, seed=1)
+    for info in idt.CATALOG:
+        if idt.applicable(info, s):
+            assert requested_orders(s, info.runner, pts, monkeypatch) == info.orders, info.identity_id
 
 
 def test_magnitude_rows_reduce_the_signed_residuals():
@@ -388,6 +441,12 @@ def test_residual_paths_call_no_lapack_inverse(monkeypatch):
     rows = quad.run_integral_suite(quad.make_sphere_grid(s2.chart, (8, 16)), s2, 1e-6)
     assert len(rows) == 6 and all(np.isfinite(r["relative_gap"]) for r in rows)
     assert len(node_passes) == 1
+
+
+def test_selection_of_which_no_row_applies_is_rejected_by_name():
+    s = gaussian_soliton(2)  # m = inf, n = 2
+    with pytest.raises(ValueError, match="skipped: einstein_hessian, u_transform$"):
+        idt.run_pointwise_suite(s, np.zeros((1, 2)), TOLS, ids=["einstein_hessian", "u_transform"])
 
 
 @pytest.mark.parametrize("ids", [None, ["defining_equation"], ["einstein_hessian"]])

@@ -278,6 +278,21 @@ def test_integer_power_handles_negative_values():
     assert np.allclose((x ** 2).coeffs, [4.0, -4.0, 2.0, 0.0])
 
 
+@pytest.mark.parametrize("batch", [(), (100,), (600,)])
+@pytest.mark.parametrize("dim,order", [(2, 3), (3, 4)])
+def test_integer_power_starts_from_its_base(dim, order, batch):
+    # a ** k is k - 1 products, equal to the chain 1 * a * ... * a that starts from a constant
+    rng = np.random.default_rng(10 * dim + order)
+    a = Jet(dim, order, rng.normal(size=batch + (jet_table(dim, order).size,)))
+    for k in range(5):
+        want = Jet.constant(np.ones(batch), dim, order)
+        for _ in range(k):
+            want = want * a
+        got, products = counting_products(jets.power, a, k)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert products == max(k - 1, 0)
+
+
 @given(st.floats(min_value=-1.2, max_value=1.2), st.floats(min_value=-1.2, max_value=1.2))
 @settings(max_examples=60, deadline=None)
 def test_exp_log_inverse_property(v, w):
@@ -321,7 +336,8 @@ def test_coeff_major_product_matches_gather(dim, order):
     for batch in (jets._BIG_BATCH - 1, jets._BIG_BATCH, jets._BIG_BATCH + 1):
         a = Jet(dim, order, rng.normal(size=(batch, size)))
         b = Jet(dim, order, rng.normal(size=(batch, size)))
-        big = jets._mul_coeff_major(a.coeffs, b.coeffs, jet_table(dim, order))
+        t = jet_table(dim, order)
+        big = jets._mul_coeff_major(a.coeffs, b.coeffs, t, kept_terms(a.coeffs, b.coeffs, t))
         assert_matches_gather(a, b, big)
         assert_matches_gather(a, b, (a * b).coeffs)
 
@@ -350,7 +366,7 @@ def test_coeff_major_product_propagates_nonfinite_like_gather():
     a[13, 1] = np.inf
     b[13, 0] = 0.0
     with np.errstate(invalid="ignore"):
-        big = jets._mul_coeff_major(a, b, t)
+        big = jets._mul_coeff_major(a, b, t, kept_terms(a, b, t))
         want = jets._mul_gather(a, b, t)
     for mask in (np.isnan, np.isposinf, np.isneginf):
         assert np.array_equal(mask(big), mask(want))
@@ -373,6 +389,11 @@ def test_coeff_major_product_is_independent_of_batch_size():
 
 
 # -- row skip and coefficient-major layout -----------------------------------
+
+
+def kept_terms(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """The triples `Jet.__mul__` passes to the coefficient-major kernel for these operands."""
+    return jets._kept_terms(t, jets._row_flags(a), jets._row_flags(b))
 
 
 def coeff_rows(c: np.ndarray) -> np.ndarray:
@@ -413,7 +434,7 @@ def test_zero_row_against_nonfinite_row_is_not_skipped():
     b[9, 4] = np.inf
     a[11, 1] = -np.inf
     with np.errstate(invalid="ignore"):
-        got = jets._mul_coeff_major(a, b, t)
+        got = jets._mul_coeff_major(a, b, t, kept_terms(a, b, t))
         want = jets._mul_gather(a, b, t)
         assert np.array_equal(got, full_sum(a, b, t), equal_nan=True)
     for mask in (np.isnan, np.isposinf, np.isneginf):
@@ -581,7 +602,7 @@ def test_product_zero_by_its_row_flags_is_marked_and_skips_the_kernel(monkeypatc
     b = big_jet(rng, dim, order)
     a.coeffs[:, degree < 3] = 0.0  # every term of degree >= 3 x degree >= 2 is truncated
     b.coeffs[:, degree < 2] = 0.0
-    want = jets._mul_coeff_major(a.coeffs, b.coeffs, t)
+    want = jets._mul_coeff_major(a.coeffs, b.coeffs, t, kept_terms(a.coeffs, b.coeffs, t))
     calls = []
     kernel = jets._mul_coeff_major
     monkeypatch.setattr(jets, "_mul_coeff_major", lambda *args: calls.append(1) or kernel(*args))
@@ -608,7 +629,8 @@ def test_marked_zero_times_nonfinite_runs_the_full_kernel(bad, monkeypatch):
         for got in (zero * other, other * zero):
             assert type(got) is Jet
             assert np.isnan(got.coeffs[7]).any()  # 0 * NaN and 0 * ±inf
-            assert_same_values(got.coeffs, kernel(zero.coeffs, other.coeffs, t))
+            assert_same_values(got.coeffs, kernel(zero.coeffs, other.coeffs, t,
+                                                  kept_terms(zero.coeffs, other.coeffs, t)))
     assert calls == [1, 1]
 
 
