@@ -13,8 +13,9 @@ on verify or integrate).
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
 usage error, 3 numerical failure: a non-finite residual (written as null, its
 row marked ``"status": "nan"``) or an arithmetic error, which writes no report.
-No partial reports are written on exit 2. A ``suite`` with an empty or
-repeated id, or of which no row applies to a structure, exits 2. An output path
+No partial reports are written on exit 2. A comma list (``n``, ``tau``, ``m``,
+``grid``, ``suite``) with an empty entry exits 2, as does a ``suite`` with a
+repeated id or of which no row applies to a structure. An output path
 that is empty, whose directory does not exist, or that is a directory exits 2
 before any structure is built; an ``OSError`` while writing the report exits 2
 and leaves no temporary file.
@@ -149,12 +150,13 @@ def parse_config_text(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"cannot parse number {token!r}") from exc
 
-    def parse_list(key: str, cast) -> list:
+    def parse_list(key: str, cast, entry: str = "value") -> list:
+        """The comma list under `key`, each entry cast; an empty entry is an error."""
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
-        items = [t for t in raw[key].split(",") if t.strip()]
-        if not items:
-            raise ConfigError(f"key '{key}' has an empty value list")
+        items = [t.strip() for t in raw[key].split(",")]
+        if not all(items):
+            raise ConfigError(f"empty {entry} in '{key}' = {raw[key]!r}")
         return [cast(t) for t in items]
 
     def parse_int(token: str) -> int:
@@ -162,6 +164,11 @@ def parse_config_text(text: str) -> RunConfig:
             return int(token)
         except ValueError as exc:
             raise ConfigError(f"cannot parse integer {token!r}") from exc
+
+    def parse_id(token: str) -> str:
+        if token not in CATALOG_BY_ID:
+            raise ConfigError(f"unknown identity id {token!r} in 'suite'")
+        return token
 
     cfg = RunConfig(
         family=raw["family"],
@@ -196,7 +203,7 @@ def parse_config_text(text: str) -> RunConfig:
     if "seed" in raw:
         cfg.seed = parse_int(raw["seed"])
     if "grid" in raw:
-        cfg.grid = [parse_int(t) for t in raw["grid"].split(",") if t.strip()]
+        cfg.grid = parse_list("grid", parse_int)
         if not all(2 <= k <= MAX_GRID_ENTRY for k in cfg.grid):
             raise ConfigError(
                 f"'grid' entries must be in 2..{MAX_GRID_ENTRY}, got {raw['grid']!r}")
@@ -204,15 +211,10 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(
                 f"'grid' must have at most {MAX_GRID_NODES} nodes, got {raw['grid']!r}")
     if "suite" in raw and raw["suite"].strip() != "all":
-        ids = [t.strip() for t in raw["suite"].split(",")]
-        for k, ident in enumerate(ids):
-            if not ident:
-                raise ConfigError(f"empty identity id in 'suite' = {raw['suite']!r}")
-            if ident not in CATALOG_BY_ID:
-                raise ConfigError(f"unknown identity id {ident!r} in 'suite'")
-            if ident in ids[:k]:
+        cfg.suite = parse_list("suite", parse_id, "identity id")
+        for k, ident in enumerate(cfg.suite):
+            if ident in cfg.suite[:k]:
                 raise ConfigError(f"duplicate identity id {ident!r} in 'suite'")
-        cfg.suite = ids
     for key, slot in (
         ("tol.order2", 2),
         ("tol.order3", 3),
@@ -386,8 +388,6 @@ def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tols: dict) -> 
     combos = [
         (n, m, tau) for n in cfg.n_list for m in cfg.m_list for tau in cfg.tau_list
     ]
-    if not combos:
-        raise ConfigError("empty parameter sweep")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "m", "tau", "identity", "max_residual", "pass"])

@@ -67,9 +67,9 @@ class Chart:
 class Field:
     """A field of chart coordinates, evaluable to jets of any order <= 4.
 
-    jet(p, order) returns a `Jet` for a scalar field, a sequence of component
-    jets for a contravariant vector field, or an (n, n) object array of jets
-    for a (0,2)-tensor field. The arithmetic operators combine scalar fields.
+    jet(p, order) returns a `Jet` for a scalar field, or a sequence of
+    component jets for a contravariant vector field. The arithmetic operators
+    combine scalar fields.
     """
 
     def __init__(self, dim: int, jet_fn: Callable, label: str = ""):
@@ -393,11 +393,11 @@ class ChartFrame:
                 out[j, i] = acc
         return out
 
-    @_memoized
-    def div_tensor2(self, T: Field, order: int) -> list:
-        """Divergence (div T)_j = g^{ik} nabla_i T_{kj} of a (0,2)-tensor field, as jets."""
+    def div_tensor2(self, tj: np.ndarray) -> list:
+        """Divergence (div T)_j = g^{ik} nabla_i T_{kj} as jets of order k, from a
+        (0,2) tensor's (n, n) jets `tj` of order k + 1 at this frame's points."""
         n = self.n
-        tj = T.jet(self.p, order + 1)
+        order = tj[0, 0].order - 1
         t0 = _trunc_tree(tj, order)
         gam = self.gamma(order)
         gi = self.metric_inv(order)
@@ -586,34 +586,3 @@ def scalar_curvature(chart: Chart, p) -> float:
 def grad_field(chart: Chart, phi: Field) -> Field:
     return Field(chart.dim, lambda p, order: ChartFrame(chart, p).grad(phi, order),
                  f"grad({phi.label})")
-
-
-def hessian_field(chart: Chart, phi: Field) -> Field:
-    return Field(chart.dim, lambda p, order: ChartFrame(chart, p).hessian(phi, order),
-                 f"hess({phi.label})")
-
-
-def ricci_field(chart: Chart) -> Field:
-    return Field(chart.dim, lambda p, order: ChartFrame(chart, p).ricci(order), "Ric")
-
-
-def outer_grad_field(chart: Chart, phi: Field) -> Field:
-    """The covariant tensor dphi (x) dphi."""
-
-    def jet_fn(p, order):
-        n = chart.dim
-        fj = phi.jet(p, order + 1)
-        df = [fj.derive(i) for i in range(n)]
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = df[i] * df[j]
-                out[j, i] = out[i, j]
-        return out
-
-    return Field(chart.dim, jet_fn, f"d{phi.label}(x)d{phi.label}")
-
-
-def lie_metric_field(chart: Chart, X: Field) -> Field:
-    return Field(chart.dim, lambda p, order: ChartFrame(chart, p).lie_metric(X, order),
-                 f"L_{X.label} g")

@@ -99,6 +99,8 @@ def _norm2(coords):
 
 def make_chart(spec: ModelSpec) -> Chart:
     n, r = spec.dim, spec.radius
+    domain_fn = lambda p: np.full(p.shape[:-1], True)
+    signature = (1.0,) * (n if spec.family == "euclidean" else n + 1)
 
     if spec.family == "euclidean":
 
@@ -106,21 +108,11 @@ def make_chart(spec: ModelSpec) -> Chart:
             one = Jet.constant(np.ones(coords[0].batch_shape), n, coords[0].order)
             return _diagonal([one] * n)
 
-        return Chart(
-            dim=n,
-            metric_fn=metric_fn,
-            domain_fn=lambda p: np.full(p.shape[:-1], True),
-            label=f"R^{n} cartesian",
-            chart_kind="cartesian",
-            family="euclidean",
-            compact=False,
-            sample_lo=np.full(n, -2.0),
-            sample_hi=np.full(n, 2.0),
-            embedding_fn=lambda coords: list(coords),
-            ambient_signature=tuple([1.0] * n),
-        )
+        embedding_fn = lambda coords: list(coords)
+        label = f"R^{n} cartesian"
+        lo, hi = np.full(n, -2.0), np.full(n, 2.0)
 
-    if spec.family == "sphere" and spec.chart_kind == "stereographic":
+    elif spec.chart_kind == "stereographic":
         r2, r4 = r * r, r**4
 
         def metric_fn(coords):
@@ -134,21 +126,10 @@ def make_chart(spec: ModelSpec) -> Chart:
             amb.append(r * (s - r2) * inv_q)
             return amb
 
-        return Chart(
-            dim=n,
-            metric_fn=metric_fn,
-            domain_fn=lambda p: np.full(p.shape[:-1], True),
-            label=f"S^{n}(r={r:g}) stereographic",
-            chart_kind="stereographic",
-            family="sphere",
-            compact=True,
-            sample_lo=np.full(n, -2.0 * r),
-            sample_hi=np.full(n, 2.0 * r),
-            embedding_fn=embedding_fn,
-            ambient_signature=tuple([1.0] * (n + 1)),
-        )
+        label = f"S^{n}(r={r:g}) stereographic"
+        lo, hi = np.full(n, -2.0 * r), np.full(n, 2.0 * r)
 
-    if spec.family == "sphere" and spec.chart_kind == "polar":
+    elif spec.chart_kind == "polar":
         # coordinates (theta_1 .. theta_{n-1}, phi); metric r^2 diag(1, sin^2 th_1, ...)
         def metric_fn(coords):
             diag = [Jet.constant(np.full(coords[0].batch_shape, r * r), n, coords[0].order)]
@@ -170,21 +151,11 @@ def make_chart(spec: ModelSpec) -> Chart:
             polar = p[..., : n - 1]
             return np.all((polar > 0.0) & (polar < np.pi), axis=-1)
 
-        return Chart(
-            dim=n,
-            metric_fn=metric_fn,
-            domain_fn=domain_fn,
-            label=f"S^{n}(r={r:g}) polar",
-            chart_kind="polar",
-            family="sphere",
-            compact=True,
-            sample_lo=np.array([0.35] * (n - 1) + [0.2]),
-            sample_hi=np.array([np.pi - 0.35] * (n - 1) + [2 * np.pi - 0.2]),
-            embedding_fn=embedding_fn,
-            ambient_signature=tuple([1.0] * (n + 1)),
-        )
+        label = f"S^{n}(r={r:g}) polar"
+        lo = np.array([0.35] * (n - 1) + [0.2])
+        hi = np.array([np.pi - 0.35] * (n - 1) + [2 * np.pi - 0.2])
 
-    if spec.family == "hyperbolic":
+    else:  # hyperbolic: ModelSpec admits no other (family, chart) pair
 
         def metric_fn(coords):
             q = 1.0 - _norm2(coords)
@@ -198,21 +169,24 @@ def make_chart(spec: ModelSpec) -> Chart:
             amb.extend(2.0 * c * inv_q for c in coords)
             return amb
 
-        return Chart(
-            dim=n,
-            metric_fn=metric_fn,
-            domain_fn=lambda p: np.sum(p * p, axis=-1) < 1.0,
-            label=f"H^{n} poincare ball",
-            chart_kind="poincare_ball",
-            family="hyperbolic",
-            compact=False,
-            sample_lo=np.full(n, -0.55),
-            sample_hi=np.full(n, 0.55),
-            embedding_fn=embedding_fn,
-            ambient_signature=tuple([-1.0] + [1.0] * n),
-        )
+        domain_fn = lambda p: np.sum(p * p, axis=-1) < 1.0
+        label = f"H^{n} poincare ball"
+        lo, hi = np.full(n, -0.55), np.full(n, 0.55)
+        signature = (-1.0,) + (1.0,) * n
 
-    raise ValueError(f"unsupported (family, chart) pair: {spec.family}, {spec.chart_kind}")
+    return Chart(
+        dim=n,
+        metric_fn=metric_fn,
+        domain_fn=domain_fn,
+        label=label,
+        chart_kind=spec.chart_kind,
+        family=spec.family,
+        compact=spec.family == "sphere",
+        sample_lo=lo,
+        sample_hi=hi,
+        embedding_fn=embedding_fn,
+        ambient_signature=signature,
+    )
 
 
 def height_field(spec: ModelSpec, chart: Chart, v_axis: Optional[int] = None) -> ScalarField:

@@ -196,6 +196,57 @@ def test_scan_rejects_empty_sweep(tmp_path, capsys):
     assert main(["scan", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("verify", "n", "2,"),
+    ("verify", "tau", "1.5,,"),
+    ("scan", "m", "1,,2"),
+    ("scan", "n", ",2"),
+    ("integrate", "grid", "16,,32"),
+    ("verify", "suite", "bochner,,defining_equation"),
+])
+def test_an_empty_entry_in_a_comma_list_exits_two_without_a_report(
+        tmp_path, capsys, command, key, value):
+    keys = {"family": "sphere", "n": "2", "tau": "1.5", "m": "2"}
+    keys[key] = value
+    cfg = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    flag, out = ("--csv", tmp_path / "never.csv") if command == "scan" else (
+        "--json", tmp_path / "never.json")
+    assert main([command, "--config", cfg, flag, str(out)]) == 2
+    assert not out.exists()
+    assert f"in '{key}' = '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tau", "abc", "cannot parse number 'abc'"),
+    ("n", "x", "cannot parse integer 'x'"),
+    ("n", None, "missing required key 'n'"),
+    ("family", "torus", "unknown family 'torus'"),
+])
+def test_malformed_or_missing_values_exit_two_without_a_report(
+        tmp_path, capsys, key, value, message):
+    keys = {"family": "sphere", "n": "2", "tau": "1.5", "m": "2", key: value}
+    text = "".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+    out = tmp_path / "never.json"
+    assert main(["verify", "--config", write_config(tmp_path, text), "--json", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_nonexistent_config_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert main(["verify", "--config", str(tmp_path / "absent.txt"), "--json", str(out)]) == 2
+    assert not out.exists()
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_v_axis_is_read_and_echoed(tmp_path):
+    cfg = write_config(tmp_path, SPHERE_CFG + "v_axis = 1\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["v_axis"] == "1"
+    assert parse_config_text(pathlib.Path(cfg).read_text()).v_axis == 1
+
+
 def test_scan_single_value_verify_requires_scalars(tmp_path, capsys):
     cfg = write_config(tmp_path, "family = sphere\nn = 2,3\ntau = 1.0\nm = 2\n")
     assert main(["verify", "--config", cfg]) == 2

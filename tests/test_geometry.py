@@ -355,7 +355,7 @@ def test_div_tensor2_of_ricci(sphere_stereo):
     # div Ric = (1/2) grad R as 1-forms (contracted Bianchi through div_tensor2)
     p = np.array([0.5, -0.7])
     frame = geo.ChartFrame(sphere_stereo, p)
-    div_ric = np.array([c.value for c in frame.div_tensor2(geo.ricci_field(sphere_stereo), 0)])
+    div_ric = np.array([c.value for c in frame.div_tensor2(frame.ricci(1))])
     assert div_ric.shape == (2,)
     dR = frame.partials_of_jet(frame.scalar_curvature_jet(1))
     assert np.allclose(2.0 * div_ric, dR, atol=1e-10)
@@ -456,6 +456,32 @@ def test_metric_spd_check(sphere_polar):
     pts = sample_points(sphere_polar, 30, seed=13)
     smallest = geo.check_metric_spd(sphere_polar, pts)
     assert smallest > 0.0
+
+
+def _constant_metric_chart(entries, label):
+    """A 2-D chart whose metric is the constant matrix `entries` at every point."""
+
+    def metric_fn(coords):
+        x = coords[0]
+        return np.array([[jets.Jet.constant(np.full(x.batch_shape, e), 2, x.order) for e in row]
+                         for row in entries], dtype=object)
+
+    return geo.Chart(2, metric_fn, lambda p: np.full(p.shape[:-1], True), label)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
+    ([[1.0, 0.0], [0.0, -1.0]], "not positive definite"),
+])
+def test_metric_spd_check_rejects_asymmetric_and_indefinite_metrics(entries, message):
+    chart = _constant_metric_chart(entries, "custom")
+    with pytest.raises(geo.DegenerateMetricError, match=message):
+        geo.check_metric_spd(chart, np.zeros((4, 2)))
+
+
+def test_frame_rejects_a_point_of_another_dimension(sphere_stereo):
+    with pytest.raises(ValueError, match="point of dimension 3 on chart of dim 2"):
+        geo.ChartFrame(sphere_stereo, np.zeros((5, 3)))
 
 
 class Term:

@@ -278,6 +278,19 @@ def test_integer_power_handles_negative_values():
     assert np.allclose((x ** 2).coeffs, [4.0, -4.0, 2.0, 0.0])
 
 
+def test_negative_integer_power_is_the_reciprocal_of_the_positive_one():
+    a = 1.5 + seed_point(np.array([[0.3, -0.2], [0.7, 0.4]]), 3)[0] * 0.5
+    for k in (-2, -2.0, np.int64(-2)):
+        got = jets.power(a, k)
+        assert got.coeffs.tobytes() == jets.reciprocal(jets.power(a, 2)).coeffs.tobytes()
+
+
+def test_real_power_of_a_non_positive_value_is_a_domain_error():
+    x = seed_variable(0, np.array([0.5, 0.0]), dim=1, order=2)
+    with pytest.raises(JetDomainError, match="non-integer exponent 1.5 of non-positive value"):
+        jets.power(x, 1.5)
+
+
 @pytest.mark.parametrize("batch", [(), (100,), (600,)])
 @pytest.mark.parametrize("dim,order", [(2, 3), (3, 4)])
 def test_integer_power_starts_from_its_base(dim, order, batch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gqem import geometry as geo
+from gqem import identities as idt
 from gqem import jets, qem
 from gqem.geometry import ScalarField
 from gqem.models import (
@@ -161,6 +162,14 @@ def test_u_laplacian_and_trace_divergence_identities():
     gs = gaussian_soliton(2)
     with pytest.raises(jets.OrderCapabilityError):
         qem.u_laplacian_values(StructureFrame(gs, np.zeros((1, 2))))
+
+
+def test_infinite_m_guards_keep_their_exception_types():
+    fr = StructureFrame(gaussian_soliton(2), np.zeros((1, 2)))
+    with pytest.raises(jets.OrderCapabilityError, match="requires finite m"):
+        qem.trace_divergence_values(fr)
+    with pytest.raises(ValueError, match="stated for finite m"):
+        idt.curvature_laplacian_residual(fr)
 
 
 def test_rank_one_proportionality_decisions():

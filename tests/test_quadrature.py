@@ -131,6 +131,14 @@ def test_integral_identities_reject_noncompact():
         quad.run_integral_suite(grid, s, 1e-6)
 
 
+def test_suite_rejects_a_structure_on_a_second_chart_of_the_same_spec(s2_structure):
+    # equal specs build distinct charts; the node pass needs the grid's own one
+    twin = example_structure(ModelSpec("sphere", 2, tau=1.0, m=2.0, chart_kind="polar"))
+    grid = quad.make_sphere_grid(twin.chart, (8, 16))
+    with pytest.raises(ValueError, match="grid and structure must share one chart"):
+        quad.run_integral_suite(grid, s2_structure, 1e-6)
+
+
 def test_n2_flux_drops_curvature_term(s2_structure, s2_grid):
     # with n = 2 the (n-2) coefficient vanishes; the traceless energy reduces
     # to the pure potential-flux term, which is then strictly positive
