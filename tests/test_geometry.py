@@ -458,7 +458,7 @@ def test_metric_spd_check(sphere_polar):
     assert smallest > 0.0
 
 
-def _constant_metric_chart(entries, label):
+def _constant_metric_chart(entries):
     """A 2-D chart whose metric is the constant matrix `entries` at every point."""
 
     def metric_fn(coords):
@@ -466,7 +466,7 @@ def _constant_metric_chart(entries, label):
         return np.array([[jets.Jet.constant(np.full(x.batch_shape, e), 2, x.order) for e in row]
                          for row in entries], dtype=object)
 
-    return geo.Chart(2, metric_fn, lambda p: np.full(p.shape[:-1], True), label)
+    return geo.Chart(2, metric_fn, lambda p: np.full(p.shape[:-1], True), "constant")
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -474,7 +474,7 @@ def _constant_metric_chart(entries, label):
     ([[1.0, 0.0], [0.0, -1.0]], "not positive definite"),
 ])
 def test_metric_spd_check_rejects_asymmetric_and_indefinite_metrics(entries, message):
-    chart = _constant_metric_chart(entries, "custom")
+    chart = _constant_metric_chart(entries)
     with pytest.raises(geo.DegenerateMetricError, match=message):
         geo.check_metric_spd(chart, np.zeros((4, 2)))
 
