@@ -14,8 +14,9 @@ Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
 usage error, 3 numerical failure: a non-finite residual (written as null, its
 row marked ``"status": "nan"``) or an arithmetic error, which writes no report.
 No partial reports are written on exit 2. A comma list (``n``, ``tau``, ``m``,
-``grid``, ``suite``) with an empty entry exits 2, as does a ``suite`` with a
-repeated id or of which no row applies to a structure. An output path
+``grid``, ``suite``) with an empty entry exits 2, as does a repeated entry in
+``n``, ``tau``, ``m`` or ``suite`` (equal after parsing, so ``tau = 1.5,1.50``
+repeats), and a ``suite`` of which no row applies to a structure. An output path
 that is empty, whose directory does not exist, or that is a directory exits 2
 before any structure is built; an ``OSError`` while writing the report exits 2
 and leaves no temporary file.
@@ -150,14 +151,23 @@ def parse_config_text(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"cannot parse number {token!r}") from exc
 
-    def parse_list(key: str, cast, entry: str = "value") -> list:
-        """The comma list under `key`, each entry cast; an empty entry is an error."""
+    def parse_list(key: str, cast, entry: str = "value", distinct: bool = True) -> list:
+        """The comma list under `key`, each entry cast.
+
+        An empty entry is an error, and so is, if `distinct`, one equal to an
+        earlier entry once cast.
+        """
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
         items = [t.strip() for t in raw[key].split(",")]
         if not all(items):
             raise ConfigError(f"empty {entry} in '{key}' = {raw[key]!r}")
-        return [cast(t) for t in items]
+        values = [cast(t) for t in items]
+        if distinct:
+            for k, value in enumerate(values):
+                if value in values[:k]:
+                    raise ConfigError(f"duplicate {entry} {value!r} in '{key}' = {raw[key]!r}")
+        return values
 
     def parse_int(token: str) -> int:
         try:
@@ -203,7 +213,7 @@ def parse_config_text(text: str) -> RunConfig:
     if "seed" in raw:
         cfg.seed = parse_int(raw["seed"])
     if "grid" in raw:
-        cfg.grid = parse_list("grid", parse_int)
+        cfg.grid = parse_list("grid", parse_int, distinct=False)
         if not all(2 <= k <= MAX_GRID_ENTRY for k in cfg.grid):
             raise ConfigError(
                 f"'grid' entries must be in 2..{MAX_GRID_ENTRY}, got {raw['grid']!r}")
@@ -212,9 +222,6 @@ def parse_config_text(text: str) -> RunConfig:
                 f"'grid' must have at most {MAX_GRID_NODES} nodes, got {raw['grid']!r}")
     if "suite" in raw and raw["suite"].strip() != "all":
         cfg.suite = parse_list("suite", parse_id, "identity id")
-        for k, ident in enumerate(cfg.suite):
-            if ident in cfg.suite[:k]:
-                raise ConfigError(f"duplicate identity id {ident!r} in 'suite'")
     for key, slot in (
         ("tol.order2", 2),
         ("tol.order3", 3),

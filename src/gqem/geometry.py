@@ -182,8 +182,10 @@ def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
     n = g.shape[0]
     a = [[g[i, j] for j in range(n)] for i in range(n)]
     proto = g[0, 0]
-    eye = [[Jet.constant(np.full(proto.batch_shape, 1.0 if i == j else 0.0),
-                         proto.dim, proto.order) for j in range(n)] for i in range(n)]
+    # one unit and one zero mark serve every entry: no jet is written once built
+    one = Jet.constant(np.ones(proto.batch_shape), proto.dim, proto.order)
+    zero = Jet.constant(np.zeros(proto.batch_shape), proto.dim, proto.order)
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
         try:
             inv_piv = jets.reciprocal(a[col][col])

@@ -12,6 +12,14 @@ is one contiguous row over the batch. A jet known to be zero at every
 coefficient and node, at any batch size, is a `_ZeroJet`: sums, differences
 and products with it return an operand or a mark instead of running over
 zeros (see `_ZeroJet`).
+
+Below `_BIG_BATCH` a product gathers every product-table term and sums each
+output with the bits of `np.add.reduceat`, in one of three forms
+(`_mul_gather`): direct at order 0 and 1, where an output has at most two
+terms; by whole layers of terms from `_LAYER_BATCH` nodes on, where no output
+has more than `_LAYER_TERMS` terms, because per-segment `reduceat` costs more
+there; and `reduceat` itself otherwise, which is cheaper in one call at small
+batches and sums longer segments pairwise.
 """
 
 from __future__ import annotations
@@ -31,6 +39,16 @@ MAX_ORDER = 4
 # `Jet.constant` and products store coefficients coefficient-major. Measured
 # crossover: 256..512 for every (dim, order) from (2, 2) to (5, 4).
 _BIG_BATCH = 512
+
+# Batch size (of the larger operand) from which `_mul_gather` sums by layers
+# instead of `np.add.reduceat`, where the table allows it. Measured crossover:
+# the first of the batches 1, 16, 32, 48, 64, 100 at which layers are not
+# slower, over two runs (best of 5, 2-vCPU Linux host, numpy 2.4):
+#   order 2: dim 1 64..100, dim 2 48..64, dim 3 32, dim 4 32, dim 5 16..32, dim 6 16
+#   order 3: dim 1 100, dim 2 48, dim 3 48, dim 4 32, dim 5 16, dim 6 16
+#   order 4: dim 1 100 (the only order-4 table with layers)
+# A batch-1 product takes 2.7..4.2 us with reduceat, 4.1..7.3 us with layers.
+_LAYER_BATCH = 64
 
 
 class JetDomainError(ArithmeticError):
@@ -86,6 +104,7 @@ def jet_table(dim: int, order: int) -> "_Table":
     mul_starts = np.searchsorted(out_idx, np.arange(size))
     # the same triples as Python tuples, still sorted by output index, for the coefficient-major product
     mul_triples = tuple(triples)
+    layers = _layer_plan(mul_ii, mul_jj, mul_ff, mul_starts)
 
     derive_src = None
     if order >= 1:
@@ -99,7 +118,7 @@ def jet_table(dim: int, order: int) -> "_Table":
             for ax in range(dim)
         )
     return _Table(dim, order, tuple(alphas), index, size, grade_sizes,
-                  mul_ii, mul_jj, mul_ff, mul_starts, mul_triples, derive_src)
+                  mul_ii, mul_jj, mul_ff, mul_starts, mul_triples, layers, derive_src)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -115,7 +134,53 @@ class _Table:
     mul_ff: np.ndarray
     mul_starts: np.ndarray
     mul_triples: tuple
+    layers: Optional["_Layers"]
     derive_src: Optional[tuple]
+
+
+# `np.add.reduceat` sums a segment of at most this many terms t0, t1, ... as
+# t0 + (((t1 + t2) + t3) + ...): the tail is summed in order from -0.0, which
+# leaves t1 as it is. A longer tail goes through numpy's pairwise summation
+# with 8 accumulators. Checked on numpy 2.4; the kernel tests compare bytes.
+_LAYER_TERMS = 8
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Layers:
+    """The product table laid out to sum every output with slice additions.
+
+    Outputs are sorted by descending term count (stable); layer p holds the
+    p-th term of every output that has more than p terms, so each layer is a
+    prefix of layer 0's columns. Column q of the gathered product is the
+    table's triple ``(ii[q], jj[q], ff[q])``; layer p spans ``widths[p]``
+    columns from ``sum(widths[:p])``. Each ``(dst, src)`` of `adds` is one
+    ``+=``: layers 2, 3, ... into layer 1, then layer 1 into layer 0, which
+    gives each output the reduceat sum. Output k is then column ``inv[k]``.
+    """
+
+    widths: tuple
+    ii: np.ndarray
+    jj: np.ndarray
+    ff: np.ndarray
+    adds: tuple
+    inv: np.ndarray
+
+
+def _layer_plan(ii, jj, ff, starts) -> Optional[_Layers]:
+    """`_Layers` of a product table; None where an output has more than `_LAYER_TERMS` terms."""
+    counts = np.diff(np.append(starts, len(ii)))
+    if counts.max() > _LAYER_TERMS:
+        return None
+    order = np.argsort(-counts, kind="stable")
+    widths = tuple(int(np.count_nonzero(counts > p)) for p in range(counts.max()))
+    take = np.concatenate([starts[order[:w]] + p for p, w in enumerate(widths)])
+    offsets = np.cumsum((0,) + widths).tolist()
+    one = offsets[1]
+    adds = tuple((slice(one, one + w), slice(lo, lo + w))
+                 for w, lo in zip(widths[2:], offsets[2:]))
+    if len(widths) > 1:
+        adds += ((slice(0, widths[1]), slice(one, one + widths[1])),)
+    return _Layers(widths, ii[take], jj[take], ff[take], adds, np.argsort(order))
 
 
 class Jet:
@@ -251,6 +316,18 @@ class Jet:
         if other.dim != self.dim or other.order != self.order:
             other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
+        if a.shape == b.shape and a.size < _BIG_BATCH * a.shape[-1]:
+            # the zero checks below, in their order, before any broadcast: a
+            # mark times a finite operand is the mark, or the other operand
+            # where that is found zero
+            if self.__class__ is _ZeroJet:
+                if other._is_finite():
+                    return self
+            elif other.__class__ is _ZeroJet:
+                if self._is_zero():
+                    return self
+                if self._is_finite():
+                    return other
         shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
         if math.prod(shape[:-1]) < _BIG_BATCH:
             # a term is left unless one operand is all zero and the other finite
@@ -405,12 +482,22 @@ def _jet(dim: int, order: int, coeffs: np.ndarray) -> Jet:
 
 
 def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
-    """Leibniz product of coefficient arrays: gather every triple, then reduce per output.
+    """Leibniz product of coefficient arrays: gather every triple, then sum per output.
 
-    At order 0 and 1 every factor is 1 and an output has at most two terms,
-    ``a0*bk`` then ``ak*b0`` in table order, so the direct forms below give
-    the gather + `np.add.reduceat` sum bit for bit. The one exception is the
-    sign of a NaN, which numpy's loops, `reduceat` included, pick by code path.
+    Every form gives the gather + `np.add.reduceat` sum bit for bit. The one
+    exception is the sign of a NaN, which numpy's loops, `reduceat` included,
+    pick by code path.
+
+    - Order 0 and 1: every factor is 1 and an output has at most two terms,
+      ``a0*bk`` then ``ak*b0`` in table order, so the direct forms below need
+      no gather.
+    - Layered: from `_LAYER_BATCH` nodes in the larger operand on, where no
+      output has more than `_LAYER_TERMS` terms (every table up to order 3),
+      the terms are summed in reduceat's order by slice additions of whole
+      layers (`_Layers`), which beat reduceat's per-segment loop there.
+    - `np.add.reduceat` otherwise: below `_LAYER_BATCH` its single call costs
+      less than the layers' several, and longer segments (order 4 from dim 2
+      on) are summed pairwise, which slice additions would not reproduce.
     """
     if t.order == 0:
         return a * b
@@ -418,6 +505,13 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
         out = a[..., :1] * b
         out[..., 1:] += a[..., 1:] * b[..., :1]
         return out
+    lay = t.layers
+    if lay is not None and max(a.size, b.size) >= _LAYER_BATCH * t.size:
+        prod = a[..., lay.ii] * b[..., lay.jj]
+        prod *= lay.ff
+        for dst, src in lay.adds:
+            prod[..., dst] += prod[..., src]
+        return prod[..., lay.inv]
     prod = a[..., t.mul_ii] * b[..., t.mul_jj]
     prod *= t.mul_ff
     return np.add.reduceat(prod, t.mul_starts, axis=-1)

@@ -88,6 +88,27 @@ def test_empty_or_repeated_suite_id_exits_two_without_a_report(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "2,2", "duplicate value 2 in 'n' = '2,2'"),
+    ("tau", "1.5,3,1.50", "duplicate value 1.5 in 'tau'"),
+    ("m", "inf,2,infinity", "duplicate value inf in 'm'"),
+])
+def test_scan_with_a_repeated_n_tau_or_m_exits_two_before_any_structure(
+        tmp_path, capsys, monkeypatch, key, value, message):
+    keys = {"family": "sphere", "n": "2", "tau": "1.5", "m": "2", "points": "4",
+            "suite": "bochner", key: value}
+    cfg = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+
+    def refuse(*args):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(cli, "_build_structure", refuse)
+    out = tmp_path / "never.csv"
+    assert main(["scan", "--config", cfg, "--csv", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_verify_with_no_applicable_row_exits_two_naming_the_skipped_ids(tmp_path, capsys):
     # einstein_hessian needs n >= 3, so on n = 2 nothing selected would run,
     # which must not read as a pass

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gqem import jets
+from gqem import jets, qem
 from gqem import quadrature as quad
 from gqem.jets import Jet, JetDomainError, jet_table, seed_point, seed_variable
 from gqem.models import ModelSpec, example_structure, height_field, make_chart
@@ -938,17 +938,47 @@ def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
     rng = np.random.default_rng(200 * dim + order)
     t = jet_table(dim, order)
     pairs = []
-    for batch in ((), (1,), (100,), (jets._BIG_BATCH - 1,)):
+    # each side of the layered sum's crossover, the pointwise chunk and the largest gather batch
+    for batch in ((), (1,), (100,), (jets._LAYER_BATCH - 1,), (jets._LAYER_BATCH,),
+                  (qem._CHUNK,), (jets._BIG_BATCH - 1,)):
         a, b = (with_special_values(rng.normal(size=batch + (t.size,)), rng) for _ in range(2))
         const = Jet.constant(rng.normal(), dim, order).coeffs
         pairs += [(a, b), (const, b), (a, const)]
-    pairs.append((rng.normal(size=t.size), with_special_values(rng.normal(size=(100, t.size)), rng)))
+    for n in (100, jets._LAYER_BATCH):
+        pairs.append((rng.normal(size=t.size), with_special_values(rng.normal(size=(n, t.size)), rng)))
     with np.errstate(invalid="ignore", over="ignore"):
         for a, b in pairs:
             want = canonical_nan(reference_gather(a, b, t))
             for got in (jets._mul_gather(a, b, t), (Jet(dim, order, a) * Jet(dim, order, b)).coeffs):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert canonical_nan(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_layer_plan_sums_every_triple_once_in_table_order(dim, order):
+    t = jet_table(dim, order)
+    counts = np.diff(np.append(t.mul_starts, len(t.mul_ii)))
+    lay = t.layers
+    assert (lay is None) == (counts.max() > jets._LAYER_TERMS)
+    if lay is None:
+        return
+    # every triple exactly once, with its factor; (ii, jj) names a triple
+    position = {(i, j): q for q, (i, j) in enumerate(zip(t.mul_ii.tolist(), t.mul_jj.tolist()))}
+    take = np.array([position[i, j] for i, j in zip(lay.ii.tolist(), lay.jj.tolist())])
+    assert sorted(take.tolist()) == list(range(len(t.mul_ii)))
+    assert np.array_equal(lay.ff, t.mul_ff[take])
+    # layer p holds the p-th term, in table order, of every output with more than p terms
+    outputs = np.argsort(lay.inv)  # by descending term count
+    assert sorted(lay.inv.tolist()) == list(range(t.size))
+    assert lay.widths == tuple(int(np.count_nonzero(counts > p)) for p in range(counts.max()))
+    lo = 0
+    for p, width in enumerate(lay.widths):
+        outs = outputs[:width]
+        assert (counts[outs] > p).all()
+        assert np.array_equal(take[lo:lo + width], t.mul_starts[outs] + p)
+        lo += width
+    assert lo == len(t.mul_ii)
 
 
 def canonical_nan(c: np.ndarray) -> np.ndarray:
