@@ -1,17 +1,24 @@
 """Truncated multivariate Taylor arithmetic (forward-mode jets up to order 4).
 
 A `Jet` carries the exact partial derivatives of a smooth scalar at a point:
-``coeffs[k]`` is the value of the mixed partial with multi-index
+coefficient ``k`` is the value of the mixed partial with multi-index
 ``alphas[k]`` (the derivative itself, not divided by the factorial).
 Coefficients may carry leading batch axes, so one jet can represent the
 derivatives of a field at many points at once; every operation is
-elementwise over the batch. From `_BIG_BATCH` nodes on, coefficients are
-stored coefficient-major: ``coeffs`` keeps its ``(..., size)`` shape but is a
-transposed view of a C-contiguous ``(size, ...)`` array, so each coefficient
-is one contiguous row over the batch. A jet known to be zero at every
-coefficient and node, at any batch size, is a `_ZeroJet`: sums, differences
-and products with it return an operand or a mark instead of running over
-zeros (see `_ZeroJet`).
+elementwise over the batch.
+
+Below `_BIG_BATCH` nodes a jet stores its coefficients as one ``(..., size)``
+array. From `_BIG_BATCH` nodes on it stores a tuple of coefficient rows, one
+per coefficient, each the coefficient at every node: ``None`` for a row known
+to be zero at every node (read as +0), otherwise an array whose shape
+broadcasts to the batch. Rows are never written once stored, so `derive`,
+`truncated` and the Taylor compositions' remainder share them with their
+operand, and sums, differences, negation and products touch only the rows an
+operand stores (see `_row_mul`). `Jet.coeffs` builds the dense array for
+callers outside the engine. A jet known to be zero at every coefficient and
+node, at any batch size, is a `_ZeroJet`: sums, differences and products with
+it return an operand or a mark instead of running over zeros (see
+`_ZeroJet`).
 
 Below `_BIG_BATCH` a product gathers every product-table term and sums each
 output with the bits of `np.add.reduceat`, in one of three forms
@@ -24,7 +31,6 @@ batches and sums longer segments pairwise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,10 +40,9 @@ import numpy as np
 
 MAX_ORDER = 4
 
-# Broadcast batch size from which `Jet.__mul__` switches from the gather /
-# `np.add.reduceat` product to the coefficient-major one, and from which
-# `Jet.constant` and products store coefficients coefficient-major. Measured
-# crossover: 256..512 for every (dim, order) from (2, 2) to (5, 4).
+# Broadcast batch size from which jets store coefficient rows and `Jet.__mul__`
+# switches from the gather / `np.add.reduceat` product to the row product.
+# Measured crossover: 256..512 for every (dim, order) from (2, 2) to (5, 4).
 _BIG_BATCH = 512
 
 # Batch size (of the larger operand) from which `_mul_gather` sums by layers
@@ -102,7 +107,7 @@ def jet_table(dim: int, order: int) -> "_Table":
     mul_ff = np.array([t[3] for t in triples], dtype=np.float64)
     # every output index occurs (alpha = gamma, beta = 0), so reduceat segments cover 0..size-1
     mul_starts = np.searchsorted(out_idx, np.arange(size))
-    # the same triples as Python tuples, still sorted by output index, for the coefficient-major product
+    # the same triples as Python tuples, still sorted by output index, for the row product
     mul_triples = tuple(triples)
     layers = _layer_plan(mul_ii, mul_jj, mul_ff, mul_starts)
 
@@ -186,17 +191,24 @@ def _layer_plan(ii, jj, ff, starts) -> Optional[_Layers]:
 class Jet:
     """Truncated Taylor expansion of a scalar in `dim` variables.
 
-    coeffs has shape ``(..., table_size)``; leading axes are batch axes.
-    The coefficients must not be written once the jet has taken part in a
-    product, which caches three flags of them on first use: all zero
-    (`_is_zero`), all finite (`_is_finite`) and the per-row pair
-    (`_row_flags`), and may mark it a `_ZeroJet`. Nor may a jet that an
-    operation returned be written: `truncated`, and `derive` of a mark,
-    return views, sums and products with a mark can return an operand
-    itself, and a large-batch `Jet.constant` is built with its row flags.
+    Below `_BIG_BATCH` nodes the coefficients are one array `_c` of shape
+    ``(..., table_size)``, whose leading axes are batch axes. From
+    `_BIG_BATCH` nodes on `_c` is unset and the jet holds `_rows`, one entry
+    per coefficient (``None`` for +0 at every node, else an array that
+    broadcasts to the batch), and `_batch`, the batch shape; `coeffs` builds
+    the dense array from them. The public constructor picks the form by the
+    batch, copies each row and stores an all-zero one as ``None``.
+
+    Neither form may be written once the jet has taken part in an operation.
+    A jet caches flags of its coefficients on first use: all zero
+    (`_is_zero`), all finite (`_is_finite`) and each row's finiteness
+    (`_flags`, for the row product), and may become a `_ZeroJet`. Results
+    share what they can: `truncated` of a dense jet and `derive` of a dense
+    mark return views, `derive` and `truncated` of a row-form jet share its
+    rows, and sums and products with a mark can return an operand itself.
     """
 
-    __slots__ = ("dim", "order", "coeffs", "_flags", "_zero", "_finite")
+    __slots__ = ("dim", "order", "_c", "_rows", "_batch", "_flags", "_zero", "_finite")
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         table = jet_table(dim, order)
@@ -208,7 +220,13 @@ class Jet:
             )
         self.dim = dim
         self.order = order
-        self.coeffs = coeffs
+        if coeffs.size < _BIG_BATCH * table.size:
+            self._c = coeffs
+            return
+        self._rows = tuple(np.array(r) if r.any() else None for r in np.moveaxis(coeffs, -1, 0))
+        self._batch = coeffs.shape[:-1]
+        if not any(r is not None for r in self._rows):
+            _mark_zero(self)
 
     # -- construction -------------------------------------------------
 
@@ -216,29 +234,53 @@ class Jet:
     def constant(value, dim: int, order: int) -> "Jet":
         """Jet of `value` with every derivative zero; an all-zero one is a mark.
 
-        From `_BIG_BATCH` nodes on it is built with its `_row_flags` set: the
-        value row is not all zero (that would be a mark) and is finite as
-        `value` is, and every other row is zero and finite, so no product
-        scans its zero rows.
+        From `_BIG_BATCH` nodes on it stores one row, a copy of `value`.
         """
         value = np.asarray(value, dtype=np.float64)
         size = jet_table(dim, order).size
-        coeffs = _zero_coeffs(value.shape + (size,))
+        if value.size >= _BIG_BATCH:
+            rows = (np.array(value) if np.count_nonzero(value) else None,) + (None,) * (size - 1)
+            return _from_rows(dim, order, rows, value.shape)
+        coeffs = np.zeros(value.shape + (size,))
         coeffs[..., 0] = value
         out = _jet(dim, order, coeffs)
         if not np.count_nonzero(value):
             return _mark_zero(out)
-        if value.size >= _BIG_BATCH:
-            out._flags = _constant_row_flags(size, False, bool(np.isfinite(value).all()))
         return out
 
     @property
+    def coeffs(self) -> np.ndarray:
+        """The coefficients as one ``(..., size)`` array; for a row-form jet a fresh one."""
+        try:
+            return self._c
+        except AttributeError:
+            pass
+        dense = np.zeros((len(self._rows),) + self._batch)
+        for dst, row in zip(dense, self._rows):
+            if row is not None:
+                dst[...] = row
+        return np.moveaxis(dense, 0, -1)
+
+    @property
     def value(self):
-        return self.coeffs[..., 0]
+        try:
+            return self._c[..., 0]
+        except AttributeError:
+            return self._row_values(0)
 
     @property
     def batch_shape(self):
-        return self.coeffs.shape[:-1]
+        try:
+            return self._c.shape[:-1]
+        except AttributeError:
+            return self._batch
+
+    def _row_values(self, k: int) -> np.ndarray:
+        """Coefficient `k` of a row-form jet at every node, as a read-only batch-shaped array."""
+        row = self._rows[k]
+        if row is None:
+            row = np.zeros(())
+        return np.broadcast_to(row, self._batch)
 
     def partial(self, alpha: Sequence[int]):
         """Mixed partial derivative for multi-index `alpha` (exact, not /alpha!)."""
@@ -249,7 +291,11 @@ class Jet:
             raise ValueError(
                 f"multi-index {alpha} has degree {sum(alpha)} > jet order {self.order}"
             )
-        return self.coeffs[..., jet_table(self.dim, self.order).index[alpha]]
+        k = jet_table(self.dim, self.order).index[alpha]
+        try:
+            return self._c[..., k]
+        except AttributeError:
+            return self._row_values(k)
 
     def truncated(self, order: int) -> "Jet":
         """Drop all coefficients of total degree > `order` (exact operation)."""
@@ -258,11 +304,20 @@ class Jet:
         if not 0 <= order < self.order:
             raise ValueError(f"cannot truncate order-{self.order} jet to order {order}")
         size = jet_table(self.dim, self.order).grade_sizes[order]
-        return _jet(self.dim, order, self.coeffs[..., :size])
+        try:
+            return _jet(self.dim, order, self._c[..., :size])
+        except AttributeError:
+            return _from_rows(self.dim, order, self._rows[:size], self._batch)
 
     def derive(self, axis: int) -> "Jet":
         """Jet of the partial derivative along `axis`, one order lower."""
-        return _jet(self.dim, self.order - 1, self.coeffs[..., self._derive_src(axis)])
+        src = self._derive_src(axis)
+        try:
+            return _jet(self.dim, self.order - 1, self._c[..., src])
+        except AttributeError:
+            rows = self._rows
+            return _from_rows(self.dim, self.order - 1, tuple(rows[k] for k in src.tolist()),
+                              self._batch)
 
     def _derive_src(self, axis: int) -> np.ndarray:
         """The coefficients `derive(axis)` reads, after checking its arguments."""
@@ -285,26 +340,40 @@ class Jet:
         return Jet.constant(other, self.dim, self.order)
 
     # `_coerce` only when `other` is not a Jet of the same (dim, order): it
-    # converts a constant or raises on a mismatch.
+    # converts a constant or raises on a mismatch. An operand without `_c`
+    # is in row form, and the operation goes row by row.
 
     def __add__(self, other):
         if other.__class__ is not Jet or other.dim != self.dim or other.order != self.order:
             other = self._coerce(other)
-        return _jet(self.dim, self.order, self.coeffs + other.coeffs)
+        try:
+            return _jet(self.dim, self.order, self._c + other._c)
+        except AttributeError:
+            return _row_sum(self, other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not Jet or other.dim != self.dim or other.order != self.order:
             other = self._coerce(other)
-        return _jet(self.dim, self.order, self.coeffs - other.coeffs)
+        try:
+            return _jet(self.dim, self.order, self._c - other._c)
+        except AttributeError:
+            return _row_sum(self, other, True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        return _jet(self.dim, self.order, other.coeffs - self.coeffs)
+        try:
+            return _jet(self.dim, self.order, other._c - self._c)
+        except AttributeError:
+            return _row_sum(other, self, True)
 
     def __neg__(self):
-        return _jet(self.dim, self.order, -self.coeffs)
+        try:
+            return _jet(self.dim, self.order, -self._c)
+        except AttributeError:
+            return _from_rows(self.dim, self.order,
+                              tuple(None if r is None else -r for r in self._rows), self._batch)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -312,10 +381,16 @@ class Jet:
             # a mark times a finite number is ±0 at every coefficient
             if self.__class__ is _ZeroJet and scalar.ndim == 0 and math.isfinite(scalar):
                 return self
-            return _jet(self.dim, self.order, self.coeffs * scalar[..., None])
+            try:
+                return _jet(self.dim, self.order, self._c * scalar[..., None])
+            except AttributeError:
+                return _row_scale(self, scalar)
         if other.dim != self.dim or other.order != self.order:
             other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
+        try:
+            a, b = self._c, other._c
+        except AttributeError:
+            return _row_mul(self, other)
         if a.shape == b.shape and a.size < _BIG_BATCH * a.shape[-1]:
             # the zero checks below, in their order, before any broadcast: a
             # mark times a finite operand is the mark, or the other operand
@@ -329,23 +404,18 @@ class Jet:
                 if self._is_finite():
                     return other
         shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
-        if math.prod(shape[:-1]) < _BIG_BATCH:
-            # a term is left unless one operand is all zero and the other finite
-            if not ((self._is_zero() and other._is_finite())
-                    or (other._is_zero() and self._is_finite())):
-                return _jet(self.dim, self.order,
-                            _mul_gather(a, b, jet_table(self.dim, self.order)))
-        else:
-            t = jet_table(self.dim, self.order)
-            kept = _kept_terms(t, self._row_flags(), other._row_flags())
-            if kept.any():
-                return _jet(self.dim, self.order, _mul_coeff_major(a, b, t, kept))
+        if math.prod(shape[:-1]) >= _BIG_BATCH:
+            return _row_mul(self, other)
+        # a term is left unless one operand is all zero and the other finite
+        if not ((self._is_zero() and other._is_finite())
+                or (other._is_zero() and self._is_finite())):
+            return _jet(self.dim, self.order, _mul_gather(a, b, jet_table(self.dim, self.order)))
         # no term left, every one is ±0 at every node: skip the kernel
         if self.__class__ is _ZeroJet and a.shape == shape:
             return self
         if other.__class__ is _ZeroJet and b.shape == shape:
             return other
-        return _mark_zero(_jet(self.dim, self.order, _zero_coeffs(shape)))
+        return _mark_zero(_jet(self.dim, self.order, np.zeros(shape)))
 
     __rmul__ = __mul__
 
@@ -363,6 +433,9 @@ class Jet:
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 
+    # The two flags below serve the dense product; a row-form jet has them
+    # only as a mark.
+
     def _is_zero(self) -> bool:
         """Whether every coefficient is ±0, computed on first use and cached.
 
@@ -371,7 +444,7 @@ class Jet:
         try:
             return self._zero
         except AttributeError:
-            if np.count_nonzero(self.coeffs):
+            if np.count_nonzero(self._c):
                 self._zero = False
             else:
                 _mark_zero(self)
@@ -382,46 +455,36 @@ class Jet:
         try:
             return self._finite
         except AttributeError:
-            self._finite = bool(np.isfinite(self.coeffs).all())
+            self._finite = bool(np.isfinite(self._c).all())
             return self._finite
-
-    def _row_flags(self):
-        """`_row_flags` of the coefficients, computed on first use and cached.
-
-        The slot stays unset until then, so small-batch jets never pay for it.
-        A jet whose every row is zero is marked (`_mark_zero`).
-        """
-        try:
-            return self._flags
-        except AttributeError:
-            self._flags = _row_flags(self.coeffs)
-            if self._flags[0].all():
-                _mark_zero(self)
-            return self._flags
 
 
 class _ZeroJet(Jet):
     """A jet, of any batch size, that is ±0 at every coefficient and node.
 
-    All-zero constants, products with no term left, jets that `_is_zero` or
-    `_row_flags` find all zero, and `derive`, `truncated`, negation and
-    finite scalar multiples of a mark carry it, with `_zero`, `_finite` and
-    `_row_flags` set. A product with no term left (below `_BIG_BATCH` a zero
-    times a finite operand, from `_BIG_BATCH` on one whose row flags leave
-    no term) returns a marked operand of the product's shape, at any batch
-    size, and fresh marked zeros otherwise, such as for a broadcast one. A sum or
-    difference with an operand of the same shape returns that operand (or
-    its negation) instead of adding zeros. Each value equals the full
-    operation's (`==`); only the sign of a zero can differ (x + (+0) is +0
-    where x is -0). Zero times NaN or ±inf runs the full product, and
-    products go through `Jet.__mul__`.
+    All-zero constants, products with no term left, jets that `_is_zero`
+    finds all zero, row-form jets whose every row is ``None``, and `derive`,
+    `truncated`, negation and finite scalar multiples of a mark carry it, with
+    `_zero` and `_finite` set. A product with no term left (below
+    `_BIG_BATCH` a zero times a finite operand, from `_BIG_BATCH` on one
+    whose stored rows leave no term) returns a marked operand of the
+    product's shape, at any batch size, and a fresh mark otherwise, such as
+    for a broadcast one. A sum or difference with an operand of the same
+    shape returns that operand (or its negation) instead of adding zeros.
+    Each value equals the full operation's (`==`); only the sign of a zero
+    can differ (x + (+0) is +0 where x is -0). Zero times NaN or ±inf runs
+    the full product, and products go through `Jet.__mul__`.
     """
 
     __slots__ = ()
 
     def _same_shape(self, other) -> bool:
-        return (isinstance(other, Jet) and other.dim == self.dim and other.order == self.order
-                and other.coeffs.shape == self.coeffs.shape)
+        if not (isinstance(other, Jet) and other.dim == self.dim and other.order == self.order):
+            return False
+        try:
+            return other._c.shape == self._c.shape
+        except AttributeError:
+            return other.batch_shape == self.batch_shape
 
     # A subclass's reflected methods run before the left operand's own, so
     # `x + zero` and `x - zero` land here without a check in `Jet.__add__`.
@@ -453,32 +516,140 @@ def _mark_zero(j: Jet) -> _ZeroJet:
     """Mark a jet whose coefficients are all ±0 (the caller knows they are)."""
     j.__class__ = _ZeroJet
     j._zero = j._finite = True
-    j._flags = _constant_row_flags(j.coeffs.shape[-1], True, True)
     return j
-
-
-@lru_cache(maxsize=None)
-def _constant_row_flags(size: int, zero: bool, finite: bool):
-    """`_row_flags` of a constant jet of `size` coefficients, shared read-only.
-
-    The value row is all zero and all finite as given; every other row is both.
-    """
-    zeros, finites = np.ones(size, dtype=bool), np.ones(size, dtype=bool)
-    zeros[0], finites[0] = zero, finite
-    zeros.flags.writeable = finites.flags.writeable = False
-    return zeros, finites
 
 
 _new = object.__new__
 
 
 def _jet(dim: int, order: int, coeffs: np.ndarray) -> Jet:
-    """A `Jet` without the constructor's checks, for float64 arrays of table size built here."""
+    """A dense `Jet` without the constructor's checks, for float64 arrays of table size built here."""
     j = _new(Jet)
     j.dim = dim
     j.order = order
-    j.coeffs = coeffs
+    j._c = coeffs
     return j
+
+
+def _from_rows(dim: int, order: int, rows: tuple, batch: tuple) -> Jet:
+    """A row-form `Jet` of `rows` (table size, each None or broadcasting to `batch`); a mark if none is stored."""
+    j = _new(Jet)
+    j.dim = dim
+    j.order = order
+    j._rows = rows
+    j._batch = batch
+    for row in rows:
+        if row is not None:
+            return j
+    return _mark_zero(j)
+
+
+def _rows_of(j: Jet) -> tuple:
+    """(rows, batch shape) of either form; a dense jet's all-zero rows read as None."""
+    try:
+        c = j._c
+    except AttributeError:
+        return j._rows, j._batch
+    return tuple(r if r.any() else None for r in np.moveaxis(c, -1, 0)), c.shape[:-1]
+
+
+def _finite_rows(j: Jet, rows: tuple) -> tuple:
+    """Per row of `j` (as `_rows_of` gives them): finite at every node; cached in `_flags`.
+
+    A ``None`` row is finite; each stored row is scanned once per jet.
+    """
+    try:
+        return j._flags
+    except AttributeError:
+        j._flags = tuple(r is None or bool(np.isfinite(r).all()) for r in rows)
+        return j._flags
+
+
+def _row_sum(a: Jet, b: Jet, subtract: bool) -> Jet:
+    """``a + b``, or ``a - b``, row by row: a row that one operand does not store is the other's.
+
+    Where both store a row the result is numpy's; elsewhere it is the stored
+    row (negated for ``None - y``), which equals the dense result (`==`) with
+    only the sign of a zero free to differ.
+    """
+    ra, batch_a = _rows_of(a)
+    rb, batch_b = _rows_of(b)
+    if subtract:
+        rows = tuple((None if y is None else -y) if x is None else x if y is None else x - y
+                     for x, y in zip(ra, rb))
+    else:
+        rows = tuple(y if x is None else x if y is None else x + y for x, y in zip(ra, rb))
+    batch = batch_a if batch_a == batch_b else np.broadcast_shapes(batch_a, batch_b)
+    return _from_rows(a.dim, a.order, rows, batch)
+
+
+def _row_scale(j: Jet, scalar: np.ndarray) -> Jet:
+    """A row-form jet times a number or an array over its batch.
+
+    A ``None`` row stays ``None`` where `scalar` is finite everywhere and is
+    0 × `scalar` otherwise, so NaN and ±inf reach the rows they would.
+    """
+    if np.isfinite(scalar).all():
+        zero = None
+    else:
+        zero = np.multiply(np.zeros(()), scalar)
+    rows = tuple(zero if r is None else r * scalar for r in j._rows)
+    return _from_rows(j.dim, j.order, rows, np.broadcast_shapes(j._batch, scalar.shape))
+
+
+def _row_mul(a: Jet, b: Jet) -> Jet:
+    """Leibniz product from `_BIG_BATCH` nodes on, each output summed term by term in table order.
+
+    A dense operand is read row by row (`_rows_of`). A term is skipped where
+    one row is ``None`` and the other is ``None`` or finite at every node
+    (`_finite_rows`, scanned only for such pairs): it is ±0 at every node. A
+    ``None`` row against a non-finite one is read as zeros, so NaN and ±inf
+    land where they would. Every output equals the full sum up to the sign of
+    a zero; one with no term left is ``None``. Each node's coefficients are
+    summed in table order, so a node's result does not depend on the batch it
+    is computed in. With no term left at all the product returns a marked
+    operand of its shape, as below `_BIG_BATCH`, or a fresh mark.
+    """
+    ra, batch_a = _rows_of(a)
+    rb, batch_b = _rows_of(b)
+    batch = batch_a if batch_a == batch_b else np.broadcast_shapes(batch_a, batch_b)
+    out = [None] * len(ra)
+    fa = fb = tmp = None
+    last = -1
+    for k, i, j, factor in jet_table(a.dim, a.order).mul_triples:
+        x, y = ra[i], rb[j]
+        if x is None:
+            if y is None:
+                continue
+            if fb is None:
+                fb = _finite_rows(b, rb)
+            if fb[j]:
+                continue
+            x = 0.0
+        elif y is None:
+            if fa is None:
+                fa = _finite_rows(a, ra)
+            if fa[i]:
+                continue
+            y = 0.0
+        if k == last:
+            if tmp is None:
+                tmp = np.empty(batch)
+            np.multiply(x, y, out=tmp)
+            if factor != 1.0:
+                tmp *= factor
+            out[k] += tmp
+        else:
+            dst = out[k] = np.multiply(x, y, out=np.empty(batch))
+            if factor != 1.0:
+                dst *= factor
+            last = k
+    if last < 0:
+        if a.__class__ is _ZeroJet and batch_a == batch:
+            return a
+        if b.__class__ is _ZeroJet and batch_b == batch:
+            return b
+    return _from_rows(a.dim, a.order, tuple(out), batch)
 
 
 def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
@@ -517,75 +688,30 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     return np.add.reduceat(prod, t.mul_starts, axis=-1)
 
 
-def _zero_coeffs(shape: tuple) -> np.ndarray:
-    """Fresh zero coefficients of `shape`, stored coefficient-major from `_BIG_BATCH` nodes on."""
-    if math.prod(shape[:-1]) >= _BIG_BATCH:
-        return _coeff_major(np.zeros(shape[-1:] + shape[:-1]))
-    return np.zeros(shape)
-
-
-def _coeff_major(rows: np.ndarray) -> np.ndarray:
-    """The ``(..., size)`` view of coefficient rows stored as ``(size, ...)``."""
-    return rows.transpose(*range(1, rows.ndim), 0)
-
-
-def _row_flags(c: np.ndarray):
-    """Per coefficient: (all zero over the batch, all finite over the batch).
-
-    min and max propagate NaN, so a NaN makes a row neither zero nor finite.
-    """
-    batch_axes = tuple(range(c.ndim - 1))
-    lo, hi = c.min(axis=batch_axes), c.max(axis=batch_axes)
-    return (lo == 0.0) & (hi == 0.0), np.isfinite(lo) & np.isfinite(hi)
-
-
-def _kept_terms(t: _Table, flags_a, flags_b) -> np.ndarray:
-    """Per product-table triple: False where its term is ±0 at every node.
-
-    That is where one operand's row is all zero and the other's all finite
-    (`_row_flags`), so zero times NaN or ±inf is kept.
-    """
-    (zero_a, finite_a), (zero_b, finite_b) = flags_a, flags_b
-    za, fa, zb, fb = zero_a[t.mul_ii], finite_a[t.mul_ii], zero_b[t.mul_jj], finite_b[t.mul_jj]
-    return ~((za & fb) | (zb & fa))
-
-
-def _mul_coeff_major(a: np.ndarray, b: np.ndarray, t: _Table, kept: np.ndarray) -> np.ndarray:
-    """Leibniz product for large batches: one row per coefficient, summed triple by triple.
-
-    Each node's coefficients are summed in table order, so a node's result does
-    not depend on the batch it is computed in. Only the triples in `kept`
-    (`_kept_terms`) are summed: a skipped term is ±0 at every node, so every
-    output equals the full sum up to the sign of a zero, and NaN and ±inf land
-    where they would. The result is coefficient-major.
-    """
-    rows_a, rows_b = a.transpose(-1, *range(a.ndim - 1)), b.transpose(-1, *range(b.ndim - 1))
-    out = np.empty((t.size,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    tmp = np.empty(out.shape[1:])
-    last = -1
-    for k, i, j, factor in itertools.compress(t.mul_triples, kept.tolist()):
-        dst = tmp if k == last else out[k]
-        np.multiply(rows_a[i], rows_b[j], out=dst)
-        if factor != 1.0:
-            dst *= factor
-        if k == last:
-            out[k] += tmp
-        last = k
-    out[~np.logical_or.reduceat(kept, t.mul_starts)] = 0.0
-    return _coeff_major(out)
+# the unit row of every large-batch seed: one shared read-only 1.0 that broadcasts to any batch
+_ONE = np.ones(())
+_ONE.flags.writeable = False
 
 
 def seed_variable(i: int, x0, dim: int, order: int) -> Jet:
-    """Jet of the i-th coordinate function at x0 (value x0, unit first derivative)."""
+    """Jet of the i-th coordinate function at x0 (value x0, unit first derivative).
+
+    From `_BIG_BATCH` nodes on it stores two rows: a copy of x0 and `_ONE`.
+    """
     if not 0 <= i < dim:
         raise ValueError(f"axis {i} out of range for dim {dim}")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     t = jet_table(dim, order)
+    unit = t.index[tuple(1 if k == i else 0 for k in range(dim))]
+    if np.size(x0) >= _BIG_BATCH:
+        rows = [None] * t.size
+        rows[0], rows[unit] = np.array(x0, dtype=np.float64), _ONE
+        return _from_rows(dim, order, tuple(rows), np.shape(x0))
     # fresh coefficients, never a zero constant's: those belong to a mark
-    coeffs = _zero_coeffs(np.shape(x0) + (t.size,))
+    coeffs = np.zeros(np.shape(x0) + (t.size,))
     coeffs[..., 0] = x0
-    coeffs[..., t.index[tuple(1 if k == i else 0 for k in range(dim))]] = 1.0
+    coeffs[..., unit] = 1.0
     return _jet(dim, order, coeffs)
 
 
@@ -608,24 +734,36 @@ def seed_point(p, order: int) -> tuple[Jet, ...]:
 def _compose(a: Jet, taylor):
     """Evaluate sum_k taylor[k] * (a - a0)^k by Horner; taylor[k] ~ f^(k)(a0)/k!.
 
-    Each step is one jet product, acc * rem, into whose value row taylor[k]
-    is then added in place: the constant taylor[k] is zero in every other
-    row, so a full constant and sum would only add zeros there. Values equal
-    the constant + sum's (`==`); only the sign of a zero can differ. A
-    product returns an operand only when that is a mark, so a plain `Jet`
-    product is fresh; a mark is never written and takes the constant + sum.
+    Each step is one jet product, acc * rem, whose value row then takes
+    taylor[k]: the constant taylor[k] is zero in every other row, so a full
+    constant and sum would only add zeros there. A dense product has it added
+    in place. A row-form product stores no value row unless acc's is not
+    finite (rem's is ``None``), and takes taylor[k], a fresh array, as that
+    row. Values equal the constant + sum's (`==`); only the sign of a zero can
+    differ. A product returns an operand only when that is a mark, so a
+    plain `Jet` product is fresh; a mark is never written and takes the
+    constant + sum.
     """
-    rem_coeffs = a.coeffs.copy(order="K")
-    rem_coeffs[..., 0] = 0.0
-    rem = _jet(a.dim, a.order, rem_coeffs)
+    try:
+        rem_coeffs = a._c.copy(order="K")
+    except AttributeError:
+        rem = _from_rows(a.dim, a.order, (None,) + a._rows[1:], a._batch)
+    else:
+        rem_coeffs[..., 0] = 0.0
+        rem = _jet(a.dim, a.order, rem_coeffs)
     acc = Jet.constant(taylor[a.order], a.dim, a.order)
     for k in range(a.order - 1, -1, -1):
         product = acc * rem
-        if product.__class__ is Jet:
-            product.coeffs[..., 0] += taylor[k]
-            acc = product
-        else:
+        if product.__class__ is not Jet:
             acc = product + Jet.constant(taylor[k], a.dim, a.order)
+            continue
+        try:
+            product._c[..., 0] += taylor[k]
+            acc = product
+        except AttributeError:
+            rows = product._rows
+            value = taylor[k] if rows[0] is None else rows[0] + taylor[k]
+            acc = _from_rows(a.dim, a.order, (value,) + rows[1:], product._batch)
     return acc
 
 
@@ -669,36 +807,44 @@ def reciprocal(a: Jet) -> Jet:
     return _compose(a, [(-1.0) ** k * v ** (-(k + 1)) for k in range(a.order + 1)])
 
 
-def _cyclic(a: Jet, f, df, sign: float) -> Jet:
-    """Compose with f where f'' = sign * f, evaluating f and f' once each.
+def _cyclic(a: Jet, f: np.ndarray, df: np.ndarray, sign: float) -> Jet:
+    """Compose with a function whose second derivative is `sign` times itself.
 
-    The derivatives at the value cycle f, f', sign f, sign f'; negation is
-    exact, so each equals its own evaluation bit for bit.
+    `f` and `df` are its value and first derivative at a's value; the
+    derivatives cycle f, f', sign f, sign f'. Negation is exact, so each
+    equals its own evaluation bit for bit.
     """
-    cycle = [f(a.value)]
-    if a.order >= 1:
-        cycle.append(df(a.value))
-    if sign < 0 and a.order >= 2:
-        cycle += [-c for c in cycle]
+    cycle = (f, df) if sign > 0 or a.order < 2 else (f, df, -f, -df)
     return _compose(
         a, [cycle[k % len(cycle)] / math.factorial(k) for k in range(a.order + 1)]
     )
 
 
+def sincos(a: Jet) -> tuple[Jet, Jet]:
+    """``(sin(a), cos(a))``, bit for bit, from one np.sin and one np.cos of the value."""
+    v = a.value
+    s, c = np.sin(v), np.cos(v)
+    return _cyclic(a, s, c, -1.0), _cyclic(a, c, -s, -1.0)
+
+
 def sin(a: Jet) -> Jet:
-    return _cyclic(a, np.sin, np.cos, -1.0)
+    v = a.value
+    return _cyclic(a, np.sin(v), np.cos(v), -1.0)
 
 
 def cos(a: Jet) -> Jet:
-    return _cyclic(a, np.cos, lambda v: -np.sin(v), -1.0)
+    v = a.value
+    return _cyclic(a, np.cos(v), -np.sin(v), -1.0)
 
 
 def sinh(a: Jet) -> Jet:
-    return _cyclic(a, np.sinh, np.cosh, 1.0)
+    v = a.value
+    return _cyclic(a, np.sinh(v), np.cosh(v), 1.0)
 
 
 def cosh(a: Jet) -> Jet:
-    return _cyclic(a, np.cosh, np.sinh, 1.0)
+    v = a.value
+    return _cyclic(a, np.cosh(v), np.sinh(v), 1.0)
 
 
 def power(a: Jet, exponent) -> Jet:

@@ -142,8 +142,9 @@ def make_chart(spec: ModelSpec) -> Chart:
             amb = []
             prod = Jet.constant(np.full(coords[0].batch_shape, r), n, coords[0].order)
             for c in coords:
-                amb.append(prod * jets.cos(c))
-                prod = prod * jets.sin(c)
+                sin_c, cos_c = jets.sincos(c)
+                amb.append(prod * cos_c)
+                prod = prod * sin_c
             amb.append(prod)
             return amb
 

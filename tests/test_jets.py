@@ -326,7 +326,7 @@ def test_product_commutes_and_associates(seed):
     assert np.allclose(((a * b) * c).coeffs, (a * (b * c)).coeffs, atol=2e-11)
 
 
-# -- large-batch (coefficient-major) product --------------------------------
+# -- large-batch (row form) product ------------------------------------------
 
 EPS = np.finfo(np.float64).eps
 
@@ -349,9 +349,6 @@ def test_coeff_major_product_matches_gather(dim, order):
     for batch in (jets._BIG_BATCH - 1, jets._BIG_BATCH, jets._BIG_BATCH + 1):
         a = Jet(dim, order, rng.normal(size=(batch, size)))
         b = Jet(dim, order, rng.normal(size=(batch, size)))
-        t = jet_table(dim, order)
-        big = jets._mul_coeff_major(a.coeffs, b.coeffs, t, kept_terms(a.coeffs, b.coeffs, t))
-        assert_matches_gather(a, b, big)
         assert_matches_gather(a, b, (a * b).coeffs)
 
 
@@ -379,7 +376,7 @@ def test_coeff_major_product_propagates_nonfinite_like_gather():
     a[13, 1] = np.inf
     b[13, 0] = 0.0
     with np.errstate(invalid="ignore"):
-        big = jets._mul_coeff_major(a, b, t, kept_terms(a, b, t))
+        big = (Jet(2, 3, a) * Jet(2, 3, b)).coeffs
         want = jets._mul_gather(a, b, t)
     for mask in (np.isnan, np.isposinf, np.isneginf):
         assert np.array_equal(mask(big), mask(want))
@@ -401,12 +398,7 @@ def test_coeff_major_product_is_independent_of_batch_size():
         assert np.array_equal(part.coeffs, whole[half])
 
 
-# -- row skip and coefficient-major layout -----------------------------------
-
-
-def kept_terms(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
-    """The triples `Jet.__mul__` passes to the coefficient-major kernel for these operands."""
-    return jets._kept_terms(t, jets._row_flags(a), jets._row_flags(b))
+# -- row skip, row storage and the dense export -------------------------------
 
 
 def coeff_rows(c: np.ndarray) -> np.ndarray:
@@ -415,8 +407,24 @@ def coeff_rows(c: np.ndarray) -> np.ndarray:
 
 
 def full_sum(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
-    """The coefficient-major product told to skip no triple."""
-    return jets._mul_coeff_major(a, b, t, np.ones(len(t.mul_triples), dtype=bool))
+    """Dense reference for the large-batch product: every table triple, each output summed in table order.
+
+    The row product skips only terms that are ±0 at every node, so it equals
+    this (`==`, NaN where it is NaN); where it skips no term of an output, it
+    equals it bit for bit.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    last = -1
+    for k, i, j, factor in t.mul_triples:
+        term = a[..., i] * b[..., j]
+        if factor != 1.0:
+            term = term * factor
+        if k == last:
+            out[..., k] += term
+        else:
+            out[..., k] = term
+        last = k
+    return out
 
 
 @pytest.mark.parametrize("dim,order", [(1, 4), (2, 4), (3, 4), (5, 2)])
@@ -447,7 +455,7 @@ def test_zero_row_against_nonfinite_row_is_not_skipped():
     b[9, 4] = np.inf
     a[11, 1] = -np.inf
     with np.errstate(invalid="ignore"):
-        got = jets._mul_coeff_major(a, b, t, kept_terms(a, b, t))
+        got = (Jet(2, 3, a) * Jet(2, 3, b)).coeffs
         want = jets._mul_gather(a, b, t)
         assert np.array_equal(got, full_sum(a, b, t), equal_nan=True)
     for mask in (np.isnan, np.isposinf, np.isneginf):
@@ -502,24 +510,28 @@ def test_constant_layout_follows_the_batch():
 
 
 def test_row_flags_are_computed_once_per_jet():
+    # an all-zero row is stored as None; the finiteness of the other operand's
+    # stored rows is scanned when a None row first meets them, then cached
     rng = np.random.default_rng(16)
     size = jet_table(2, 2).size
-    a = Jet(2, 2, rng.normal(size=(600, size)))
-    a.coeffs[:, 3] = 0.0
+    c = rng.normal(size=(600, size))
+    c[:, 3] = 0.0
+    a = Jet(2, 2, c)
     b = Jet(2, 2, rng.normal(size=(600, size)))
-    assert not hasattr(a, "_flags")
+    assert [r is None for r in a._rows] == [i == 3 for i in range(size)]
+    assert not hasattr(a, "_flags") and not hasattr(b, "_flags")
     a * b
-    flags = a._flags
-    zero, finite = jets._row_flags(a.coeffs)
-    assert np.array_equal(flags[0], zero) and np.array_equal(flags[1], finite)
-    assert zero.tolist() == [i == 3 for i in range(size)]
+    flags = b._flags
+    assert flags == tuple(bool(np.isfinite(r).all()) for r in b._rows) == (True,) * size
     b * a
-    assert a._flags is flags
+    assert b._flags is flags
+    assert not hasattr(a, "_flags")  # b stores every row, so no term needs a's finiteness
 
 
 @pytest.mark.parametrize("special", [None, -0.0, np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("batch", [(jets._BIG_BATCH,), (600,), (2, 300)])
 def test_large_batch_constant_is_built_with_its_row_flags(special, batch):
+    # from `_BIG_BATCH` on a constant stores one row, a copy of its value, and None for the rest
     rng = np.random.default_rng(17)
     value = rng.normal(size=batch)
     if special is not None:
@@ -528,23 +540,32 @@ def test_large_batch_constant_is_built_with_its_row_flags(special, batch):
     one_entry.reshape(-1)[-1] = 1.0 if special is None else special
     for v in (value, one_entry):
         c = Jet.constant(v, 3, 3)
-        flags = c._flags
-        want = jets._row_flags(c.coeffs)
-        assert np.array_equal(flags[0], want[0]) and np.array_equal(flags[1], want[1])
-        assert c._row_flags() is flags
-    # below `_BIG_BATCH` a non-zero constant leaves its flags to first use
-    assert not hasattr(Jet.constant(value.reshape(-1)[:jets._BIG_BATCH - 1], 3, 3), "_flags")
+        assert c.batch_shape == batch and all(r is None for r in c._rows[1:])
+        if np.count_nonzero(v):
+            assert type(c) is Jet and c._rows[0] is not v and c._rows[0].tobytes() == v.tobytes()
+        else:  # ±0 at every node (one_entry with -0): a mark, which stores no row
+            assert isinstance(c, jets._ZeroJet) and c._rows[0] is None
+        assert_same_values(c.coeffs[..., 0], v)
+        assert not c.coeffs[..., 1:].any()
+    # below `_BIG_BATCH` a constant is one dense array
+    small = Jet.constant(value.reshape(-1)[:jets._BIG_BATCH - 1], 3, 3)
+    assert not hasattr(small, "_rows") and small.coeffs.shape == (jets._BIG_BATCH - 1, 20)
 
 
 # -- large-batch zero marks -----------------------------------------------------
 
 
-def big_jet(rng, dim: int, order: int, batch: int = 600, special: bool = False) -> Jet:
-    """A dense coefficient-major jet, with -0, NaN and ±inf entries if `special`."""
+def big_coeffs(rng, dim: int, order: int, batch: int = 600, special: bool = False) -> np.ndarray:
+    """Random ``(batch, size)`` coefficients, with -0, NaN and ±inf entries if `special`."""
     rows = rng.normal(size=(jet_table(dim, order).size, batch))
     if special:
         rows = with_special_values(rows, rng)
-    return Jet(dim, order, rows.T)
+    return rows.T
+
+
+def big_jet(rng, dim: int, order: int, batch: int = 600, special: bool = False) -> Jet:
+    """A row-form jet that stores every row (`big_coeffs`)."""
+    return Jet(dim, order, big_coeffs(rng, dim, order, batch, special))
 
 
 def marked_zeros(rng, dim: int, order: int, batch: int = 600) -> list:
@@ -569,8 +590,7 @@ def test_large_batch_zero_jets_are_marked():
     for z in zeros + [zeros[0].truncated(2), zeros[2].derive(1)]:
         assert isinstance(z, jets._ZeroJet)
         assert z._zero and z._finite and not z.coeffs.any()
-        assert coeff_rows(z.coeffs).flags.c_contiguous
-        assert all(np.array_equal(f, rows) for f, rows in zip(z._row_flags(), jets._row_flags(z.coeffs)))
+        assert z.batch_shape == (600,) and all(r is None for r in z._rows)
     assert isinstance(Jet.constant(np.zeros(jets._BIG_BATCH - 1), 3, 3), jets._ZeroJet)
     assert type(Jet.constant(np.r_[np.zeros(599), np.nan], 3, 3)) is Jet
     assert type(Jet.constant(np.r_[np.zeros(599), 1e-300], 3, 3)) is Jet
@@ -606,45 +626,57 @@ def test_marked_zero_against_a_broadcast_operand_runs_the_full_sum():
             assert_same_values(got.coeffs, want)
 
 
+def row_multiplies(monkeypatch) -> list:
+    """Records the output shape of every `np.multiply` call, as the row product makes one per term."""
+    calls = []
+    multiply = np.multiply
+
+    def spy(x, y, out=None):
+        calls.append(np.shape(out))
+        return multiply(x, y, out=out)
+
+    monkeypatch.setattr(jets.np, "multiply", spy)
+    return calls
+
+
 def test_product_zero_by_its_row_flags_is_marked_and_skips_the_kernel(monkeypatch):
     rng = np.random.default_rng(33)
     dim, order = 2, 4
     t = jet_table(dim, order)
     degree = np.array([sum(a) for a in t.alphas])
-    a = big_jet(rng, dim, order)
-    b = big_jet(rng, dim, order)
-    a.coeffs[:, degree < 3] = 0.0  # every term of degree >= 3 x degree >= 2 is truncated
-    b.coeffs[:, degree < 2] = 0.0
-    want = jets._mul_coeff_major(a.coeffs, b.coeffs, t, kept_terms(a.coeffs, b.coeffs, t))
-    calls = []
-    kernel = jets._mul_coeff_major
-    monkeypatch.setattr(jets, "_mul_coeff_major", lambda *args: calls.append(1) or kernel(*args))
+    ca, cb = big_coeffs(rng, dim, order), big_coeffs(rng, dim, order)
+    ca[:, degree < 3] = 0.0  # every term of degree >= 3 x degree >= 2 is truncated
+    cb[:, degree < 2] = 0.0
+    a, b = Jet(dim, order, ca), Jet(dim, order, cb)
+    want = full_sum(ca, cb, t)
+    calls = row_multiplies(monkeypatch)
     for got in (a * b, b * a):
         assert isinstance(got, jets._ZeroJet) and got._zero and got._finite
         assert np.array_equal(got.coeffs, want)
-        assert coeff_rows(got.coeffs).flags.c_contiguous
+        assert all(r is None for r in got._rows)
     assert calls == []
-    # a product with a term left runs the kernel and is not marked
-    assert type(a * Jet.constant(np.ones(600), dim, order)) is Jet and calls == [1]
+    # a product with a term left multiplies each stored row of `a` by the constant's, and is not marked
+    assert type(a * Jet.constant(np.ones(600), dim, order)) is Jet
+    assert calls == [(600,)] * int(np.count_nonzero(degree >= 3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_marked_zero_times_nonfinite_runs_the_full_kernel(bad, monkeypatch):
     rng = np.random.default_rng(34)
     t = jet_table(2, 3)
-    other = big_jet(rng, 2, 3)
-    other.coeffs[7, 4] = bad
+    c = big_coeffs(rng, 2, 3)
+    c[7, 4] = bad
+    other = Jet(2, 3, c)
     zero = Jet.constant(np.zeros(600), 2, 3)
-    calls = []
-    kernel = jets._mul_coeff_major
-    monkeypatch.setattr(jets, "_mul_coeff_major", lambda *args: calls.append(1) or kernel(*args))
+    calls = row_multiplies(monkeypatch)
     with np.errstate(invalid="ignore"):
-        for got in (zero * other, other * zero):
+        for got, want in ((zero * other, full_sum(zero.coeffs, c, t)),
+                          (other * zero, full_sum(c, zero.coeffs, t))):
             assert type(got) is Jet
             assert np.isnan(got.coeffs[7]).any()  # 0 * NaN and 0 * ±inf
-            assert_same_values(got.coeffs, kernel(zero.coeffs, other.coeffs, t,
-                                                  kept_terms(zero.coeffs, other.coeffs, t)))
-    assert calls == [1, 1]
+            assert_same_values(got.coeffs, want)
+    # each product multiplies the mark's zeros by the one non-finite row, and by nothing else
+    assert len(calls) == 2 * sum(1 for _, _, j, _ in t.mul_triples if j == 4)
 
 
 def test_large_batch_zero_product_returns_its_marked_operand(monkeypatch):
@@ -652,9 +684,7 @@ def test_large_batch_zero_product_returns_its_marked_operand(monkeypatch):
     dim, order = 3, 3
     size = jet_table(dim, order).size
     finite = big_jet(rng, dim, order)
-    calls = []
-    kernel = jets._mul_coeff_major
-    monkeypatch.setattr(jets, "_mul_coeff_major", lambda *args: calls.append(1) or kernel(*args))
+    calls = row_multiplies(monkeypatch)
     for zero in marked_zeros(rng, dim, order):
         assert zero * finite is zero and finite * zero is zero
         assert Jet(dim, order, rng.normal(size=size)) * zero is zero
@@ -664,7 +694,7 @@ def test_large_batch_zero_product_returns_its_marked_operand(monkeypatch):
         for got in (zero * wide, wide * zero):
             assert isinstance(got, jets._ZeroJet) and got is not zero
             assert got.coeffs.shape == (2, 600, size) and not got.coeffs.any()
-            assert coeff_rows(got.coeffs).flags.c_contiguous
+            assert got.batch_shape == (2, 600) and all(r is None for r in got._rows)
     assert calls == []
 
 
@@ -1120,8 +1150,9 @@ def test_integral_suite_is_unchanged_by_the_in_place_horner(structure, monkeypat
 
 def test_compositions_peak_below_three_and_a_half_results():
     rng = np.random.default_rng(37)
-    a = big_jet(rng, 3, 4, batch=16_384)
-    a.coeffs[:, 0] = rng.uniform(0.5, 2.0, size=16_384)
+    c = big_coeffs(rng, 3, 4, batch=16_384)
+    c[:, 0] = rng.uniform(0.5, 2.0, size=16_384)
+    a = Jet(3, 4, c)
     tracemalloc.start()
     try:
         for fn in (jets.exp, jets.log, jets.sin):
@@ -1133,3 +1164,154 @@ def test_compositions_peak_below_three_and_a_half_results():
             del out
     finally:
         tracemalloc.stop()
+
+
+# -- large-batch row form against a dense reference ------------------------------
+
+ROW_BATCHES = [(jets._BIG_BATCH,), (600,), (2, 300)]
+
+
+def dense_with_special_rows(rng, dim: int, order: int, batch: tuple, zero_share: float,
+                            specials: list, first: int = 0) -> np.ndarray:
+    """Coefficients with rows zero at every node, and each special value as a whole row from `first` on or at one entry."""
+    size = jet_table(dim, order).size
+    c = rng.normal(size=batch + (size,))
+    c[..., rng.random(size) < zero_share] = 0.0
+    for special in specials:
+        if first == size:
+            break
+        k = int(rng.integers(first, size))
+        if rng.random() < 0.5:
+            c[..., k] = special
+        else:
+            c.reshape(-1, size)[rng.integers(math.prod(batch)), k] = special
+    return c
+
+
+def dense_compose(a: Jet, taylor) -> Jet:
+    """Dense reference Horner: `full_sum` products, each Taylor coefficient added into the value."""
+    t = jet_table(a.dim, a.order)
+    rem = a.coeffs.copy()
+    rem[..., 0] = 0.0
+    acc = np.zeros(rem.shape)
+    acc[..., 0] = taylor[a.order]
+    for k in range(a.order - 1, -1, -1):
+        acc = full_sum(acc, rem, t)
+        acc[..., 0] += taylor[k]
+    return Jet(a.dim, a.order, acc)
+
+
+def assert_equals_dense(got: Jet, want: np.ndarray, exact=()) -> None:
+    """`got.coeffs` equals `want` (`==`, NaN where it is NaN), with the sign of every non-NaN zero in the `exact` rows."""
+    c = got.coeffs
+    assert_same_values(c, want)
+    exact = list(exact)
+    same = np.isnan(want[..., exact]) | (np.signbit(c[..., exact]) == np.signbit(want[..., exact]))
+    assert same.all()
+
+
+def both_stored(x: Jet, y: Jet) -> list:
+    """The coefficients that both operands store as rows (`jets._rows_of`)."""
+    rx, ry = jets._rows_of(x)[0], jets._rows_of(y)[0]
+    return [k for k, (p, q) in enumerate(zip(rx, ry)) if p is not None and q is not None]
+
+
+def fully_kept(x: Jet, y: Jet) -> list:
+    """The product outputs every one of whose terms multiplies two stored rows."""
+    rx, ry = jets._rows_of(x)[0], jets._rows_of(y)[0]
+    skipped = {k for k, i, j, _ in jet_table(x.dim, x.order).mul_triples
+               if rx[i] is None or ry[j] is None}
+    return [k for k in range(len(rx)) if k not in skipped]
+
+
+@given(
+    batch=st.sampled_from(ROW_BATCHES),
+    dim_order=st.sampled_from([(1, 4), (2, 3), (3, 4), (2, 1), (3, 2)]),
+    zero_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    specials=st.lists(st.sampled_from(SPECIALS), max_size=4),
+    scalar=st.sampled_from([2.5, -0.5, "array"] + SPECIALS),
+    seed=st.integers(0, 2**16),
+)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_row_form_equals_the_dense_reference(batch, dim_order, zero_share, specials, scalar, seed):
+    dim, order = dim_order
+    t = jet_table(dim, order)
+    rng = np.random.default_rng(seed)
+    xc = dense_with_special_rows(rng, dim, order, batch, zero_share, specials)
+    yc = dense_with_special_rows(rng, dim, order, batch, 0.3, specials[::-1])
+    x, y = Jet(dim, order, xc), Jet(dim, order, yc)
+    assert not hasattr(x, "_c") and x.batch_shape == batch
+    assert_equals_dense(x, xc)
+    xc, yc = x.coeffs, y.coeffs  # an all-±0 row reads back as +0
+    batchless = Jet(dim, order, with_special_values(rng.normal(size=t.size), rng))
+    single = Jet(dim, order, rng.normal(size=(1, t.size)))
+    marks = [Jet.constant(np.zeros(batch), dim, order), Jet.constant(0.0, dim, order)]
+    if scalar == "array":
+        scalar = with_special_values(rng.normal(size=batch), rng)
+    with np.errstate(all="ignore"):
+        # products
+        for a, b in [(x, y), (y, x), (x, x), (x, batchless), (batchless, x), (x, single),
+                     (single, x)] + [(x, z) for z in marks] + [(z, x) for z in marks]:
+            assert_equals_dense(a * b, full_sum(a.coeffs, b.coeffs, t), fully_kept(a, b))
+        # sums, differences and negation
+        for a, b in [(x, y), (y, x), (x, batchless), (batchless, x), (x, single), (x, marks[1])]:
+            stored = both_stored(a, b)
+            assert_equals_dense(a + b, a.coeffs + b.coeffs, stored)
+            assert_equals_dense(a - b, a.coeffs - b.coeffs, stored)
+        const = Jet.constant(1.5, dim, order)
+        assert_equals_dense(x + 1.5, xc + const.coeffs, both_stored(x, const))
+        assert_equals_dense(1.5 - x, const.coeffs - xc, both_stored(x, const))
+        assert_equals_dense(-x, -xc, both_stored(x, x))
+        # scalar products: a row that x does not store is 0 × the scalar where that is not finite
+        scalar_c = np.asarray(scalar, dtype=np.float64)[..., None]
+        assert_equals_dense(x * scalar, xc * scalar_c, both_stored(x, x))
+        if np.ndim(scalar) == 0:
+            assert_equals_dense(scalar * x, scalar_c * xc, both_stored(x, x))
+        # derive and truncated re-index rows: every bit
+        for axis, src in enumerate(t.derive_src or ()):
+            assert_equals_dense(x.derive(axis), xc[..., src], range(len(src)))
+        for lower in range(order):
+            size = t.grade_sizes[lower]
+            assert_equals_dense(x.truncated(lower), xc[..., :size], range(size))
+        # every composition on an operand in every function's domain, and those
+        # defined on the whole line on x, whose value row can hold NaN and ±inf
+        pc = dense_with_special_rows(rng, dim, order, batch, zero_share, specials, first=1)
+        pc[..., 0] = rng.uniform(0.5, 2.0, size=batch)
+        p = Jet(dim, order, pc)
+        fns = dict(COMPOSITIONS, sincos=jets.sincos)
+        cases = [(fn, p) for fn in fns.values()]
+        cases += [(fns[name], x) for name in ("exp", "sin", "cos", "sinh", "cosh", "sincos")]
+        got = [fn(a) for fn, a in cases]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets, "_compose", dense_compose)
+            want = [fn(a) for fn, a in cases]
+    for g, w in zip(got, want):
+        for gj, wj in zip(np.atleast_1d(g), np.atleast_1d(w)):
+            assert_equals_dense(gj, wj.coeffs)
+
+
+def test_row_form_reuses_its_operands_rows():
+    rng = np.random.default_rng(38)
+    t = jet_table(3, 4)
+    c = rng.normal(size=(600, t.size))
+    c[..., 4] = 0.0
+    x = Jet(3, 4, c)
+    for axis, src in enumerate(t.derive_src):
+        d = x.derive(axis)
+        assert all(r is x._rows[k] for r, k in zip(d._rows, src.tolist()))
+    for lower in range(4):
+        assert all(r is q for r, q in zip(x.truncated(lower)._rows, x._rows))
+    # the Taylor compositions' remainder is x with its value row dropped
+    operands = []
+    mul = Jet.__mul__
+
+    def recorded(self, other):
+        operands.append(other)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet, "__mul__", recorded)
+        jets.exp(x)
+    rem = operands[0]
+    assert rem._rows[0] is None and all(r is q for r, q in zip(rem._rows[1:], x._rows[1:]))
+    assert all(o is rem for o in operands)
