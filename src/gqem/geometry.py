@@ -57,8 +57,9 @@ class Chart:
     embedding_fn: Optional[Callable] = None
     ambient_signature: Optional[tuple] = None
 
-    def metric_jets(self, p, order: int) -> np.ndarray:
-        return np.asarray(self.metric_fn(seed_point(p, order)), dtype=object)
+    def metric_jets(self, coords) -> np.ndarray:
+        """g_ij as an (n, n) object array of jets, from a tuple of coordinate jets."""
+        return np.asarray(self.metric_fn(coords), dtype=object)
 
     def in_domain(self, p) -> np.ndarray:
         return np.asarray(self.domain_fn(np.asarray(p, dtype=np.float64)))
@@ -67,9 +68,10 @@ class Chart:
 class Field:
     """A field of chart coordinates, evaluable to jets of any order <= 4.
 
-    jet(p, order) returns a `Jet` for a scalar field, or a sequence of
-    component jets for a contravariant vector field. The arithmetic operators
-    combine scalar fields.
+    jet(coords) maps a tuple of coordinate jets of one order, as
+    `ChartFrame.coords` or `seed_point(p, order)` give them, to a `Jet` for a
+    scalar field, or to a sequence of component jets for a contravariant
+    vector field. The arithmetic operators combine scalar fields.
     """
 
     def __init__(self, dim: int, jet_fn: Callable, label: str = ""):
@@ -80,30 +82,27 @@ class Field:
     @staticmethod
     def from_coords(dim: int, fn: Callable, label: str = "") -> "Field":
         """Build a field from a formula in coordinate jets."""
-        return Field(dim, lambda p, order: fn(*seed_point(p, order)), label)
+        return Field(dim, lambda coords: fn(*coords), label)
 
     @staticmethod
     def constant(dim: int, c: float, label: str = "") -> "Field":
-        jet_fn = lambda p, order: Jet.constant(np.full(np.shape(p)[:-1], float(c)), dim, order)
+        jet_fn = lambda coords: Jet.constant(
+            np.full(coords[0].batch_shape, float(c)), dim, coords[0].order)
         return Field(dim, jet_fn, label or f"{c}")
 
-    def jet(self, p, order: int):
-        if order > MAX_ORDER:
-            raise OrderCapabilityError(
-                f"field {self.label!r} requested at jet order {order} > max {MAX_ORDER}"
-            )
-        return self._jet_fn(p, order)
+    def jet(self, coords):
+        return self._jet_fn(coords)
 
     def __call__(self, p):
-        return self.jet(p, 0).value
+        return self.jet(seed_point(p, 0)).value
 
     def _combine(self, other, op, template):
         """Field of op(self, other), labelled by `template` with {0} = self, {1} = other."""
         if isinstance(other, Field):
-            fn = lambda p, order: op(self.jet(p, order), other.jet(p, order))
+            fn = lambda coords: op(self.jet(coords), other.jet(coords))
             label = template.format(self.label, other.label)
         else:
-            fn = lambda p, order: op(self.jet(p, order), other)
+            fn = lambda coords: op(self.jet(coords), other)
             label = template.format(self.label, other)
         return Field(self.dim, fn, label)
 
@@ -130,7 +129,7 @@ class Field:
         return self._combine(other, lambda a, b: b / a, "({1}/{0})")
 
     def __neg__(self):
-        return Field(self.dim, lambda p, order: -self.jet(p, order), f"(-{self.label})")
+        return Field(self.dim, lambda coords: -self.jet(coords), f"(-{self.label})")
 
 
 # the public API names a field by its kind; all three are this one class
@@ -232,7 +231,8 @@ class ChartFrame:
     """All jet-level geometric quantities of one chart at one (batch of) point(s).
 
     Results are memoized per requested order; a cached higher-order result is
-    reused by exact truncation.
+    reused by exact truncation. The frame seeds the coordinate jets that the
+    metric and every field read (`coords`).
     """
 
     def __init__(self, chart: Chart, p):
@@ -244,12 +244,28 @@ class ChartFrame:
             )
         self.n = chart.dim
         self._cache: dict = {}
+        self._xs = jets.coordinate_values(self.p)
+        self._coords: dict = {}
+
+    def coords(self, order: int) -> tuple:
+        """The coordinate jets of `order` at this frame's points, seeded once per order.
+
+        Every order's seed of one coordinate shares that coordinate's value
+        row and its np.sin and np.cos (`jets.CoordinateValues`), so each is
+        evaluated at most once per frame. A lower order is seeded, never
+        truncated: a truncated seed would not share them.
+        """
+        try:
+            return self._coords[order]
+        except KeyError:
+            seeds = self._coords[order] = jets.seed_coordinates(self._xs, order)
+            return seeds
 
     # -- metric and curvature ------------------------------------------
 
     @_memoized
     def metric(self, order: int) -> np.ndarray:
-        return self.chart.metric_jets(self.p, order)
+        return self.chart.metric_jets(self.coords(order))
 
     @_memoized
     def metric_inv(self, order: int) -> np.ndarray:
@@ -321,7 +337,11 @@ class ChartFrame:
     @_memoized
     def field_jet(self, X: Field, order: int) -> Jet | list:
         """A scalar field's jet, or a vector field's list of component jets."""
-        return X.jet(self.p, order)
+        if order > MAX_ORDER:
+            raise OrderCapabilityError(
+                f"field {X.label!r} requested at jet order {order} > max {MAX_ORDER}"
+            )
+        return X.jet(self.coords(order))
 
     @_memoized
     def grad(self, phi: Field, order: int) -> list:
@@ -585,6 +605,11 @@ def scalar_curvature(chart: Chart, p) -> float:
 # ---------------------------------------------------------------------------
 
 
+def frame_at(chart: Chart, coords) -> ChartFrame:
+    """A new frame at the points whose coordinate jets are `coords`, rebuilt from their values."""
+    return ChartFrame(chart, np.stack([c.value for c in coords], axis=-1))
+
+
 def grad_field(chart: Chart, phi: Field) -> Field:
-    return Field(chart.dim, lambda p, order: ChartFrame(chart, p).grad(phi, order),
+    return Field(chart.dim, lambda coords: frame_at(chart, coords).grad(phi, coords[0].order),
                  f"grad({phi.label})")

@@ -296,7 +296,7 @@ def div_hessian_residual(fr: ChartFrame, phi: ScalarField):
 def div_outer_grad_residual(fr: ChartFrame, phi: ScalarField):
     """g-norm of div(dphi (x) dphi) - lap phi dphi - hess phi(grad phi, .)."""
     # phi.jet, not fr.field_jet: perfbench/tests pins products a memo hit drops
-    fj = phi.jet(fr.p, 2)
+    fj = phi.jet(fr.coords(2))
     df = [fj.derive(i) for i in range(fr.n)]
     outer = np.empty((fr.n, fr.n), dtype=object)
     for i in range(fr.n):

@@ -205,10 +205,17 @@ class Jet:
     (`_flags`, for the row product), and may become a `_ZeroJet`. Results
     share what they can: `truncated` of a dense jet and `derive` of a dense
     mark return views, `derive` and `truncated` of a row-form jet share its
-    rows, and sums and products with a mark can return an operand itself.
+    rows, and sums and products with a mark can return an operand itself. A
+    coordinate seed also holds `_x`, the `CoordinateValues` its value came
+    from.
     """
 
-    __slots__ = ("dim", "order", "_c", "_rows", "_batch", "_flags", "_zero", "_finite")
+    __slots__ = ("dim", "order", "_c", "_rows", "_batch", "_flags", "_zero", "_finite", "_x")
+
+    # numpy defers every operator with an ndarray operand to the jet, so that
+    # ``array * jet`` is `__rmul__`, a product over the batch, and not an
+    # object array with one jet per array element
+    __array_ufunc__ = None
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         table = jet_table(dim, order)
@@ -693,6 +700,27 @@ _ONE = np.ones(())
 _ONE.flags.writeable = False
 
 
+class CoordinateValues:
+    """One coordinate's values at a batch of points, shared by its seeds of every order.
+
+    `values` is a private copy. From `_BIG_BATCH` nodes on each seed stores it
+    as its value row. Each seed carries this object, and `sin`, `cos` and
+    `sincos` of a seed read np.sin and np.cos of `values` from `sincos()`,
+    evaluated once, on first use. It lives as long as its seeds.
+    """
+
+    __slots__ = ("values", "_sincos")
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.float64)
+        self._sincos = None
+
+    def sincos(self) -> tuple:
+        if self._sincos is None:
+            self._sincos = np.sin(self.values), np.cos(self.values)
+        return self._sincos
+
+
 def seed_variable(i: int, x0, dim: int, order: int) -> Jet:
     """Jet of the i-th coordinate function at x0 (value x0, unit first derivative).
 
@@ -702,30 +730,55 @@ def seed_variable(i: int, x0, dim: int, order: int) -> Jet:
         raise ValueError(f"axis {i} out of range for dim {dim}")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    return _seed(i, CoordinateValues(x0), dim, order)
+
+
+def _seed(i: int, x: CoordinateValues, dim: int, order: int) -> Jet:
+    """The seed of coordinate i at the values `x`; order 0 gives a constant (a mark where x is ±0)."""
     t = jet_table(dim, order)
-    unit = t.index[tuple(1 if k == i else 0 for k in range(dim))]
-    if np.size(x0) >= _BIG_BATCH:
+    x0 = x.values
+    unit = t.index.get(tuple(1 if k == i else 0 for k in range(dim)))  # None at order 0
+    if x0.size >= _BIG_BATCH:
         rows = [None] * t.size
-        rows[0], rows[unit] = np.array(x0, dtype=np.float64), _ONE
-        return _from_rows(dim, order, tuple(rows), np.shape(x0))
-    # fresh coefficients, never a zero constant's: those belong to a mark
-    coeffs = np.zeros(np.shape(x0) + (t.size,))
-    coeffs[..., 0] = x0
-    coeffs[..., unit] = 1.0
-    return _jet(dim, order, coeffs)
+        if order:
+            rows[0], rows[unit] = x0, _ONE
+        elif np.count_nonzero(x0):
+            rows[0] = x0
+        j = _from_rows(dim, order, tuple(rows), x0.shape)
+    elif order:
+        # fresh coefficients, never a zero constant's: those belong to a mark
+        coeffs = np.zeros(x0.shape + (t.size,))
+        coeffs[..., 0] = x0
+        coeffs[..., unit] = 1.0
+        j = _jet(dim, order, coeffs)
+    else:
+        j = Jet.constant(x0, dim, 0)
+    j._x = x
+    return j
 
 
-def seed_point(p, order: int) -> tuple[Jet, ...]:
-    """Coordinate jets at point(s) p of shape (..., dim); order 0 gives plain values."""
+def coordinate_values(p) -> tuple[CoordinateValues, ...]:
+    """One `CoordinateValues` per coordinate of point(s) p of shape (..., dim)."""
     p = np.asarray(p, dtype=np.float64)
-    dim = p.shape[-1]
+    return tuple(CoordinateValues(p[..., i]) for i in range(p.shape[-1]))
+
+
+def seed_coordinates(xs: Sequence[CoordinateValues], order: int) -> tuple[Jet, ...]:
+    """Coordinate jets of `order` at the values `xs`; order 0 gives constants.
+
+    Seeds of any order made from the same `xs` share each coordinate's value
+    row and its sine and cosine.
+    """
     if order > MAX_ORDER:
         raise OrderCapabilityError(
             f"requested jet order {order} exceeds supported maximum {MAX_ORDER}"
         )
-    if order == 0:
-        return tuple(Jet.constant(p[..., i], dim, 0) for i in range(dim))
-    return tuple(seed_variable(i, p[..., i], dim, order) for i in range(dim))
+    return tuple(_seed(i, x, len(xs), order) for i, x in enumerate(xs))
+
+
+def seed_point(p, order: int) -> tuple[Jet, ...]:
+    """Coordinate jets at point(s) p of shape (..., dim); order 0 gives constants."""
+    return seed_coordinates(coordinate_values(p), order)
 
 
 # -- elementary functions ----------------------------------------------
@@ -820,21 +873,30 @@ def _cyclic(a: Jet, f: np.ndarray, df: np.ndarray, sign: float) -> Jet:
     )
 
 
+def _sin_cos(a: Jet) -> tuple:
+    """np.sin and np.cos of a's value: a seed's shared pair, else evaluated here."""
+    try:
+        x = a._x
+    except AttributeError:
+        v = a.value
+        return np.sin(v), np.cos(v)
+    return x.sincos()
+
+
 def sincos(a: Jet) -> tuple[Jet, Jet]:
     """``(sin(a), cos(a))``, bit for bit, from one np.sin and one np.cos of the value."""
-    v = a.value
-    s, c = np.sin(v), np.cos(v)
+    s, c = _sin_cos(a)
     return _cyclic(a, s, c, -1.0), _cyclic(a, c, -s, -1.0)
 
 
 def sin(a: Jet) -> Jet:
-    v = a.value
-    return _cyclic(a, np.sin(v), np.cos(v), -1.0)
+    s, c = _sin_cos(a)
+    return _cyclic(a, s, c, -1.0)
 
 
 def cos(a: Jet) -> Jet:
-    v = a.value
-    return _cyclic(a, np.cos(v), -np.sin(v), -1.0)
+    s, c = _sin_cos(a)
+    return _cyclic(a, c, -s, -1.0)
 
 
 def sinh(a: Jet) -> Jet:

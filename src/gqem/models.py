@@ -240,7 +240,7 @@ def example_structure(spec: ModelSpec, validate: bool = True) -> QemStructure:
         lam = -(n - 1.0) - m * (u - tau) / u
 
     u.label = "u"
-    f = ScalarField(n, lambda p, order: -m * jets.log(u.jet(p, order)), "f")
+    f = ScalarField(n, lambda coords: -m * jets.log(u.jet(coords)), "f")
     if lam is not None:
         lam.label = "lambda"
     s = make_structure(

@@ -26,6 +26,7 @@ from .geometry import (
     TensorValue,
     _scalar_point,
     dot_g,
+    frame_at,
     tensor2_norm2_g,
 )
 
@@ -61,8 +62,8 @@ def trace_lambda_field(chart: Chart, f: ScalarField, m: float) -> ScalarField:
     inv_m = 0.0 if math.isinf(m) else 1.0 / m
     n = chart.dim
 
-    def jet_fn(p, order):
-        frame = ChartFrame(chart, p)
+    def jet_fn(coords):
+        frame, order = frame_at(chart, coords), coords[0].order
         r = frame.scalar_curvature_jet(order)
         lap = frame.laplacian(f, order)
         gn2 = frame.grad_norm2(f, order)
@@ -88,7 +89,7 @@ def make_structure(
     if u is None and not math.isinf(m):
         inv_m = 1.0 / m
         u = ScalarField(
-            chart.dim, lambda p, order: jets.exp(f.jet(p, order) * (-inv_m)), "u"
+            chart.dim, lambda coords: jets.exp(f.jet(coords) * (-inv_m)), "u"
         )
     return QemStructure(chart, f, m, lam, provenance, u, label)
 

@@ -7,7 +7,8 @@ from gqem import geometry as geo
 from gqem import identities as idt
 from gqem import jets
 from gqem.geometry import ScalarField, VectorField, tensor2_norm2_g
-from gqem.models import ModelSpec, height_field, make_chart, sample_points
+from gqem.models import ModelSpec, example_structure, height_field, make_chart, sample_points
+from gqem.qem import StructureFrame
 
 
 @pytest.fixture(scope="module")
@@ -174,9 +175,9 @@ def _spy(field):
     calls = []
     jet = field.jet
 
-    def spy(p, order):
-        calls.append(order)
-        return jet(p, order)
+    def spy(coords):
+        calls.append(coords[0].order)
+        return jet(coords)
 
     field.jet = spy
     return calls
@@ -200,14 +201,14 @@ def test_field_jet_builds_each_field_once(sphere_stereo, monkeypatch):
     # another field, even one with the same label, gets its own entry
     p1 = frame.field_jet(psi, 1)
     assert psi_calls == [1] and phi_calls == [2]
-    assert np.array_equal(p1.coeffs, psi.jet(frame.p, 1).coeffs)
+    assert np.array_equal(p1.coeffs, psi.jet(jets.seed_point(frame.p, 1)).coeffs)
     assert not np.array_equal(p1.coeffs, f1.coeffs)
 
     # every memoized method truncates a cached higher order without rebuilding
     metric_calls = []
     metric_jets = geo.Chart.metric_jets
-    monkeypatch.setattr(geo.Chart, "metric_jets", lambda chart, p, order: (
-        metric_calls.append(order) or metric_jets(chart, p, order)))
+    monkeypatch.setattr(geo.Chart, "metric_jets", lambda chart, coords: (
+        metric_calls.append(coords[0].order) or metric_jets(chart, coords)))
     gam2 = frame.gamma(2)
     gam1 = frame.gamma(1)
     assert metric_calls == [3]
@@ -224,6 +225,55 @@ def test_field_jet_builds_each_field_once(sphere_stereo, monkeypatch):
     for h, fld in ((h_phi, phi), (h_psi, psi)):
         for a, b in zip(h.flat, fresh.hessian(fld, 1).flat):
             assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.fixture(scope="module")
+def polar_s3():
+    return example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0, chart_kind="polar"))
+
+
+def test_a_frame_evaluates_each_sine_and_cosine_once_per_coordinate(polar_s3, monkeypatch):
+    s = polar_s3
+    frame = StructureFrame(s, sample_points(s.chart, 600, seed=23))
+    calls = {"sin": 0, "cos": 0}
+
+    def counting(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    monkeypatch.setattr(np, "sin", counting("sin", np.sin))
+    monkeypatch.setattr(np, "cos", counting("cos", np.cos))
+    # the quadrature node pass's requests, on f and on u
+    for phi in (s.f, s.u):
+        frame.hessian_values(phi)
+        frame.laplacian(phi, 0)
+        frame.grad_norm2(phi, 0)
+        frame.grad_values(phi)
+    frame.scalar_curvature_jet(1)
+    frame.lam_jet(1)
+    assert 0 < calls["sin"] <= 3 and 0 < calls["cos"] <= 3
+    # a new frame at the same points evaluates them again: nothing outlives a frame
+    before = dict(calls)
+    StructureFrame(s, frame.p).hessian_values(s.f)
+    assert calls["sin"] > before["sin"] and calls["cos"] > before["cos"]
+
+
+@pytest.mark.parametrize("count", [None, 1, 100, 600])
+def test_a_field_through_a_frame_equals_its_jet_at_fresh_seeds(polar_s3, count):
+    s = polar_s3
+    pts = sample_points(s.chart, count or 1, seed=29)
+    if count is None:
+        pts = pts[0]  # one point of shape (n,)
+    frame = StructureFrame(s, pts)
+    h = height_field(ModelSpec("sphere", 3, tau=1.5, m=2.0, chart_kind="polar"), s.chart, 1)
+    for order in range(4):  # ascending, so each order is evaluated, not truncated
+        for fld in (s.f, s.u, s.lam, h):
+            got = frame.field_jet(fld, order)
+            want = fld.jet(jets.seed_point(pts, order))
+            assert got.order == order and got.batch_shape == want.batch_shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -364,18 +414,20 @@ def test_div_tensor2_of_ricci(sphere_stereo):
 def test_order_capability_error(sphere_stereo):
     phi = ScalarField.from_coords(2, lambda x, y: x * y, "phi")
     with pytest.raises(jets.OrderCapabilityError, match="order"):
-        phi.jet(np.zeros(2), 5)
+        phi.jet(jets.seed_point(np.zeros(2), 5))
     frame = geo.ChartFrame(sphere_stereo, np.zeros(2))
+    with pytest.raises(jets.OrderCapabilityError, match="'phi'"):
+        frame.field_jet(phi, 5)
     with pytest.raises(jets.OrderCapabilityError):
         frame.riemann(3)  # needs metric jets of order 5
 
 
-def test_reflected_operator_labels():
+def test_reflected_operator_labels(euclid2):
     x = ScalarField.from_coords(2, lambda x, y: x, "x")
     assert (x - 1.0).label == "(x-1.0)" and (1.0 - x).label == "(1.0-x)"
     assert (x / 2.0).label == "(x/2.0)" and (2.0 / x).label == "(2.0/x)"
     with pytest.raises(jets.OrderCapabilityError, match=r"'\(2\.0/x\)'"):
-        (2.0 / x).jet(np.ones(2), 5)
+        geo.ChartFrame(euclid2, np.ones(2)).field_jet(2.0 / x, 5)
 
 
 def test_one_field_class_negates_every_jet_coefficient():
@@ -384,7 +436,8 @@ def test_one_field_class_negates_every_jet_coefficient():
     p = np.array([[0.3, -0.7], [1.1, 0.4]])
     neg = -phi
     assert neg.label == "(-phi)"
-    assert np.array_equal(neg.jet(p, 3).coeffs, (-phi.jet(p, 3)).coeffs)
+    coords = jets.seed_point(p, 3)
+    assert np.array_equal(neg.jet(coords).coeffs, (-phi.jet(coords)).coeffs)
 
 
 # g = e^{2 phi} delta on R^2 with phi = A x^2 + B y: R = -2 e^{-2 phi} lap_0 phi = -4A e^{-2 phi},

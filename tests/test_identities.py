@@ -273,18 +273,18 @@ def requested_orders(s, runner, pts, monkeypatch):
         if not depth[0]:
             got[key] = max(order, got[key] or 0)
 
-    def metric_wrapper(chart, p, order):
-        note("g", order)
-        return metric_jets(chart, p, order)
+    def metric_wrapper(chart, coords):
+        note("g", coords[0].order)
+        return metric_jets(chart, coords)
 
-    def jet_wrapper(field, p, order):
+    def jet_wrapper(field, coords):
         key = keys.get(id(field))
         if key is None:
-            return jet(field, p, order)
-        note(key, order)
+            return jet(field, coords)
+        note(key, coords[0].order)
         depth[0] += 1
         try:
-            return jet(field, p, order)
+            return jet(field, coords)
         finally:
             depth[0] -= 1
 

@@ -1130,22 +1130,49 @@ def sphere_control(seed: int):
     return make_structure(chart, h0 * h0 * h0 * a + h1 * b, 2.0, label="S2 control")
 
 
+def integral_rows(s, resolution) -> list:
+    """Each integral row's id with `float.hex` of its lhs, rhs and relative gap."""
+    rows = quad.run_integral_suite(quad.make_sphere_grid(s.chart, resolution), s, 1e-6)
+    return [(r["id"],) + tuple(float(r[k]).hex() for k in ("lhs", "rhs", "relative_gap"))
+            for r in rows]
+
+
 @pytest.mark.parametrize("structure", ["sphere", "control"])
 def test_integral_suite_is_unchanged_by_the_in_place_horner(structure, monkeypatch):
     if structure == "sphere":
         s = example_structure(ModelSpec("sphere", 2, tau=1.5, m=2.0, chart_kind="polar"))
     else:
         s = sphere_control(5)
-
-    def suite():
-        rows = quad.run_integral_suite(quad.make_sphere_grid(s.chart, (32, 64)), s, 1e-6)
-        return [(r["id"],) + tuple(float(r[k]).hex() for k in ("lhs", "rhs", "relative_gap"))
-                for r in rows]
-
-    got = suite()
+    got = integral_rows(s, (32, 64))
     monkeypatch.setattr(jets, "_compose", reference_compose)
-    assert got == suite()
+    assert got == integral_rows(s, (32, 64))
     assert len(got) == 6
+
+
+@pytest.mark.parametrize("structure,resolution", [
+    ("sphere", (32, 64)), ("control", (32, 64)), ("S3", (8, 16, 32))])
+def test_integral_suite_is_unchanged_by_the_shared_sine_and_cosine(
+        structure, resolution, monkeypatch):
+    if structure == "control":
+        s = sphere_control(5)
+    else:
+        n = len(resolution)
+        s = example_structure(ModelSpec("sphere", n, tau=1.5, m=2.0, chart_kind="polar"))
+    got = integral_rows(s, resolution)
+    # every sin, cos and sincos evaluates np.sin and np.cos of its operand afresh
+    monkeypatch.setattr(jets, "_sin_cos", lambda a: (np.sin(a.value), np.cos(a.value)))
+    assert got == integral_rows(s, resolution)
+    assert len(got) == 6
+
+
+@pytest.mark.parametrize("batch", [(3,), (600,)])
+def test_array_times_jet_is_the_jet_times_the_array(batch):
+    rng = np.random.default_rng(39)
+    j = Jet(2, 2, rng.normal(size=batch + (6,)))
+    x = np.arange(float(batch[0]))
+    left, right = x * j, j * x
+    assert isinstance(left, Jet) and left.batch_shape == batch
+    assert left.coeffs.tobytes() == right.coeffs.tobytes()
 
 
 def test_compositions_peak_below_three_and_a_half_results():

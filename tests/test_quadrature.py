@@ -73,7 +73,7 @@ def test_stokes_sanity(s2_structure, s2_grid):
     assert abs(quad.stokes_sanity(s2_grid, h)) < 1e-10
     h3 = h * h * h
     assert abs(quad.stokes_sanity(s2_grid, h3)) < 1e-9
-    exp_h = ScalarField(2, lambda p, order: jets.exp(h.jet(p, order)), "exp(h)")
+    exp_h = ScalarField(2, lambda coords: jets.exp(h.jet(coords)), "exp(h)")
     assert abs(quad.stokes_sanity(s2_grid, exp_h)) < 1e-8
 
 
