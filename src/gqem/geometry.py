@@ -23,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .jets import _BIG_BATCH, Jet, OrderCapabilityError, JetDomainError, MAX_ORDER, seed_point
+from .jets import (_BIG_BATCH, Jet, OrderCapabilityError, JetDomainError, MAX_ORDER, _ZeroJet,
+                   seed_point)
 
 
 class DegenerateMetricError(ArithmeticError):
@@ -176,6 +177,10 @@ def _trunc_tree(obj, order: int):
     return obj
 
 
+# `invert_jet_matrix`, `gamma` and `riemann`, whose loops meet most zero marks, form
+# every product but add none that is a mark: x + mark and x - mark are x for a mark of x's batch.
+
+
 def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite jet matrix (Gauss-Jordan, no pivoting)."""
     n = g.shape[0]
@@ -198,8 +203,12 @@ def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
                 continue
             factor = a[row][col]
             for j in range(n):
-                a[row][j] = a[row][j] - factor * a[col][j]
-                eye[row][j] = eye[row][j] - factor * eye[col][j]
+                term = factor * a[col][j]
+                if term.__class__ is not _ZeroJet:
+                    a[row][j] = a[row][j] - term
+                term = factor * eye[col][j]
+                if term.__class__ is not _ZeroJet:
+                    eye[row][j] = eye[row][j] - term
     return np.array(eye, dtype=object)
 
 
@@ -288,7 +297,9 @@ class ChartFrame:
                 for kk in range(n):
                     acc = gi[kk, 0] * brackets[0]
                     for l in range(1, n):
-                        acc = acc + gi[kk, l] * brackets[l]
+                        term = gi[kk, l] * brackets[l]
+                        if term.__class__ is not _ZeroJet:
+                            acc = acc + term
                     out[kk, i, j] = acc * 0.5
                     out[kk, j, i] = out[kk, i, j]
         return out
@@ -308,8 +319,12 @@ class ChartFrame:
                     for l in range(k + 1, n):
                         term = gam[i, l, j].derive(k) - gam[i, k, j].derive(l)
                         for mm in range(n):
-                            term = term + gam0[i, k, mm] * gam0[mm, l, j]
-                            term = term - gam0[i, l, mm] * gam0[mm, k, j]
+                            plus = gam0[i, k, mm] * gam0[mm, l, j]
+                            if plus.__class__ is not _ZeroJet:
+                                term = term + plus
+                            minus = gam0[i, l, mm] * gam0[mm, k, j]
+                            if minus.__class__ is not _ZeroJet:
+                                term = term - minus
                         out[i, j, k, l] = term
                         out[i, j, l, k] = -term
         return out

@@ -3,30 +3,28 @@
 A `Jet` carries the exact partial derivatives of a smooth scalar at a point:
 coefficient ``k`` is the value of the mixed partial with multi-index
 ``alphas[k]`` (the derivative itself, not divided by the factorial).
-Coefficients may carry leading batch axes, so one jet can represent the
-derivatives of a field at many points at once; every operation is
-elementwise over the batch.
+A jet may hold a batch of points, and every operation is elementwise over it.
 
-Below `_BIG_BATCH` nodes a jet stores its coefficients as one ``(..., size)``
-array. From `_BIG_BATCH` nodes on it stores a tuple of coefficient rows, one
-per coefficient, each the coefficient at every node: ``None`` for a row known
-to be zero at every node (read as +0), otherwise an array whose shape
-broadcasts to the batch. Rows are never written once stored, so `derive`,
-`truncated` and the Taylor compositions' remainder share them with their
-operand, and sums, differences, negation and products touch only the rows an
-operand stores (see `_row_mul`). `Jet.coeffs` builds the dense array for
-callers outside the engine. A jet known to be zero at every coefficient and
-node, at any batch size, is a `_ZeroJet`: sums, differences and products with
-it return an operand or a mark instead of running over zeros (see
-`_ZeroJet`).
+Coefficients are stored coefficient-major, one row per coefficient holding it
+at every node: below `_BIG_BATCH` nodes as one ``(size, *batch)`` array, whose
+rows `value`, `partial` and `truncated` view; from `_BIG_BATCH` nodes on as a
+tuple, with ``None`` for a row known to be zero at every node (read as +0) and
+otherwise an array that broadcasts to the batch. Rows are never written once
+stored, so `derive`, `truncated` and the Taylor compositions' remainder share
+or gather them, and sums, differences, negation and products touch only the
+rows an operand stores (see `_row_mul`). `Jet.coeffs` gives the batch-major
+``(*batch, size)`` array for callers outside the engine. A jet known to be
+zero at every coefficient and node, at any batch size, is a `_ZeroJet`: sums,
+differences and products with it return an operand or a mark instead of
+running over zeros (see `_ZeroJet`).
 
-Below `_BIG_BATCH` a product gathers every product-table term and sums each
-output with the bits of `np.add.reduceat`, in one of three forms
+Below `_BIG_BATCH` a product gathers the rows of every product-table term and
+sums each output with the bits of `np.add.reduceat`, in one of three forms
 (`_mul_gather`): direct at order 0 and 1, where an output has at most two
 terms; by whole layers of terms from `_LAYER_BATCH` nodes on, where no output
 has more than `_LAYER_TERMS` terms, because per-segment `reduceat` costs more
-there; and `reduceat` itself otherwise, which is cheaper in one call at small
-batches and sums longer segments pairwise.
+there; and `reduceat` over axis 0 otherwise, which is cheaper in one call at
+small batches and sums longer segments pairwise.
 """
 
 from __future__ import annotations
@@ -40,19 +38,19 @@ import numpy as np
 
 MAX_ORDER = 4
 
-# Broadcast batch size from which jets store coefficient rows and `Jet.__mul__`
-# switches from the gather / `np.add.reduceat` product to the row product.
-# Measured crossover: 256..512 for every (dim, order) from (2, 2) to (5, 4).
+# Broadcast batch size from which jets store a tuple of rows and `Jet.__mul__`
+# takes the row product. Measured crossover, two runs (best of 5, 2-vCPU Linux
+# host, numpy 2.4.6): 256..1024 for (dim, order) from (2, 2) to (5, 4).
 _BIG_BATCH = 512
 
 # Batch size (of the larger operand) from which `_mul_gather` sums by layers
 # instead of `np.add.reduceat`, where the table allows it. Measured crossover:
-# the first of the batches 1, 16, 32, 48, 64, 100 at which layers are not
-# slower, over two runs (best of 5, 2-vCPU Linux host, numpy 2.4):
-#   order 2: dim 1 64..100, dim 2 48..64, dim 3 32, dim 4 32, dim 5 16..32, dim 6 16
+# the first of the batches 1, 8, 16, 32, 48, 64, 100 at which layers are not
+# slower, over two runs (as for `_BIG_BATCH`):
+#   order 2: dim 1 100, dim 2 64, dim 3 32, dim 4 32, dim 5 16, dim 6 16
 #   order 3: dim 1 100, dim 2 48, dim 3 48, dim 4 32, dim 5 16, dim 6 16
 #   order 4: dim 1 100 (the only order-4 table with layers)
-# A batch-1 product takes 2.7..4.2 us with reduceat, 4.1..7.3 us with layers.
+# At batch 1 layers take 1.5..2.6x the reduceat product's time.
 _LAYER_BATCH = 64
 
 
@@ -122,8 +120,8 @@ def jet_table(dim: int, order: int) -> "_Table":
             )
             for ax in range(dim)
         )
-    return _Table(dim, order, tuple(alphas), index, size, grade_sizes,
-                  mul_ii, mul_jj, mul_ff, mul_starts, mul_triples, layers, derive_src)
+    return _Table(dim, order, tuple(alphas), index, size, grade_sizes, mul_ii, mul_jj,
+                  mul_ff, mul_ff[:, None], mul_starts, mul_triples, layers, derive_src)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -137,6 +135,7 @@ class _Table:
     mul_ii: np.ndarray
     mul_jj: np.ndarray
     mul_ff: np.ndarray
+    mul_fc: np.ndarray  # mul_ff as a column, for products over one batch axis
     mul_starts: np.ndarray
     mul_triples: tuple
     layers: Optional["_Layers"]
@@ -167,6 +166,7 @@ class _Layers:
     ii: np.ndarray
     jj: np.ndarray
     ff: np.ndarray
+    fc: np.ndarray  # ff as a column, for products over one batch axis
     adds: tuple
     inv: np.ndarray
 
@@ -185,19 +185,19 @@ def _layer_plan(ii, jj, ff, starts) -> Optional[_Layers]:
                  for w, lo in zip(widths[2:], offsets[2:]))
     if len(widths) > 1:
         adds += ((slice(0, widths[1]), slice(one, one + widths[1])),)
-    return _Layers(widths, ii[take], jj[take], ff[take], adds, np.argsort(order))
+    return _Layers(widths, ii[take], jj[take], ff[take], ff[take, None], adds, np.argsort(order))
 
 
 class Jet:
     """Truncated Taylor expansion of a scalar in `dim` variables.
 
-    Below `_BIG_BATCH` nodes the coefficients are one array `_c` of shape
-    ``(..., table_size)``, whose leading axes are batch axes. From
+    Below `_BIG_BATCH` nodes the coefficients are one coefficient-major array
+    `_c` of shape ``(table_size, *batch)``; a jet with no batch is 1-D. From
     `_BIG_BATCH` nodes on `_c` is unset and the jet holds `_rows`, one entry
     per coefficient (``None`` for +0 at every node, else an array that
-    broadcasts to the batch), and `_batch`, the batch shape; `coeffs` builds
-    the dense array from them. The public constructor picks the form by the
-    batch, copies each row and stores an all-zero one as ``None``.
+    broadcasts to the batch), and `_batch`, the batch shape. The public
+    constructor picks the form by the batch, copies its input and stores an
+    all-zero row as ``None``.
 
     Neither form may be written once the jet has taken part in an operation.
     A jet caches flags of its coefficients on first use: all zero
@@ -205,12 +205,13 @@ class Jet:
     (`_flags`, for the row product), and may become a `_ZeroJet`. Results
     share what they can: `truncated` of a dense jet and `derive` of a dense
     mark return views, `derive` and `truncated` of a row-form jet share its
-    rows, and sums and products with a mark can return an operand itself. A
-    coordinate seed also holds `_x`, the `CoordinateValues` its value came
-    from.
+    rows, a mark keeps the lower-order marks they return (`_lower`), and sums
+    and products with a mark can return an operand itself. A coordinate seed
+    also holds `_x`, the `CoordinateValues` its value came from.
     """
 
-    __slots__ = ("dim", "order", "_c", "_rows", "_batch", "_flags", "_zero", "_finite", "_x")
+    __slots__ = ("dim", "order", "_c", "_rows", "_batch", "_flags", "_zero", "_finite", "_x",
+                 "_lower")
 
     # numpy defers every operator with an ndarray operand to the jet, so that
     # ``array * jet`` is `__rmul__`, a product over the batch, and not an
@@ -227,10 +228,12 @@ class Jet:
             )
         self.dim = dim
         self.order = order
+        rows = np.moveaxis(coeffs, -1, 0)
         if coeffs.size < _BIG_BATCH * table.size:
-            self._c = coeffs
+            # a copy: a later write to the caller's array must not reach the jet or its flags
+            self._c = np.array(rows, order="C")
             return
-        self._rows = tuple(np.array(r) if r.any() else None for r in np.moveaxis(coeffs, -1, 0))
+        self._rows = tuple(np.array(r) if r.any() else None for r in rows)
         self._batch = coeffs.shape[:-1]
         if not any(r is not None for r in self._rows):
             _mark_zero(self)
@@ -248,46 +251,41 @@ class Jet:
         if value.size >= _BIG_BATCH:
             rows = (np.array(value) if np.count_nonzero(value) else None,) + (None,) * (size - 1)
             return _from_rows(dim, order, rows, value.shape)
-        coeffs = np.zeros(value.shape + (size,))
-        coeffs[..., 0] = value
+        coeffs = np.zeros((size,) + value.shape)
+        coeffs[0] = value
         out = _jet(dim, order, coeffs)
-        if not np.count_nonzero(value):
-            return _mark_zero(out)
-        return out
+        return out if np.count_nonzero(value) else _mark_zero(out)
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The coefficients as one ``(..., size)`` array; for a row-form jet a fresh one."""
+        """The batch-major ``(..., size)`` coefficients: a view for a dense jet, else fresh."""
         try:
-            return self._c
+            c = self._c
         except AttributeError:
-            pass
-        dense = np.zeros((len(self._rows),) + self._batch)
-        for dst, row in zip(dense, self._rows):
-            if row is not None:
-                dst[...] = row
-        return np.moveaxis(dense, 0, -1)
+            c = np.zeros((len(self._rows),) + self._batch)
+            for dst, row in zip(c, self._rows):
+                if row is not None:
+                    dst[...] = row
+        return c.T if c.ndim < 3 else np.moveaxis(c, 0, -1)  # .T: the same view, cheaper
 
     @property
     def value(self):
-        try:
-            return self._c[..., 0]
-        except AttributeError:
-            return self._row_values(0)
+        return self._coefficient(0)
 
     @property
     def batch_shape(self):
         try:
-            return self._c.shape[:-1]
+            return self._c.shape[1:]
         except AttributeError:
             return self._batch
 
-    def _row_values(self, k: int) -> np.ndarray:
-        """Coefficient `k` of a row-form jet at every node, as a read-only batch-shaped array."""
-        row = self._rows[k]
-        if row is None:
-            row = np.zeros(())
-        return np.broadcast_to(row, self._batch)
+    def _coefficient(self, k: int) -> np.ndarray:
+        """Coefficient `k` at every node: a view of a dense jet's row, else a read-only array."""
+        try:
+            return self._c[k, ...]
+        except AttributeError:
+            row = self._rows[k]
+        return np.broadcast_to(np.zeros(()) if row is None else row, self._batch)
 
     def partial(self, alpha: Sequence[int]):
         """Mixed partial derivative for multi-index `alpha` (exact, not /alpha!)."""
@@ -298,11 +296,7 @@ class Jet:
             raise ValueError(
                 f"multi-index {alpha} has degree {sum(alpha)} > jet order {self.order}"
             )
-        k = jet_table(self.dim, self.order).index[alpha]
-        try:
-            return self._c[..., k]
-        except AttributeError:
-            return self._row_values(k)
+        return self._coefficient(jet_table(self.dim, self.order).index[alpha])
 
     def truncated(self, order: int) -> "Jet":
         """Drop all coefficients of total degree > `order` (exact operation)."""
@@ -312,7 +306,7 @@ class Jet:
             raise ValueError(f"cannot truncate order-{self.order} jet to order {order}")
         size = jet_table(self.dim, self.order).grade_sizes[order]
         try:
-            return _jet(self.dim, order, self._c[..., :size])
+            return _jet(self.dim, order, self._c[:size])
         except AttributeError:
             return _from_rows(self.dim, order, self._rows[:size], self._batch)
 
@@ -320,7 +314,7 @@ class Jet:
         """Jet of the partial derivative along `axis`, one order lower."""
         src = self._derive_src(axis)
         try:
-            return _jet(self.dim, self.order - 1, self._c[..., src])
+            return _jet(self.dim, self.order - 1, self._c[src])
         except AttributeError:
             rows = self._rows
             return _from_rows(self.dim, self.order - 1, tuple(rows[k] for k in src.tolist()),
@@ -354,9 +348,12 @@ class Jet:
         if other.__class__ is not Jet or other.dim != self.dim or other.order != self.order:
             other = self._coerce(other)
         try:
-            return _jet(self.dim, self.order, self._c + other._c)
+            a, b = self._c, other._c
         except AttributeError:
             return _row_sum(self, other, False)
+        if a.ndim != b.ndim:
+            a, b = _lift(a, b.ndim), _lift(b, a.ndim)
+        return _jet(self.dim, self.order, a + b)
 
     __radd__ = __add__
 
@@ -364,16 +361,16 @@ class Jet:
         if other.__class__ is not Jet or other.dim != self.dim or other.order != self.order:
             other = self._coerce(other)
         try:
-            return _jet(self.dim, self.order, self._c - other._c)
+            a, b = self._c, other._c
         except AttributeError:
             return _row_sum(self, other, True)
+        if a.ndim != b.ndim:
+            a, b = _lift(a, b.ndim), _lift(b, a.ndim)
+        return _jet(self.dim, self.order, a - b)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        try:
-            return _jet(self.dim, self.order, other._c - self._c)
-        except AttributeError:
-            return _row_sum(other, self, True)
+        # not ``constant - self``, which for a mark would call this method again
+        return Jet.__sub__(self._coerce(other), self)
 
     def __neg__(self):
         try:
@@ -383,46 +380,39 @@ class Jet:
                               tuple(None if r is None else -r for r in self._rows), self._batch)
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):
-            scalar = np.asarray(other, dtype=np.float64)
-            # a mark times a finite number is ±0 at every coefficient
-            if self.__class__ is _ZeroJet and scalar.ndim == 0 and math.isfinite(scalar):
-                return self
-            try:
-                return _jet(self.dim, self.order, self._c * scalar[..., None])
-            except AttributeError:
-                return _row_scale(self, scalar)
-        if other.dim != self.dim or other.order != self.order:
-            other = self._coerce(other)
         try:
             a, b = self._c, other._c
         except AttributeError:
+            if not isinstance(other, Jet):
+                return _scale(self, np.asarray(other, dtype=np.float64))
+            if other.dim != self.dim or other.order != self.order:
+                self._coerce(other)  # raises on the mismatch
             return _row_mul(self, other)
-        if a.shape == b.shape and a.size < _BIG_BATCH * a.shape[-1]:
-            # the zero checks below, in their order, before any broadcast: a
-            # mark times a finite operand is the mark, or the other operand
-            # where that is found zero
-            if self.__class__ is _ZeroJet:
+        dim, order = self.dim, self.order
+        if other.dim != dim or other.order != order:
+            self._coerce(other)  # raises on the mismatch
+        if a.shape == b.shape and a.size < _BIG_BATCH * len(a):
+            # the common case, two dense operands of one shape: a zero (a mark,
+            # or found zero) times a finite operand is that zero
+            if self.__class__ is _ZeroJet or self._is_zero():
                 if other._is_finite():
                     return self
-            elif other.__class__ is _ZeroJet:
-                if self._is_zero():
-                    return self
-                if self._is_finite():
-                    return other
-        shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
-        if math.prod(shape[:-1]) >= _BIG_BATCH:
+            elif other._is_zero() and self._is_finite():
+                return other
+            return _jet(dim, order, _mul_gather(a, b, jet_table(dim, order)))
+        batch = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        if math.prod(batch) >= _BIG_BATCH:
             return _row_mul(self, other)
         # a term is left unless one operand is all zero and the other finite
         if not ((self._is_zero() and other._is_finite())
                 or (other._is_zero() and self._is_finite())):
-            return _jet(self.dim, self.order, _mul_gather(a, b, jet_table(self.dim, self.order)))
+            return _jet(dim, order, _mul_gather(a, b, jet_table(dim, order)))
         # no term left, every one is ±0 at every node: skip the kernel
-        if self.__class__ is _ZeroJet and a.shape == shape:
+        if self.__class__ is _ZeroJet and a.shape[1:] == batch:
             return self
-        if other.__class__ is _ZeroJet and b.shape == shape:
+        if other.__class__ is _ZeroJet and b.shape[1:] == batch:
             return other
-        return _mark_zero(_jet(self.dim, self.order, np.zeros(shape)))
+        return _mark_zero(_jet(dim, order, np.zeros((len(a),) + batch)))
 
     __rmul__ = __mul__
 
@@ -511,7 +501,14 @@ class _ZeroJet(Jet):
         return self
 
     def truncated(self, order: int) -> "Jet":
-        return _mark_zero(Jet.truncated(self, order))
+        # each lower order's mark is built once per mark and kept in `_lower`
+        if order == self.order:
+            return self
+        if not hasattr(self, "_lower"):
+            self._lower = {}
+        if order not in self._lower:
+            self._lower[order] = _mark_zero(Jet.truncated(self, order))
+        return self._lower[order]
 
     def derive(self, axis: int) -> "Jet":
         # every coefficient is zero, so the leading ones serve as the derivative's
@@ -557,7 +554,7 @@ def _rows_of(j: Jet) -> tuple:
         c = j._c
     except AttributeError:
         return j._rows, j._batch
-    return tuple(r if r.any() else None for r in np.moveaxis(c, -1, 0)), c.shape[:-1]
+    return tuple(r if r.any() else None for r in c), c.shape[1:]
 
 
 def _finite_rows(j: Jet, rows: tuple) -> tuple:
@@ -570,6 +567,11 @@ def _finite_rows(j: Jet, rows: tuple) -> tuple:
     except AttributeError:
         j._flags = tuple(r is None or bool(np.isfinite(r).all()) for r in rows)
         return j._flags
+
+
+def _lift(c: np.ndarray, ndim: int) -> np.ndarray:
+    """Coefficient-major `c` with unit axes after axis 0 up to `ndim` axes, to broadcast."""
+    return c.reshape(c.shape[:1] + (1,) * (ndim - c.ndim) + c.shape[1:])
 
 
 def _row_sum(a: Jet, b: Jet, subtract: bool) -> Jet:
@@ -590,12 +592,23 @@ def _row_sum(a: Jet, b: Jet, subtract: bool) -> Jet:
     return _from_rows(a.dim, a.order, rows, batch)
 
 
-def _row_scale(j: Jet, scalar: np.ndarray) -> Jet:
-    """A row-form jet times a number or an array over its batch.
+def _scale(j: Jet, scalar: np.ndarray) -> Jet:
+    """A jet times a number or an array over its batch; a mark times a finite number is the mark.
 
-    A ``None`` row stays ``None`` where `scalar` is finite everywhere and is
-    0 × `scalar` otherwise, so NaN and ±inf reach the rows they would.
+    A row-form jet's ``None`` row stays ``None`` where `scalar` is finite
+    everywhere and is 0 × `scalar` otherwise, so NaN and ±inf reach the rows
+    they would.
     """
+    if j.__class__ is _ZeroJet and scalar.ndim == 0 and math.isfinite(scalar):
+        return j
+    try:
+        c = j._c
+    except AttributeError:
+        pass
+    else:
+        if scalar.ndim >= c.ndim:
+            c = _lift(c, scalar.ndim + 1)
+        return _jet(j.dim, j.order, c * scalar)
     if np.isfinite(scalar).all():
         zero = None
     else:
@@ -677,22 +690,24 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
       less than the layers' several, and longer segments (order 4 from dim 2
       on) are summed pairwise, which slice additions would not reproduce.
     """
+    if a.ndim != b.ndim:
+        a, b = _lift(a, b.ndim), _lift(b, a.ndim)
     if t.order == 0:
         return a * b
     if t.order == 1:
-        out = a[..., :1] * b
-        out[..., 1:] += a[..., 1:] * b[..., :1]
+        out = a[:1] * b
+        out[1:] += a[1:] * b[:1]
         return out
     lay = t.layers
     if lay is not None and max(a.size, b.size) >= _LAYER_BATCH * t.size:
-        prod = a[..., lay.ii] * b[..., lay.jj]
-        prod *= lay.ff
+        prod = a[lay.ii] * b[lay.jj]
+        prod *= lay.fc if prod.ndim == 2 else _lift(lay.ff, prod.ndim)
         for dst, src in lay.adds:
-            prod[..., dst] += prod[..., src]
-        return prod[..., lay.inv]
-    prod = a[..., t.mul_ii] * b[..., t.mul_jj]
-    prod *= t.mul_ff
-    return np.add.reduceat(prod, t.mul_starts, axis=-1)
+            prod[dst] += prod[src]
+        return prod[lay.inv]
+    prod = a[t.mul_ii] * b[t.mul_jj]
+    prod *= t.mul_fc if prod.ndim == 2 else _lift(t.mul_ff, prod.ndim)
+    return np.add.reduceat(prod, t.mul_starts, axis=0)
 
 
 # the unit row of every large-batch seed: one shared read-only 1.0 that broadcasts to any batch
@@ -747,9 +762,9 @@ def _seed(i: int, x: CoordinateValues, dim: int, order: int) -> Jet:
         j = _from_rows(dim, order, tuple(rows), x0.shape)
     elif order:
         # fresh coefficients, never a zero constant's: those belong to a mark
-        coeffs = np.zeros(x0.shape + (t.size,))
-        coeffs[..., 0] = x0
-        coeffs[..., unit] = 1.0
+        coeffs = np.zeros((t.size,) + x0.shape)
+        coeffs[0] = x0
+        coeffs[unit] = 1.0
         j = _jet(dim, order, coeffs)
     else:
         j = Jet.constant(x0, dim, 0)
@@ -798,11 +813,11 @@ def _compose(a: Jet, taylor):
     constant + sum.
     """
     try:
-        rem_coeffs = a._c.copy(order="K")
+        rem_coeffs = a._c.copy()
     except AttributeError:
         rem = _from_rows(a.dim, a.order, (None,) + a._rows[1:], a._batch)
     else:
-        rem_coeffs[..., 0] = 0.0
+        rem_coeffs[0] = 0.0
         rem = _jet(a.dim, a.order, rem_coeffs)
     acc = Jet.constant(taylor[a.order], a.dim, a.order)
     for k in range(a.order - 1, -1, -1):
@@ -811,7 +826,7 @@ def _compose(a: Jet, taylor):
             acc = product + Jet.constant(taylor[k], a.dim, a.order)
             continue
         try:
-            product._c[..., 0] += taylor[k]
+            product._c[0] += taylor[k]
             acc = product
         except AttributeError:
             rows = product._rows

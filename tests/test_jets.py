@@ -121,6 +121,25 @@ def test_public_constructor_checks_the_coefficient_length():
     assert Jet(2, 2, np.arange(size)).coeffs.dtype == np.float64
 
 
+@pytest.mark.parametrize("batch", [(), (3,), (100,), (600,)])
+def test_a_jet_is_unchanged_after_its_source_array_is_written(batch):
+    rng = np.random.default_rng(41)
+    size = jet_table(2, 2).size
+    source, zeros = rng.normal(size=batch + (size,)), np.zeros(batch + (size,))
+    x, z = Jet(2, 2, source), Jet(2, 2, zeros)
+    want, square = source.copy(), (x * x).coeffs.copy()
+    dense = hasattr(x, "_c")
+    if dense:
+        assert x._is_finite() and not x._is_zero()  # flags cached before the writes
+    source[...] = np.nan
+    zeros[...] = 1.0
+    assert np.array_equal(x.coeffs, want) and np.array_equal((x * x).coeffs, square)
+    if dense:
+        assert x._is_finite() and np.isfinite(x.coeffs).all()
+    # z is still zero: its product with the finite x is z itself, a mark
+    assert not np.count_nonzero(z.coeffs) and z * x is z and isinstance(z, jets._ZeroJet)
+
+
 def test_internal_results_are_float64_arrays_of_table_size():
     rng = np.random.default_rng(30)
     size = jet_table(2, 3).size
@@ -331,11 +350,18 @@ def test_product_commutes_and_associates(seed):
 EPS = np.finfo(np.float64).eps
 
 
+def gather(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """`jets._mul_gather` of batch-major ``(..., size)`` coefficients, passed to it
+    coefficient-major as a dense jet stores them; the product comes back batch-major."""
+    a, b = (np.ascontiguousarray(np.moveaxis(x, -1, 0)) for x in (a, b))
+    return np.moveaxis(jets._mul_gather(a, b, t), 0, -1)
+
+
 def assert_matches_gather(a: Jet, b: Jet, got: np.ndarray) -> None:
     """`got` equals the gather/reduceat product within 4 ulps of the largest |term|."""
     t = jet_table(a.dim, a.order)
-    want = jets._mul_gather(a.coeffs, b.coeffs, t)
-    scale = jets._mul_gather(np.abs(a.coeffs), np.abs(b.coeffs), t)
+    want = gather(a.coeffs, b.coeffs, t)
+    scale = gather(np.abs(a.coeffs), np.abs(b.coeffs), t)
     scale = np.max(scale, axis=-1, keepdims=True)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 4 * EPS * scale)
@@ -377,7 +403,7 @@ def test_coeff_major_product_propagates_nonfinite_like_gather():
     b[13, 0] = 0.0
     with np.errstate(invalid="ignore"):
         big = (Jet(2, 3, a) * Jet(2, 3, b)).coeffs
-        want = jets._mul_gather(a, b, t)
+        want = gather(a, b, t)
     for mask in (np.isnan, np.isposinf, np.isneginf):
         assert np.array_equal(mask(big), mask(want))
     assert np.isnan(big).any() and np.isinf(big).any()
@@ -456,7 +482,7 @@ def test_zero_row_against_nonfinite_row_is_not_skipped():
     a[11, 1] = -np.inf
     with np.errstate(invalid="ignore"):
         got = (Jet(2, 3, a) * Jet(2, 3, b)).coeffs
-        want = jets._mul_gather(a, b, t)
+        want = gather(a, b, t)
         assert np.array_equal(got, full_sum(a, b, t), equal_nan=True)
     for mask in (np.isnan, np.isposinf, np.isneginf):
         assert np.array_equal(mask(got), mask(want))
@@ -504,7 +530,9 @@ def test_constant_layout_follows_the_batch():
     big = Jet.constant(np.full((2, jets._BIG_BATCH), 3.0), 2, 3)
     small = Jet.constant(np.full(jets._BIG_BATCH - 1, 3.0), 2, 3)
     assert coeff_rows(big.coeffs).flags.c_contiguous
-    assert small.coeffs.flags.c_contiguous
+    # below `_BIG_BATCH` the coefficients are one coefficient-major array
+    assert small._c.shape == (jet_table(2, 3).size, jets._BIG_BATCH - 1)
+    assert small._c.flags.c_contiguous and coeff_rows(small.coeffs).flags.c_contiguous
     for j in (big, small):
         assert np.all(j.value == 3.0) and not j.coeffs[..., 1:].any()
 
@@ -712,10 +740,10 @@ def test_small_batch_marks_return_an_operand_or_a_mark():
                 (x + zero, x.coeffs + zero.coeffs), (zero + x, zero.coeffs + x.coeffs),
                 (x - zero, x.coeffs - zero.coeffs), (zero - x, zero.coeffs - x.coeffs),
                 (-zero, -zero.coeffs), (zero + zero, zero.coeffs + zero.coeffs),
-                (zero * finite, jets._mul_gather(zero.coeffs, finite.coeffs, t)),
-                (finite * zero, jets._mul_gather(finite.coeffs, zero.coeffs, t)),
-                (zero * x, jets._mul_gather(zero.coeffs, x.coeffs, t)),
-                (x * zero, jets._mul_gather(x.coeffs, zero.coeffs, t)),
+                (zero * finite, gather(zero.coeffs, finite.coeffs, t)),
+                (finite * zero, gather(finite.coeffs, zero.coeffs, t)),
+                (zero * x, gather(zero.coeffs, x.coeffs, t)),
+                (x * zero, gather(x.coeffs, zero.coeffs, t)),
                 (zero * 2.5, zero.coeffs * 2.5), (2.5 * zero, zero.coeffs * 2.5),
                 (zero * np.nan, zero.coeffs * np.nan),
                 (zero.derive(1), zero.coeffs[..., t.derive_src[1]]),
@@ -807,6 +835,42 @@ def test_every_operation_with_a_mark_equals_the_unmarked_reference(
     assert isinstance(x, jets._ZeroJet) == (not np.count_nonzero(xc))
 
 
+@pytest.mark.parametrize("source", ["constant", "found", "product"])
+@pytest.mark.parametrize("batch", [(), (100,), (600,)])
+def test_a_mark_builds_each_lower_order_mark_once(batch, source):
+    dim, order = 3, 4
+    size = jet_table(dim, order).size
+    zero = Jet.constant(np.zeros(batch), dim, order)
+    if source == "found":
+        zero = Jet(dim, order, np.zeros(batch + (size,)))
+        assert zero._is_zero()
+    elif source == "product":  # a fresh mark where the batchless zero broadcasts
+        zero = Jet.constant(0.0, dim, order) * Jet(dim, order, np.ones(batch + (size,)))
+    assert isinstance(zero, jets._ZeroJet)
+    dense = hasattr(zero, "_c")
+    assert dense == (batch != (600,))
+    lower = {k: zero.truncated(k) for k in range(order)}
+    for k, mark in lower.items():
+        assert isinstance(mark, jets._ZeroJet) and mark._zero and mark._finite
+        assert (mark.dim, mark.order, mark.batch_shape) == (dim, k, batch)
+        assert hasattr(mark, "_c") == dense and not np.count_nonzero(mark.coeffs)
+        assert mark.coeffs.shape == batch + (jet_table(dim, k).size,)
+        assert zero.truncated(k) is mark
+    for axis in range(dim):
+        assert zero.derive(axis) is zero.derive(axis) is lower[order - 1]
+    assert zero.truncated(order) is zero
+    # the checks still run before a mark is reused, and a refused call keeps nothing
+    for bad in (-1, order + 1):
+        with pytest.raises(ValueError):
+            zero.truncated(bad)
+    for bad in (-1, dim):
+        with pytest.raises(ValueError):
+            zero.derive(bad)
+    with pytest.raises(ValueError):
+        lower[0].derive(0)
+    assert sorted(zero._lower) == list(range(order))
+
+
 @pytest.mark.parametrize("shape", [(600,), (2, 600), (), (1,), (100,)])
 def test_seed_at_the_origin_of_a_large_batch_is_not_marked(shape):
     x, y = seed_point(np.zeros(shape + (2,)), 3)
@@ -822,7 +886,7 @@ def checked_product(a: Jet, b: Jet) -> Jet:
     """`a * b` equals the gather product (==, with equal NaN and ±inf masks); returns it."""
     with np.errstate(invalid="ignore"):
         product = a * b
-        want = jets._mul_gather(a.coeffs, b.coeffs, jet_table(a.dim, a.order))
+        want = gather(a.coeffs, b.coeffs, jet_table(a.dim, a.order))
     got = product.coeffs
     assert got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
@@ -891,7 +955,7 @@ def test_zero_times_finite_skips_the_gather(monkeypatch):
     nan[3, 2] = np.nan
     with np.errstate(invalid="ignore"):
         zero * Jet(2, 2, nan)
-    assert calls == [(100, size)]
+    assert calls == [(size, 100)]  # coefficient-major
 
 
 def test_zero_flag_is_computed_once_per_jet(monkeypatch):
@@ -908,11 +972,11 @@ def test_zero_flag_is_computed_once_per_jet(monkeypatch):
     finite = Jet(2, 2, np.ones((100, size)))
     assert not hasattr(zero, "_zero")
     product = zero * finite
-    assert len(counted) == 1 and counted[0] is zero.coeffs
+    assert len(counted) == 1 and counted[0] is zero._c
     assert zero._zero and product._zero
     for a, b in ((finite, zero), (product, finite), (zero, product), (finite, finite)):
         a * b
-    assert len(counted) == 2 and counted[1] is finite.coeffs
+    assert len(counted) == 2 and counted[1] is finite._c
 
 
 def test_finite_flag_is_computed_once_per_jet(monkeypatch):
@@ -929,7 +993,7 @@ def test_finite_flag_is_computed_once_per_jet(monkeypatch):
     finite = Jet(2, 2, np.ones((100, size)))
     assert not hasattr(finite, "_finite")
     product = zero * finite
-    assert len(scanned) == 1 and scanned[0] is finite.coeffs
+    assert len(scanned) == 1 and scanned[0] is finite._c
     assert finite._finite and product._finite
     for a, b in ((finite, zero), (zero, finite), (product, finite), (finite, product)):
         assert (a * b)._is_zero()
@@ -979,7 +1043,7 @@ def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
     with np.errstate(invalid="ignore", over="ignore"):
         for a, b in pairs:
             want = canonical_nan(reference_gather(a, b, t))
-            for got in (jets._mul_gather(a, b, t), (Jet(dim, order, a) * Jet(dim, order, b)).coeffs):
+            for got in (gather(a, b, t), (Jet(dim, order, a) * Jet(dim, order, b)).coeffs):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert canonical_nan(got).tobytes() == want.tobytes()
 
