@@ -202,7 +202,11 @@ class Jet:
     Neither form may be written once the jet has taken part in an operation.
     A jet caches flags of its coefficients on first use: all zero
     (`_is_zero`), all finite (`_is_finite`) and each row's finiteness
-    (`_flags`, for the row product), and may become a `_ZeroJet`. Results
+    (`_flags`, for the row product), and may become a `_ZeroJet`. Every
+    constructor sets `_zero` and `_finite` to ``None`` (not yet computed); a
+    mark sets both to ``True``. Gathers of rows, in `derive` and the dense
+    product, go through ``ndarray.take(..., axis=0)``, which costs less per
+    call than fancy indexing and gives the same bytes. Results
     share what they can: `truncated` of a dense jet and `derive` of a dense
     mark return views, `derive` and `truncated` of a row-form jet share its
     rows, a mark keeps the lower-order marks they return (`_lower`), and sums
@@ -221,13 +225,14 @@ class Jet:
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         table = jet_table(dim, order)
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape[-1] != table.size:
+        if coeffs.shape[-1:] != (table.size,):
             raise ValueError(
-                f"coefficient vector of length {coeffs.shape[-1]} does not match "
+                f"coefficient array of shape {coeffs.shape} does not match "
                 f"table size {table.size} for dim={dim}, order={order}"
             )
         self.dim = dim
         self.order = order
+        self._zero = self._finite = None
         rows = np.moveaxis(coeffs, -1, 0)
         if coeffs.size < _BIG_BATCH * table.size:
             # a copy: a later write to the caller's array must not reach the jet or its flags
@@ -314,7 +319,7 @@ class Jet:
         """Jet of the partial derivative along `axis`, one order lower."""
         src = self._derive_src(axis)
         try:
-            return _jet(self.dim, self.order - 1, self._c[src])
+            return _jet(self.dim, self.order - 1, self._c.take(src, axis=0))
         except AttributeError:
             rows = self._rows
             return _from_rows(self.dim, self.order - 1, tuple(rows[k] for k in src.tolist()),
@@ -430,30 +435,27 @@ class Jet:
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 
-    # The two flags below serve the dense product; a row-form jet has them
-    # only as a mark.
+    # The two flags below serve the dense product; a row-form jet computes
+    # neither, and its flags stay None unless it is a mark.
 
     def _is_zero(self) -> bool:
         """Whether every coefficient is ±0, computed on first use and cached.
 
         A jet found to be zero is marked (`_mark_zero`).
         """
-        try:
-            return self._zero
-        except AttributeError:
+        if self._zero is None:
             if np.count_nonzero(self._c):
                 self._zero = False
             else:
                 _mark_zero(self)
-            return self._zero
+        return self._zero
 
     def _is_finite(self) -> bool:
         """Whether every coefficient is finite, computed on first use and cached."""
-        try:
-            return self._finite
-        except AttributeError:
-            self._finite = bool(np.isfinite(self._c).all())
-            return self._finite
+        if self._finite is None:
+            c = self._c
+            self._finite = bool(np.count_nonzero(np.isfinite(c)) == c.size)
+        return self._finite
 
 
 class _ZeroJet(Jet):
@@ -532,6 +534,7 @@ def _jet(dim: int, order: int, coeffs: np.ndarray) -> Jet:
     j.dim = dim
     j.order = order
     j._c = coeffs
+    j._zero = j._finite = None
     return j
 
 
@@ -542,6 +545,7 @@ def _from_rows(dim: int, order: int, rows: tuple, batch: tuple) -> Jet:
     j.order = order
     j._rows = rows
     j._batch = batch
+    j._zero = j._finite = None
     for row in rows:
         if row is not None:
             return j
@@ -700,12 +704,12 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
         return out
     lay = t.layers
     if lay is not None and max(a.size, b.size) >= _LAYER_BATCH * t.size:
-        prod = a[lay.ii] * b[lay.jj]
+        prod = a.take(lay.ii, axis=0) * b.take(lay.jj, axis=0)
         prod *= lay.fc if prod.ndim == 2 else _lift(lay.ff, prod.ndim)
         for dst, src in lay.adds:
             prod[dst] += prod[src]
-        return prod[lay.inv]
-    prod = a[t.mul_ii] * b[t.mul_jj]
+        return prod.take(lay.inv, axis=0)
+    prod = a.take(t.mul_ii, axis=0) * b.take(t.mul_jj, axis=0)
     prod *= t.mul_fc if prod.ndim == 2 else _lift(t.mul_ff, prod.ndim)
     return np.add.reduceat(prod, t.mul_starts, axis=0)
 
@@ -842,7 +846,7 @@ def exp(a: Jet) -> Jet:
 
 def log(a: Jet) -> Jet:
     v = a.value
-    if np.any(v <= 0.0):
+    if np.count_nonzero(v <= 0.0):
         raise JetDomainError(f"log of non-positive value (min value {np.min(v)})")
     taylor = [np.log(v)]
     for k in range(1, a.order + 1):
@@ -863,14 +867,14 @@ def _binomial(a: Jet, exponent: float) -> Jet:
 
 def sqrt(a: Jet) -> Jet:
     v = a.value
-    if np.any(v <= 0.0):
+    if np.count_nonzero(v <= 0.0):
         raise JetDomainError(f"sqrt of non-positive value (min value {np.min(v)})")
     return _binomial(a, 0.5)
 
 
 def reciprocal(a: Jet) -> Jet:
     v = a.value
-    if np.any(v == 0.0):
+    if np.count_nonzero(v == 0.0):
         raise JetDomainError("division by zero value coefficient")
     return _compose(a, [(-1.0) ** k * v ** (-(k + 1)) for k in range(a.order + 1)])
 
@@ -936,7 +940,7 @@ def power(a: Jet, exponent) -> Jet:
         for _ in range(k - 1):
             acc = acc * a
         return acc
-    if np.any(a.value <= 0.0):
+    if np.count_nonzero(a.value <= 0.0):
         raise JetDomainError(
             f"power with non-integer exponent {exponent} of non-positive value"
         )

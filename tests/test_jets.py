@@ -121,6 +121,41 @@ def test_public_constructor_checks_the_coefficient_length():
     assert Jet(2, 2, np.arange(size)).coeffs.dtype == np.float64
 
 
+def test_public_constructor_refuses_a_scalar():
+    for bad in (5.0, np.float64(5.0), np.zeros(())):
+        with pytest.raises(ValueError, match=r"shape \(\) does not match table size 3"):
+            Jet(2, 1, bad)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (100,), (600,)])
+def test_domain_checks_refuse_zero_and_negative_values_and_pass_nan(batch):
+    # the last node holds the bad value; at (600,) the jet is in row form
+    dim, order = 2, 2
+    size = jet_table(dim, order).size
+    rng = np.random.default_rng(sum(batch) + 31)
+    node = (-1,) * len(batch)
+
+    def with_value(v):
+        c = rng.normal(size=batch + (size,))
+        c[..., 0] = rng.uniform(0.5, 2.0, size=batch)
+        c[node + (0,)] = v
+        return Jet(dim, order, c)
+
+    checks = [(jets.log, "log", True), (jets.sqrt, "sqrt", True),
+              (jets.reciprocal, "division", False),
+              (lambda a: jets.power(a, 1.5), "non-integer exponent", True)]
+    for fn, name, refuses_negative in checks:
+        for bad in (0.0, -0.0, -1.5):
+            a = with_value(bad)
+            if bad < 0 and not refuses_negative:
+                assert np.isfinite(fn(a).coeffs).all()
+                continue
+            with pytest.raises(JetDomainError, match=name):
+                fn(a)
+        got = fn(with_value(np.nan)).value
+        assert np.isnan(got[node]) and np.count_nonzero(np.isnan(got)) == 1
+
+
 @pytest.mark.parametrize("batch", [(), (3,), (100,), (600,)])
 def test_a_jet_is_unchanged_after_its_source_array_is_written(batch):
     rng = np.random.default_rng(41)
@@ -767,7 +802,7 @@ def test_small_batch_marks_return_an_operand_or_a_mark():
     for a, b in ((finite, liar), (liar, finite)):
         for got, want in ((a + b, a.coeffs + b.coeffs), (a - b, a.coeffs - b.coeffs), (-a, -a.coeffs)):
             assert type(got) is Jet and got is not a and got is not b
-            assert not hasattr(got, "_zero") and not hasattr(got, "_flags")
+            assert got._zero is None and not hasattr(got, "_flags")
             assert got.coeffs.tobytes() == want.tobytes()
 
 
@@ -871,11 +906,52 @@ def test_a_mark_builds_each_lower_order_mark_once(batch, source):
     assert sorted(zero._lower) == list(range(order))
 
 
+def assert_flags_unset_or_marked(j: Jet) -> None:
+    """A fresh jet's `_zero` and `_finite` are None; a mark's are both True."""
+    if isinstance(j, jets._ZeroJet):
+        assert j._zero is True and j._finite is True
+    else:
+        assert j._zero is None and j._finite is None
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (100,), (600,)])
+def test_every_way_to_build_a_jet_leaves_its_flags_unset_or_marked(batch):
+    dim, order = 2, 3
+    size = jet_table(dim, order).size
+    rng = np.random.default_rng(sum(batch) + 41)
+
+    def fresh():
+        return Jet(dim, order, rng.normal(size=batch + (size,)))
+
+    xs = jets.coordinate_values(rng.normal(size=batch + (dim,)))
+    zero = Jet.constant(np.zeros(batch), dim, order)
+    # each is built from operands not used before, whose flags no product has set
+    makers = [
+        fresh, lambda: Jet(dim, order, np.zeros(batch + (size,))),
+        lambda: Jet.constant(rng.normal(size=batch), dim, order),
+        lambda: Jet.constant(np.zeros(batch), dim, order),
+        lambda: jets.seed_coordinates(xs, order)[1], lambda: jets.seed_coordinates(xs, 0)[0],
+        lambda: fresh() + fresh(), lambda: fresh() - fresh(), lambda: fresh() * fresh(),
+        lambda: 2.5 * fresh(), lambda: fresh() * rng.normal(size=batch), lambda: fresh() / 4.0,
+        lambda: fresh().derive(1), lambda: fresh().truncated(1), lambda: -fresh(),
+        lambda: zero * fresh(), lambda: zero.derive(0), lambda: zero.truncated(1), lambda: -zero,
+    ]
+    built = [make() for make in makers]
+    for j in built:
+        assert_flags_unset_or_marked(j)
+    assert any(isinstance(j, jets._ZeroJet) for j in built)
+    # computed flags are Python bools
+    j = fresh()
+    if hasattr(j, "_c"):
+        assert j._is_zero() is False and j._is_finite() is True
+        assert j._zero is False and j._finite is True
+
+
 @pytest.mark.parametrize("shape", [(600,), (2, 600), (), (1,), (100,)])
 def test_seed_at_the_origin_of_a_large_batch_is_not_marked(shape):
     x, y = seed_point(np.zeros(shape + (2,)), 3)
     for j in (x, y):
-        assert type(j) is Jet and not hasattr(j, "_zero")
+        assert type(j) is Jet and j._zero is None
     assert np.all((x * y).partial((1, 1)) == 1.0)
 
 
@@ -963,14 +1039,15 @@ def test_zero_flag_is_computed_once_per_jet(monkeypatch):
     count_nonzero = np.count_nonzero
 
     def spy(c):
-        counted.append(c)
+        if c.dtype != bool:  # the zero scan reads coefficients; the finite check counts a mask
+            counted.append(c)
         return count_nonzero(c)
 
     monkeypatch.setattr(jets.np, "count_nonzero", spy)
     size = jet_table(2, 2).size
     zero = Jet(2, 2, np.zeros((100, size)))
     finite = Jet(2, 2, np.ones((100, size)))
-    assert not hasattr(zero, "_zero")
+    assert zero._zero is None
     product = zero * finite
     assert len(counted) == 1 and counted[0] is zero._c
     assert zero._zero and product._zero
@@ -991,7 +1068,7 @@ def test_finite_flag_is_computed_once_per_jet(monkeypatch):
     size = jet_table(2, 2).size
     zero = Jet(2, 2, np.zeros((100, size)))
     finite = Jet(2, 2, np.ones((100, size)))
-    assert not hasattr(finite, "_finite")
+    assert finite._finite is None
     product = zero * finite
     assert len(scanned) == 1 and scanned[0] is finite._c
     assert finite._finite and product._finite
@@ -1032,9 +1109,10 @@ def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
     rng = np.random.default_rng(200 * dim + order)
     t = jet_table(dim, order)
     pairs = []
-    # each side of the layered sum's crossover, the pointwise chunk and the largest gather batch
+    # each side of the layered sum's crossover, the pointwise chunk, the largest gather batch,
+    # and two batch axes: (4, 25) takes the layered sum on 3-D arrays
     for batch in ((), (1,), (100,), (jets._LAYER_BATCH - 1,), (jets._LAYER_BATCH,),
-                  (qem._CHUNK,), (jets._BIG_BATCH - 1,)):
+                  (qem._CHUNK,), (jets._BIG_BATCH - 1,), (2, 3), (4, 25)):
         a, b = (with_special_values(rng.normal(size=batch + (t.size,)), rng) for _ in range(2))
         const = Jet.constant(rng.normal(), dim, order).coeffs
         pairs += [(a, b), (const, b), (a, const)]
@@ -1046,6 +1124,19 @@ def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
             for got in (gather(a, b, t), (Jet(dim, order, a) * Jet(dim, order, b)).coeffs):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert canonical_nan(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (2, 3), (100,)])
+@pytest.mark.parametrize("dim,order", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 4)])
+def test_derive_gathers_the_coefficients_bit_for_bit(batch, dim, order):
+    rng = np.random.default_rng(10 * dim + order + sum(batch))
+    t = jet_table(dim, order)
+    c = with_special_values(rng.normal(size=batch + (t.size,)), rng)
+    x = Jet(dim, order, c)
+    for axis, src in enumerate(t.derive_src):
+        got = x.derive(axis).coeffs
+        assert got.shape == batch + (len(src),)
+        assert got.tobytes() == c[..., src].tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
