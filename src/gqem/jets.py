@@ -18,13 +18,12 @@ zero at every coefficient and node, at any batch size, is a `_ZeroJet`: sums,
 differences and products with it return an operand or a mark instead of
 running over zeros (see `_ZeroJet`).
 
-Below `_BIG_BATCH` a product gathers the rows of every product-table term and
-sums each output with the bits of `np.add.reduceat`, in one of three forms
-(`_mul_gather`): direct at order 0 and 1, where an output has at most two
-terms; by whole layers of terms from `_LAYER_BATCH` nodes on, where no output
-has more than `_LAYER_TERMS` terms, because per-segment `reduceat` costs more
-there; and `reduceat` over axis 0 otherwise, which is cheaper in one call at
-small batches and sums longer segments pairwise.
+Every product sums each output's terms left to right in table order, so a
+node's result does not depend on the batch it is computed in. Below
+`_BIG_BATCH` a product gathers the rows of every product-table term
+(`_mul_gather`) and sums them directly at order 0 and 1, by whole layers of
+terms (`_Layers`), or, below `_LAYER_BATCH` nodes and for at most
+`_LAYER_TERMS` terms per output, with one `np.add.reduceat` call.
 """
 
 from __future__ import annotations
@@ -44,12 +43,13 @@ MAX_ORDER = 4
 _BIG_BATCH = 512
 
 # Batch size (of the larger operand) from which `_mul_gather` sums by layers
-# instead of `np.add.reduceat`, where the table allows it. Measured crossover:
+# instead of `np.add.reduceat`, for tables of at most `_LAYER_TERMS` terms per
+# output. Measured crossover:
 # the first of the batches 1, 8, 16, 32, 48, 64, 100 at which layers are not
 # slower, over two runs (as for `_BIG_BATCH`):
 #   order 2: dim 1 100, dim 2 64, dim 3 32, dim 4 32, dim 5 16, dim 6 16
 #   order 3: dim 1 100, dim 2 48, dim 3 48, dim 4 32, dim 5 16, dim 6 16
-#   order 4: dim 1 100 (the only order-4 table with layers)
+#   order 4: dim 1 100 (the only order-4 table reduceat can serve)
 # At batch 1 layers take 1.5..2.6x the reduceat product's time.
 _LAYER_BATCH = 64
 
@@ -98,16 +98,15 @@ def jet_table(dim: int, order: int) -> "_Table":
             for gi, ai in zip(g, a):
                 factor *= math.comb(gi, ai)
             triples.append((index[g], ia, ib, factor))
-    triples.sort(key=lambda t: t[0])
-    out_idx = np.array([t[0] for t in triples], dtype=np.intp)
-    mul_ii = np.array([t[1] for t in triples], dtype=np.intp)
-    mul_jj = np.array([t[2] for t in triples], dtype=np.intp)
-    mul_ff = np.array([t[3] for t in triples], dtype=np.float64)
-    # every output index occurs (alpha = gamma, beta = 0), so reduceat segments cover 0..size-1
+    triples.sort(key=lambda t: t[0])  # stable: each output's terms stay in table order
+    mul_triples = tuple(triples)  # for the row product
+    out_idx, ii, jj, ff = (np.array(col) for col in zip(*triples))
+    # every output index occurs (alpha = gamma, beta = 0), so segments cover 0..size-1
     mul_starts = np.searchsorted(out_idx, np.arange(size))
-    # the same triples as Python tuples, still sorted by output index, for the row product
-    mul_triples = tuple(triples)
-    layers = _layer_plan(mul_ii, mul_jj, mul_ff, mul_starts)
+    layers = _layer_plan(ii, jj, ff, mul_starts)
+    # for `np.add.reduceat`, each output's segment lists its last term first (see `_LAYER_TERMS`)
+    rot = np.arange(len(triples)) - 1
+    rot[mul_starts] = np.append(mul_starts[1:], len(triples)) - 1
 
     derive_src = None
     if order >= 1:
@@ -120,8 +119,8 @@ def jet_table(dim: int, order: int) -> "_Table":
             )
             for ax in range(dim)
         )
-    return _Table(dim, order, tuple(alphas), index, size, grade_sizes, mul_ii, mul_jj,
-                  mul_ff, mul_ff[:, None], mul_starts, mul_triples, layers, derive_src)
+    return _Table(dim, order, tuple(alphas), index, size, grade_sizes, ii[rot], jj[rot],
+                  ff[rot], ff[rot, None], mul_starts, mul_triples, layers, derive_src)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -138,14 +137,16 @@ class _Table:
     mul_fc: np.ndarray  # mul_ff as a column, for products over one batch axis
     mul_starts: np.ndarray
     mul_triples: tuple
-    layers: Optional["_Layers"]
+    layers: "_Layers"
     derive_src: Optional[tuple]
 
 
-# `np.add.reduceat` sums a segment of at most this many terms t0, t1, ... as
-# t0 + (((t1 + t2) + t3) + ...): the tail is summed in order from -0.0, which
-# leaves t1 as it is. A longer tail goes through numpy's pairwise summation
-# with 8 accumulators. Checked on numpy 2.4; the kernel tests compare bytes.
+# `np.add.reduceat` sums a segment of at most this many terms s0, s1, ... as
+# s0 + (((s1 + s2) + s3) + ...), its tail in order from -0.0, which leaves s1
+# as it is; a longer tail goes through numpy's pairwise summation. A segment
+# listed last term first, (t_last, t0, t1, ...), so gives the table-order sum
+# ((t0 + t1) + ...) + t_last bit for bit, as x + y == y + x. Checked on numpy
+# 2.4 (and in CI); the kernel tests compare bytes with the table-order sum.
 _LAYER_TERMS = 8
 
 
@@ -158,8 +159,8 @@ class _Layers:
     prefix of layer 0's columns. Column q of the gathered product is the
     table's triple ``(ii[q], jj[q], ff[q])``; layer p spans ``widths[p]``
     columns from ``sum(widths[:p])``. Each ``(dst, src)`` of `adds` is one
-    ``+=``: layers 2, 3, ... into layer 1, then layer 1 into layer 0, which
-    gives each output the reduceat sum. Output k is then column ``inv[k]``.
+    ``+=`` of layer p into layer 0, for p = 1, 2, ..., which sums each output
+    in table order. Output k is then column ``inv[k]``.
     """
 
     widths: tuple
@@ -171,20 +172,14 @@ class _Layers:
     inv: np.ndarray
 
 
-def _layer_plan(ii, jj, ff, starts) -> Optional[_Layers]:
-    """`_Layers` of a product table; None where an output has more than `_LAYER_TERMS` terms."""
+def _layer_plan(ii, jj, ff, starts) -> _Layers:
+    """`_Layers` of product-table triples sorted by output, each output's in table order."""
     counts = np.diff(np.append(starts, len(ii)))
-    if counts.max() > _LAYER_TERMS:
-        return None
     order = np.argsort(-counts, kind="stable")
     widths = tuple(int(np.count_nonzero(counts > p)) for p in range(counts.max()))
     take = np.concatenate([starts[order[:w]] + p for p, w in enumerate(widths)])
     offsets = np.cumsum((0,) + widths).tolist()
-    one = offsets[1]
-    adds = tuple((slice(one, one + w), slice(lo, lo + w))
-                 for w, lo in zip(widths[2:], offsets[2:]))
-    if len(widths) > 1:
-        adds += ((slice(0, widths[1]), slice(one, one + widths[1])),)
+    adds = tuple((slice(0, w), slice(lo, lo + w)) for w, lo in zip(widths[1:], offsets[1:]))
     return _Layers(widths, ii[take], jj[take], ff[take], ff[take, None], adds, np.argsort(order))
 
 
@@ -629,10 +624,10 @@ def _row_mul(a: Jet, b: Jet) -> Jet:
     (`_finite_rows`, scanned only for such pairs): it is ±0 at every node. A
     ``None`` row against a non-finite one is read as zeros, so NaN and ±inf
     land where they would. Every output equals the full sum up to the sign of
-    a zero; one with no term left is ``None``. Each node's coefficients are
-    summed in table order, so a node's result does not depend on the batch it
-    is computed in. With no term left at all the product returns a marked
-    operand of its shape, as below `_BIG_BATCH`, or a fresh mark.
+    a zero; one with no term left is ``None``. Each output is summed in table
+    order, as `_mul_gather` sums it, so a node's result does not depend on the
+    batch it is computed in. With no term left at all the product returns a
+    marked operand of its shape, as below `_BIG_BATCH`, or a fresh mark.
     """
     ra, batch_a = _rows_of(a)
     rb, batch_b = _rows_of(b)
@@ -679,20 +674,19 @@ def _row_mul(a: Jet, b: Jet) -> Jet:
 def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     """Leibniz product of coefficient arrays: gather every triple, then sum per output.
 
-    Every form gives the gather + `np.add.reduceat` sum bit for bit. The one
-    exception is the sign of a NaN, which numpy's loops, `reduceat` included,
-    pick by code path.
+    Every form sums each output left to right in table order, as `_row_mul`
+    does, with one exception: the sign of a NaN, which numpy's loops pick by
+    code path.
 
     - Order 0 and 1: every factor is 1 and an output has at most two terms,
       ``a0*bk`` then ``ak*b0`` in table order, so the direct forms below need
       no gather.
-    - Layered: from `_LAYER_BATCH` nodes in the larger operand on, where no
-      output has more than `_LAYER_TERMS` terms (every table up to order 3),
-      the terms are summed in reduceat's order by slice additions of whole
-      layers (`_Layers`), which beat reduceat's per-segment loop there.
-    - `np.add.reduceat` otherwise: below `_LAYER_BATCH` its single call costs
-      less than the layers' several, and longer segments (order 4 from dim 2
-      on) are summed pairwise, which slice additions would not reproduce.
+    - `np.add.reduceat` below `_LAYER_BATCH` nodes in the larger operand, where
+      no output has more than `_LAYER_TERMS` terms (every table up to order
+      3): its single call costs less than the layers' several there, and the
+      table stores its segments in the order that makes it sum in table order.
+    - Layered otherwise: slice additions of whole layers (`_Layers`), which
+      beat reduceat's per-segment loop from `_LAYER_BATCH` nodes on.
     """
     if a.ndim != b.ndim:
         a, b = _lift(a, b.ndim), _lift(b, a.ndim)
@@ -703,15 +697,15 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
         out[1:] += a[1:] * b[:1]
         return out
     lay = t.layers
-    if lay is not None and max(a.size, b.size) >= _LAYER_BATCH * t.size:
-        prod = a.take(lay.ii, axis=0) * b.take(lay.jj, axis=0)
-        prod *= lay.fc if prod.ndim == 2 else _lift(lay.ff, prod.ndim)
-        for dst, src in lay.adds:
-            prod[dst] += prod[src]
-        return prod.take(lay.inv, axis=0)
-    prod = a.take(t.mul_ii, axis=0) * b.take(t.mul_jj, axis=0)
-    prod *= t.mul_fc if prod.ndim == 2 else _lift(t.mul_ff, prod.ndim)
-    return np.add.reduceat(prod, t.mul_starts, axis=0)
+    if len(lay.widths) <= _LAYER_TERMS and max(a.size, b.size) < _LAYER_BATCH * t.size:
+        prod = a.take(t.mul_ii, axis=0) * b.take(t.mul_jj, axis=0)
+        prod *= t.mul_fc if prod.ndim == 2 else _lift(t.mul_ff, prod.ndim)
+        return np.add.reduceat(prod, t.mul_starts, axis=0)
+    prod = a.take(lay.ii, axis=0) * b.take(lay.jj, axis=0)
+    prod *= lay.fc if prod.ndim == 2 else _lift(lay.ff, prod.ndim)
+    for dst, src in lay.adds:
+        prod[dst] += prod[src]
+    return prod.take(lay.inv, axis=0)
 
 
 # the unit row of every large-batch seed: one shared read-only 1.0 that broadcasts to any batch

@@ -95,9 +95,9 @@ def make_structure(
 
 
 # Sample points per frame in `run_pointwise_suite` and `is_gqem`. It bounds their
-# memory (about 0.4 MB per point at n = 6) and stays below `jets._BIG_BATCH`, so
-# every point runs the gather product and a residual does not depend on the
-# sample size. The default 100 points are one chunk.
+# memory (about 0.4 MB per point at n = 6) and does not decide a residual's
+# bits: every jet product sums in one order at any batch size. The default 100
+# points are one chunk.
 _CHUNK = 256
 
 

@@ -95,18 +95,22 @@ def invariant_gaps(fr: ChartFrame, order: int = ORDER) -> dict:
     }
 
 
-def chart_rows(chart: Chart, pts: np.ndarray) -> dict:
-    """The worst residual of each chart-level catalog row, for the generic φ and X = grad φ."""
-    n = chart.dim
-    phi = generic_phi(n)
-    rows = {
+def chart_runners(chart: Chart) -> dict:
+    """The runner of each chart-level catalog row, for the generic φ and X = grad φ."""
+    phi = generic_phi(chart.dim)
+    return {
         "contracted_bianchi": lambda fr: idt.contracted_bianchi_residual(fr),
         "div_hessian": lambda fr: idt.div_hessian_residual(fr, phi),
         "div_outer_grad": lambda fr: idt.div_outer_grad_residual(fr, phi),
         "bochner": lambda fr: idt.bochner_residual(fr, phi),
         "lie_divergence": lambda fr: idt.lie_divergence_residual(fr, grad_field(chart, phi)),
     }
-    return {name: float(np.max(np.abs(run(ChartFrame(chart, pts))))) for name, run in rows.items()}
+
+
+def chart_rows(chart: Chart, pts: np.ndarray) -> dict:
+    """The worst residual of each chart-level catalog row, for the generic φ and X = grad φ."""
+    return {name: float(np.max(np.abs(run(ChartFrame(chart, pts)))))
+            for name, run in chart_runners(chart).items()}
 
 
 def diagonal_gamma(self, order):

@@ -382,8 +382,6 @@ def test_product_commutes_and_associates(seed):
 
 # -- large-batch (row form) product ------------------------------------------
 
-EPS = np.finfo(np.float64).eps
-
 
 def gather(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     """`jets._mul_gather` of batch-major ``(..., size)`` coefficients, passed to it
@@ -393,13 +391,12 @@ def gather(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
 
 
 def assert_matches_gather(a: Jet, b: Jet, got: np.ndarray) -> None:
-    """`got` equals the gather/reduceat product within 4 ulps of the largest |term|."""
-    t = jet_table(a.dim, a.order)
-    want = gather(a.coeffs, b.coeffs, t)
-    scale = gather(np.abs(a.coeffs), np.abs(b.coeffs), t)
-    scale = np.max(scale, axis=-1, keepdims=True)
+    """`got` equals the gather product (`==`), bit for bit in every output that skips no term."""
+    want = gather(a.coeffs, b.coeffs, jet_table(a.dim, a.order))
     assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 4 * EPS * scale)
+    assert np.array_equal(got, want)
+    kept = fully_kept(a, b)
+    assert got[..., kept].tobytes() == want[..., kept].tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
@@ -468,8 +465,9 @@ def coeff_rows(c: np.ndarray) -> np.ndarray:
 
 
 def full_sum(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
-    """Dense reference for the large-batch product: every table triple, each output summed in table order.
+    """Dense reference for every product: every table triple, each output summed in table order.
 
+    The gather product equals this bit for bit (but for the sign of a NaN).
     The row product skips only terms that are ±0 at every node, so it equals
     this (`==`, NaN where it is NaN); where it skips no term of an output, it
     equals it bit for bit.
@@ -848,11 +846,11 @@ def test_every_operation_with_a_mark_equals_the_unmarked_reference(
         cases = [
             (x + zero, xc + z), (zero + x, z + xc), (x - zero, xc - z), (zero - x, z - xc),
             (-zero, -z), (zero + zero, z + z), (zero - zero, z - z),
-            (zero * x, reference_gather(z, xc, t)), (x * zero, reference_gather(xc, z, t)),
-            (zero * finite, reference_gather(z, finite.coeffs, t)),
-            (zero * zero, reference_gather(z, z, t)),
+            (zero * x, full_sum(z, xc, t)), (x * zero, full_sum(xc, z, t)),
+            (zero * finite, full_sum(z, finite.coeffs, t)),
+            (zero * zero, full_sum(z, z, t)),
             (zero + batchless, z + batchless.coeffs), (batchless - zero, batchless.coeffs - z),
-            (batchless * zero, reference_gather(batchless.coeffs, z, t)),
+            (batchless * zero, full_sum(batchless.coeffs, z, t)),
             (zero * scalar, z * scalar), (scalar * zero, z * scalar),
             (zero.truncated(order - 1), z[..., :t.grade_sizes[order - 1]]),
         ] + [(zero.derive(axis), z[..., src]) for axis, src in enumerate(t.derive_src)]
@@ -1089,11 +1087,6 @@ def test_seeds_at_the_origin_are_not_zero_jets(shape):
 # -- small-batch gather kernel ------------------------------------------------
 
 
-def reference_gather(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
-    """Every product-table term times its factor, then one `np.add.reduceat` per output."""
-    return np.add.reduceat(a[..., t.mul_ii] * b[..., t.mul_jj] * t.mul_ff, t.mul_starts, axis=-1)
-
-
 def with_special_values(c: np.ndarray, rng) -> np.ndarray:
     """`c` with -0, NaN, +inf and -inf written at random entries."""
     c = c.copy()
@@ -1109,8 +1102,9 @@ def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
     rng = np.random.default_rng(200 * dim + order)
     t = jet_table(dim, order)
     pairs = []
-    # each side of the layered sum's crossover, the pointwise chunk, the largest gather batch,
-    # and two batch axes: (4, 25) takes the layered sum on 3-D arrays
+    # every form against the table-order sum: each side of the crossover between reduceat
+    # and layers, the pointwise chunk, the largest gather batch, and two batch axes, where
+    # (2, 3) takes reduceat (up to order 3) and (4, 25) the layers on 3-D arrays
     for batch in ((), (1,), (100,), (jets._LAYER_BATCH - 1,), (jets._LAYER_BATCH,),
                   (qem._CHUNK,), (jets._BIG_BATCH - 1,), (2, 3), (4, 25)):
         a, b = (with_special_values(rng.normal(size=batch + (t.size,)), rng) for _ in range(2))
@@ -1120,7 +1114,7 @@ def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
         pairs.append((rng.normal(size=t.size), with_special_values(rng.normal(size=(n, t.size)), rng)))
     with np.errstate(invalid="ignore", over="ignore"):
         for a, b in pairs:
-            want = canonical_nan(reference_gather(a, b, t))
+            want = canonical_nan(full_sum(a, b, t))
             for got in (gather(a, b, t), (Jet(dim, order, a) * Jet(dim, order, b)).coeffs):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert canonical_nan(got).tobytes() == want.tobytes()
@@ -1145,14 +1139,18 @@ def test_layer_plan_sums_every_triple_once_in_table_order(dim, order):
     t = jet_table(dim, order)
     counts = np.diff(np.append(t.mul_starts, len(t.mul_ii)))
     lay = t.layers
-    assert (lay is None) == (counts.max() > jets._LAYER_TERMS)
-    if lay is None:
-        return
+    # below the crossover reduceat serves every table up to order 3, and order 4 in one variable
+    assert (len(lay.widths) <= jets._LAYER_TERMS) == (order <= 3 or dim == 1)
+    # the reduceat segments list each output's table-order terms with the last one first
+    _, ii, jj, ff = (np.array(col) for col in zip(*t.mul_triples))
+    for lo, hi in zip(t.mul_starts.tolist(), t.mul_starts[1:].tolist() + [len(ii)]):
+        for got, want in ((t.mul_ii, ii), (t.mul_jj, jj), (t.mul_ff, ff)):
+            assert got[lo:hi].tolist() == [want[hi - 1]] + want[lo:hi - 1].tolist()
     # every triple exactly once, with its factor; (ii, jj) names a triple
-    position = {(i, j): q for q, (i, j) in enumerate(zip(t.mul_ii.tolist(), t.mul_jj.tolist()))}
+    position = {(i, j): q for q, (i, j) in enumerate(zip(ii.tolist(), jj.tolist()))}
     take = np.array([position[i, j] for i, j in zip(lay.ii.tolist(), lay.jj.tolist())])
-    assert sorted(take.tolist()) == list(range(len(t.mul_ii)))
-    assert np.array_equal(lay.ff, t.mul_ff[take])
+    assert sorted(take.tolist()) == list(range(len(ii)))
+    assert np.array_equal(lay.ff, ff[take])
     # layer p holds the p-th term, in table order, of every output with more than p terms
     outputs = np.argsort(lay.inv)  # by descending term count
     assert sorted(lay.inv.tolist()) == list(range(t.size))
@@ -1163,7 +1161,11 @@ def test_layer_plan_sums_every_triple_once_in_table_order(dim, order):
         assert (counts[outs] > p).all()
         assert np.array_equal(take[lo:lo + width], t.mul_starts[outs] + p)
         lo += width
-    assert lo == len(t.mul_ii)
+    assert lo == len(ii)
+    # one stage: layers 1, 2, ... are each added into layer 0, in that order
+    offsets = np.cumsum((0,) + lay.widths).tolist()
+    assert lay.adds == tuple((slice(0, w), slice(lo, lo + w))
+                             for w, lo in zip(lay.widths[1:], offsets[1:]))
 
 
 def canonical_nan(c: np.ndarray) -> np.ndarray:
