@@ -21,9 +21,8 @@ running over zeros (see `_ZeroJet`).
 Every product sums each output's terms left to right in table order, so a
 node's result does not depend on the batch it is computed in. Below
 `_BIG_BATCH` a product gathers the rows of every product-table term
-(`_mul_gather`) and sums them directly at order 0 and 1, by whole layers of
-terms (`_Layers`), or, below `_LAYER_BATCH` nodes and for at most
-`_LAYER_TERMS` terms per output, with one `np.add.reduceat` call.
+(`_mul_gather`) and sums them directly at order 0 and 1 and by whole layers
+of terms (`_Layers`) from order 2 on.
 """
 
 from __future__ import annotations
@@ -41,17 +40,6 @@ MAX_ORDER = 4
 # takes the row product. Measured crossover, two runs (best of 5, 2-vCPU Linux
 # host, numpy 2.4.6): 256..1024 for (dim, order) from (2, 2) to (5, 4).
 _BIG_BATCH = 512
-
-# Batch size (of the larger operand) from which `_mul_gather` sums by layers
-# instead of `np.add.reduceat`, for tables of at most `_LAYER_TERMS` terms per
-# output. Measured crossover:
-# the first of the batches 1, 8, 16, 32, 48, 64, 100 at which layers are not
-# slower, over two runs (as for `_BIG_BATCH`):
-#   order 2: dim 1 100, dim 2 64, dim 3 32, dim 4 32, dim 5 16, dim 6 16
-#   order 3: dim 1 100, dim 2 48, dim 3 48, dim 4 32, dim 5 16, dim 6 16
-#   order 4: dim 1 100 (the only order-4 table reduceat can serve)
-# At batch 1 layers take 1.5..2.6x the reduceat product's time.
-_LAYER_BATCH = 64
 
 
 class JetDomainError(ArithmeticError):
@@ -99,14 +87,9 @@ def jet_table(dim: int, order: int) -> "_Table":
                 factor *= math.comb(gi, ai)
             triples.append((index[g], ia, ib, factor))
     triples.sort(key=lambda t: t[0])  # stable: each output's terms stay in table order
-    mul_triples = tuple(triples)  # for the row product
     out_idx, ii, jj, ff = (np.array(col) for col in zip(*triples))
     # every output index occurs (alpha = gamma, beta = 0), so segments cover 0..size-1
-    mul_starts = np.searchsorted(out_idx, np.arange(size))
-    layers = _layer_plan(ii, jj, ff, mul_starts)
-    # for `np.add.reduceat`, each output's segment lists its last term first (see `_LAYER_TERMS`)
-    rot = np.arange(len(triples)) - 1
-    rot[mul_starts] = np.append(mul_starts[1:], len(triples)) - 1
+    layers = _layer_plan(ii, jj, ff, np.searchsorted(out_idx, np.arange(size)))
 
     derive_src = None
     if order >= 1:
@@ -119,8 +102,8 @@ def jet_table(dim: int, order: int) -> "_Table":
             )
             for ax in range(dim)
         )
-    return _Table(dim, order, tuple(alphas), index, size, grade_sizes, ii[rot], jj[rot],
-                  ff[rot], ff[rot, None], mul_starts, mul_triples, layers, derive_src)
+    return _Table(dim, order, tuple(alphas), index, size, grade_sizes, ii, tuple(triples),
+                  layers, derive_src)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -131,23 +114,10 @@ class _Table:
     index: dict
     size: int
     grade_sizes: tuple
-    mul_ii: np.ndarray
-    mul_jj: np.ndarray
-    mul_ff: np.ndarray
-    mul_fc: np.ndarray  # mul_ff as a column, for products over one batch axis
-    mul_starts: np.ndarray
-    mul_triples: tuple
+    mul_ii: np.ndarray  # each term's left-operand coefficient, in table order
+    mul_triples: tuple  # (output, left, right, factor) of each term, by output, in table order
     layers: "_Layers"
     derive_src: Optional[tuple]
-
-
-# `np.add.reduceat` sums a segment of at most this many terms s0, s1, ... as
-# s0 + (((s1 + s2) + s3) + ...), its tail in order from -0.0, which leaves s1
-# as it is; a longer tail goes through numpy's pairwise summation. A segment
-# listed last term first, (t_last, t0, t1, ...), so gives the table-order sum
-# ((t0 + t1) + ...) + t_last bit for bit, as x + y == y + x. Checked on numpy
-# 2.4 (and in CI); the kernel tests compare bytes with the table-order sum.
-_LAYER_TERMS = 8
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -681,12 +651,7 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     - Order 0 and 1: every factor is 1 and an output has at most two terms,
       ``a0*bk`` then ``ak*b0`` in table order, so the direct forms below need
       no gather.
-    - `np.add.reduceat` below `_LAYER_BATCH` nodes in the larger operand, where
-      no output has more than `_LAYER_TERMS` terms (every table up to order
-      3): its single call costs less than the layers' several there, and the
-      table stores its segments in the order that makes it sum in table order.
-    - Layered otherwise: slice additions of whole layers (`_Layers`), which
-      beat reduceat's per-segment loop from `_LAYER_BATCH` nodes on.
+    - Order 2 on: slice additions of whole layers of terms (`_Layers`).
     """
     if a.ndim != b.ndim:
         a, b = _lift(a, b.ndim), _lift(b, a.ndim)
@@ -697,10 +662,6 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
         out[1:] += a[1:] * b[:1]
         return out
     lay = t.layers
-    if len(lay.widths) <= _LAYER_TERMS and max(a.size, b.size) < _LAYER_BATCH * t.size:
-        prod = a.take(t.mul_ii, axis=0) * b.take(t.mul_jj, axis=0)
-        prod *= t.mul_fc if prod.ndim == 2 else _lift(t.mul_ff, prod.ndim)
-        return np.add.reduceat(prod, t.mul_starts, axis=0)
     prod = a.take(lay.ii, axis=0) * b.take(lay.jj, axis=0)
     prod *= lay.fc if prod.ndim == 2 else _lift(lay.ff, prod.ndim)
     for dst, src in lay.adds:

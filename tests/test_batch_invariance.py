@@ -1,8 +1,8 @@
 """A point's jets and residual rows do not depend on the batch it is computed in.
 
 Every jet product sums each output in table order at every batch size
-(`gqem.jets`), on both sides of `jets._LAYER_BATCH` and `jets._BIG_BATCH`, so
-one point gives the same bits alone, in a pointwise chunk and in a batch
+(`gqem.jets`), in the dense product and on both sides of `jets._BIG_BATCH`,
+so one point gives the same bits alone, in a pointwise chunk and in a batch
 large enough for the row form.
 """
 

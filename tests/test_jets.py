@@ -1102,15 +1102,14 @@ def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
     rng = np.random.default_rng(200 * dim + order)
     t = jet_table(dim, order)
     pairs = []
-    # every form against the table-order sum: each side of the crossover between reduceat
-    # and layers, the pointwise chunk, the largest gather batch, and two batch axes, where
-    # (2, 3) takes reduceat (up to order 3) and (4, 25) the layers on 3-D arrays
-    for batch in ((), (1,), (100,), (jets._LAYER_BATCH - 1,), (jets._LAYER_BATCH,),
-                  (qem._CHUNK,), (jets._BIG_BATCH - 1,), (2, 3), (4, 25)):
+    # every form against the table-order sum: no batch, batches from 1 to the largest
+    # gather batch (the pointwise chunk among them), and two batch axes (3-D arrays)
+    for batch in ((), (1,), (63,), (64,), (100,), (qem._CHUNK,), (jets._BIG_BATCH - 1,),
+                  (2, 3), (4, 25)):
         a, b = (with_special_values(rng.normal(size=batch + (t.size,)), rng) for _ in range(2))
         const = Jet.constant(rng.normal(), dim, order).coeffs
         pairs += [(a, b), (const, b), (a, const)]
-    for n in (100, jets._LAYER_BATCH):
+    for n in (1, 100):
         pairs.append((rng.normal(size=t.size), with_special_values(rng.normal(size=(n, t.size)), rng)))
     with np.errstate(invalid="ignore", over="ignore"):
         for a, b in pairs:
@@ -1137,15 +1136,11 @@ def test_derive_gathers_the_coefficients_bit_for_bit(batch, dim, order):
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_layer_plan_sums_every_triple_once_in_table_order(dim, order):
     t = jet_table(dim, order)
-    counts = np.diff(np.append(t.mul_starts, len(t.mul_ii)))
+    out, ii, jj, ff = (np.array(col) for col in zip(*t.mul_triples))
+    starts = np.searchsorted(out, np.arange(t.size))
+    counts = np.diff(np.append(starts, len(ii)))
     lay = t.layers
-    # below the crossover reduceat serves every table up to order 3, and order 4 in one variable
-    assert (len(lay.widths) <= jets._LAYER_TERMS) == (order <= 3 or dim == 1)
-    # the reduceat segments list each output's table-order terms with the last one first
-    _, ii, jj, ff = (np.array(col) for col in zip(*t.mul_triples))
-    for lo, hi in zip(t.mul_starts.tolist(), t.mul_starts[1:].tolist() + [len(ii)]):
-        for got, want in ((t.mul_ii, ii), (t.mul_jj, jj), (t.mul_ff, ff)):
-            assert got[lo:hi].tolist() == [want[hi - 1]] + want[lo:hi - 1].tolist()
+    assert np.array_equal(t.mul_ii, ii)  # the left operand of every term, in table order
     # every triple exactly once, with its factor; (ii, jj) names a triple
     position = {(i, j): q for q, (i, j) in enumerate(zip(ii.tolist(), jj.tolist()))}
     take = np.array([position[i, j] for i, j in zip(lay.ii.tolist(), lay.jj.tolist())])
@@ -1159,7 +1154,7 @@ def test_layer_plan_sums_every_triple_once_in_table_order(dim, order):
     for p, width in enumerate(lay.widths):
         outs = outputs[:width]
         assert (counts[outs] > p).all()
-        assert np.array_equal(take[lo:lo + width], t.mul_starts[outs] + p)
+        assert np.array_equal(take[lo:lo + width], starts[outs] + p)
         lo += width
     assert lo == len(ii)
     # one stage: layers 1, 2, ... are each added into layer 0, in that order
