@@ -9,7 +9,12 @@ Coefficients are stored coefficient-major, one row per coefficient holding it
 at every node: below `_BIG_BATCH` nodes as one ``(size, *batch)`` array, whose
 rows `value`, `partial` and `truncated` view; from `_BIG_BATCH` nodes on as a
 tuple, with ``None`` for a row known to be zero at every node (read as +0) and
-otherwise an array that broadcasts to the batch. Rows are never written once
+otherwise an array that broadcasts to the batch. A row is stored only along
+the batch axes it varies on: a coordinate's value row and a constant's row
+are cut to length 1 along every axis on which they are constant (`_compact`),
+products keep the broadcast shape of their operand rows, and the Taylor
+compositions read the stored value row. The jet keeps its full batch, so
+`value`, `partial` and `coeffs` broadcast to it. Rows are never written once
 stored, so `derive`, `truncated` and the Taylor compositions' remainder share
 or gather them, and sums, differences, negation and products touch only the
 rows an operand stores (see `_row_mul`). `Jet.coeffs` gives the batch-major
@@ -214,12 +219,14 @@ class Jet:
     def constant(value, dim: int, order: int) -> "Jet":
         """Jet of `value` with every derivative zero; an all-zero one is a mark.
 
-        From `_BIG_BATCH` nodes on it stores one row, a copy of `value`.
+        From `_BIG_BATCH` nodes on it stores one row, a copy of `value` cut to
+        length 1 along each axis on which it is constant (`_compact`).
         """
         value = np.asarray(value, dtype=np.float64)
         size = jet_table(dim, order).size
         if value.size >= _BIG_BATCH:
-            rows = (np.array(value) if np.count_nonzero(value) else None,) + (None,) * (size - 1)
+            row = _compact(value)
+            rows = (np.array(row) if np.count_nonzero(row) else None,) + (None,) * (size - 1)
             return _from_rows(dim, order, rows, value.shape)
         coeffs = np.zeros((size,) + value.shape)
         coeffs[0] = value
@@ -538,6 +545,30 @@ def _finite_rows(j: Jet, rows: tuple) -> tuple:
         return j._flags
 
 
+def _compact(x: np.ndarray) -> np.ndarray:
+    """`x` cut to length 1 along every axis on which its entries are bitwise equal.
+
+    Entries compare by their bits (``view(np.int64)``), so +0 and -0, and NaNs
+    with different payloads, stay apart, and the result broadcasts back to
+    `x` bit for bit. Below `_BIG_BATCH` entries, or with no such axis, it is
+    `x` itself; otherwise a view of it.
+    """
+    if x.size < _BIG_BATCH:
+        return x
+    for axis, length in enumerate(x.shape):
+        if length > 1:
+            head = (slice(None),) * axis + (slice(0, 1),)
+            bits = x.view(np.int64)
+            if (bits == bits[head]).all():
+                x = x[head]
+    return x
+
+
+@lru_cache(maxsize=1024)
+def _broadcast(a: tuple, b: tuple) -> tuple:
+    return np.broadcast_shapes(a, b)
+
+
 def _lift(c: np.ndarray, ndim: int) -> np.ndarray:
     """Coefficient-major `c` with unit axes after axis 0 up to `ndim` axes, to broadcast."""
     return c.reshape(c.shape[:1] + (1,) * (ndim - c.ndim) + c.shape[1:])
@@ -598,12 +629,19 @@ def _row_mul(a: Jet, b: Jet) -> Jet:
     order, as `_mul_gather` sums it, so a node's result does not depend on the
     batch it is computed in. With no term left at all the product returns a
     marked operand of its shape, as below `_BIG_BATCH`, or a fresh mark.
+
+    Rows keep the shapes they are stored in: each term, and the output row it
+    starts, is allocated at the broadcast shape of its two rows, and a later
+    term is added in place where the output row already has the shape of
+    their broadcast, else into a new row of that shape. Every product lands in
+    an array given as ``out``, so no 0-d result turns into a numpy scalar.
     """
     ra, batch_a = _rows_of(a)
     rb, batch_b = _rows_of(b)
-    batch = batch_a if batch_a == batch_b else np.broadcast_shapes(batch_a, batch_b)
+    batch = batch_a if batch_a == batch_b else _broadcast(batch_a, batch_b)
     out = [None] * len(ra)
-    fa = fb = tmp = None
+    fa = fb = None
+    tmps = {}  # one scratch row per shape
     last = -1
     for k, i, j, factor in jet_table(a.dim, a.order).mul_triples:
         x, y = ra[i], rb[j]
@@ -614,22 +652,28 @@ def _row_mul(a: Jet, b: Jet) -> Jet:
                 fb = _finite_rows(b, rb)
             if fb[j]:
                 continue
-            x = 0.0
+            x = _ZERO
         elif y is None:
             if fa is None:
                 fa = _finite_rows(a, ra)
             if fa[i]:
                 continue
-            y = 0.0
+            y = _ZERO
+        shape = x.shape if x.shape == y.shape else _broadcast(x.shape, y.shape)
         if k == last:
+            tmp = tmps.get(shape)
             if tmp is None:
-                tmp = np.empty(batch)
+                tmp = tmps[shape] = np.empty(shape)
             np.multiply(x, y, out=tmp)
             if factor != 1.0:
                 tmp *= factor
-            out[k] += tmp
+            dst = out[k]
+            if dst.shape == shape or _broadcast(dst.shape, shape) == dst.shape:
+                dst += tmp
+            else:
+                out[k] = np.add(dst, tmp, out=np.empty(_broadcast(dst.shape, shape)))
         else:
-            dst = out[k] = np.multiply(x, y, out=np.empty(batch))
+            dst = out[k] = np.multiply(x, y, out=np.empty(shape))
             if factor != 1.0:
                 dst *= factor
             last = k
@@ -669,24 +713,34 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     return prod.take(lay.inv, axis=0)
 
 
-# the unit row of every large-batch seed: one shared read-only 1.0 that broadcasts to any batch
+# the unit row of every large-batch seed, and the zero row that `_row_mul` reads for a None
+# row against a non-finite one: shared read-only 0-d arrays that broadcast to any batch
 _ONE = np.ones(())
 _ONE.flags.writeable = False
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 class CoordinateValues:
     """One coordinate's values at a batch of points, shared by its seeds of every order.
 
-    `values` is a private copy. From `_BIG_BATCH` nodes on each seed stores it
-    as its value row. Each seed carries this object, and `sin`, `cos` and
-    `sincos` of a seed read np.sin and np.cos of `values` from `sincos()`,
-    evaluated once, on first use. It lives as long as its seeds.
+    `shape` is the batch shape and `values` a private copy of the values, cut
+    to length 1 along each batch axis on which they are constant (`_compact`,
+    which cuts nothing below `_BIG_BATCH` nodes). From `_BIG_BATCH` nodes on
+    each seed stores `values` as its value row. Each seed carries this
+    object, and `sin`, `cos` and `sincos` of a seed read np.sin and np.cos of
+    `values` from `sincos()`, evaluated once, on first use. It lives as long
+    as its seeds.
     """
 
-    __slots__ = ("values", "_sincos")
+    __slots__ = ("shape", "values", "_sincos")
 
     def __init__(self, values):
-        self.values = np.array(values, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
+        self.shape = values.shape
+        if values.size >= _BIG_BATCH:
+            values = _compact(values).copy()
+        self.values = values
         self._sincos = None
 
     def sincos(self) -> tuple:
@@ -698,7 +752,8 @@ class CoordinateValues:
 def seed_variable(i: int, x0, dim: int, order: int) -> Jet:
     """Jet of the i-th coordinate function at x0 (value x0, unit first derivative).
 
-    From `_BIG_BATCH` nodes on it stores two rows: a copy of x0 and `_ONE`.
+    From `_BIG_BATCH` nodes on it stores two rows: a copy of x0, cut by
+    `_compact`, and `_ONE`.
     """
     if not 0 <= i < dim:
         raise ValueError(f"axis {i} out of range for dim {dim}")
@@ -712,13 +767,13 @@ def _seed(i: int, x: CoordinateValues, dim: int, order: int) -> Jet:
     t = jet_table(dim, order)
     x0 = x.values
     unit = t.index.get(tuple(1 if k == i else 0 for k in range(dim)))  # None at order 0
-    if x0.size >= _BIG_BATCH:
+    if math.prod(x.shape) >= _BIG_BATCH:
         rows = [None] * t.size
         if order:
             rows[0], rows[unit] = x0, _ONE
         elif np.count_nonzero(x0):
             rows[0] = x0
-        j = _from_rows(dim, order, tuple(rows), x0.shape)
+        j = _from_rows(dim, order, tuple(rows), x.shape)
     elif order:
         # fresh coefficients, never a zero constant's: those belong to a mark
         coeffs = np.zeros((t.size,) + x0.shape)
@@ -758,31 +813,50 @@ def seed_point(p, order: int) -> tuple[Jet, ...]:
 # -- elementary functions ----------------------------------------------
 
 
+def _value_row(a: Jet):
+    """a's value row as stored, which broadcasts to its batch: +0 for a row-form ``None``."""
+    try:
+        return a._c[0, ...]
+    except AttributeError:
+        row = a._rows[0]
+    return _ZERO if row is None else row
+
+
 def _compose(a: Jet, taylor):
     """Evaluate sum_k taylor[k] * (a - a0)^k by Horner; taylor[k] ~ f^(k)(a0)/k!.
 
+    The taylor[k] are fresh arrays of a's value row's shape (`_value_row`).
     Each step is one jet product, acc * rem, whose value row then takes
     taylor[k]: the constant taylor[k] is zero in every other row, so a full
     constant and sum would only add zeros there. A dense product has it added
     in place. A row-form product stores no value row unless acc's is not
-    finite (rem's is ``None``), and takes taylor[k], a fresh array, as that
-    row. Values equal the constant + sum's (`==`); only the sign of a zero can
-    differ. A product returns an operand only when that is a mark, so a
-    plain `Jet` product is fresh; a mark is never written and takes the
-    constant + sum.
+    finite (rem's is ``None``), and takes taylor[k] as that row. Values equal
+    the constant + sum's (`==`); only the sign of a zero can differ. A
+    product returns an operand only when that is a mark, so a plain `Jet`
+    product is fresh; a mark is never written and takes the constant + sum.
+    A row-form a's constants are row-form jets of its batch that store
+    taylor[k] as it is.
     """
+    dim, order = a.dim, a.order
     try:
         rem_coeffs = a._c.copy()
     except AttributeError:
-        rem = _from_rows(a.dim, a.order, (None,) + a._rows[1:], a._batch)
+        rem = _from_rows(dim, order, (None,) + a._rows[1:], a._batch)
+        zeros = (None,) * (len(a._rows) - 1)
+
+        def constant(v):
+            return _from_rows(dim, order, (v if np.count_nonzero(v) else None,) + zeros, a._batch)
     else:
         rem_coeffs[0] = 0.0
-        rem = _jet(a.dim, a.order, rem_coeffs)
-    acc = Jet.constant(taylor[a.order], a.dim, a.order)
-    for k in range(a.order - 1, -1, -1):
+        rem = _jet(dim, order, rem_coeffs)
+
+        def constant(v):
+            return Jet.constant(v, dim, order)
+    acc = constant(taylor[order])
+    for k in range(order - 1, -1, -1):
         product = acc * rem
         if product.__class__ is not Jet:
-            acc = product + Jet.constant(taylor[k], a.dim, a.order)
+            acc = product + constant(taylor[k])
             continue
         try:
             product._c[0] += taylor[k]
@@ -790,17 +864,17 @@ def _compose(a: Jet, taylor):
         except AttributeError:
             rows = product._rows
             value = taylor[k] if rows[0] is None else rows[0] + taylor[k]
-            acc = _from_rows(a.dim, a.order, (value,) + rows[1:], product._batch)
+            acc = _from_rows(dim, order, (value,) + rows[1:], product._batch)
     return acc
 
 
 def exp(a: Jet) -> Jet:
-    e = np.exp(a.value)
+    e = np.exp(_value_row(a))
     return _compose(a, [e / math.factorial(k) for k in range(a.order + 1)])
 
 
 def log(a: Jet) -> Jet:
-    v = a.value
+    v = _value_row(a)
     if np.count_nonzero(v <= 0.0):
         raise JetDomainError(f"log of non-positive value (min value {np.min(v)})")
     taylor = [np.log(v)]
@@ -811,7 +885,7 @@ def log(a: Jet) -> Jet:
 
 def _binomial(a: Jet, exponent: float) -> Jet:
     """a ** exponent by the binomial series about a0 (the caller checks a0 > 0)."""
-    v = a.value
+    v = _value_row(a)
     taylor = []
     c = 1.0
     for k in range(a.order + 1):
@@ -821,14 +895,14 @@ def _binomial(a: Jet, exponent: float) -> Jet:
 
 
 def sqrt(a: Jet) -> Jet:
-    v = a.value
+    v = _value_row(a)
     if np.count_nonzero(v <= 0.0):
         raise JetDomainError(f"sqrt of non-positive value (min value {np.min(v)})")
     return _binomial(a, 0.5)
 
 
 def reciprocal(a: Jet) -> Jet:
-    v = a.value
+    v = _value_row(a)
     if np.count_nonzero(v == 0.0):
         raise JetDomainError("division by zero value coefficient")
     return _compose(a, [(-1.0) ** k * v ** (-(k + 1)) for k in range(a.order + 1)])
@@ -848,11 +922,11 @@ def _cyclic(a: Jet, f: np.ndarray, df: np.ndarray, sign: float) -> Jet:
 
 
 def _sin_cos(a: Jet) -> tuple:
-    """np.sin and np.cos of a's value: a seed's shared pair, else evaluated here."""
+    """np.sin and np.cos of a's value row: a seed's shared pair, else evaluated here."""
     try:
         x = a._x
     except AttributeError:
-        v = a.value
+        v = _value_row(a)
         return np.sin(v), np.cos(v)
     return x.sincos()
 
@@ -874,12 +948,12 @@ def cos(a: Jet) -> Jet:
 
 
 def sinh(a: Jet) -> Jet:
-    v = a.value
+    v = _value_row(a)
     return _cyclic(a, np.sinh(v), np.cosh(v), 1.0)
 
 
 def cosh(a: Jet) -> Jet:
-    v = a.value
+    v = _value_row(a)
     return _cyclic(a, np.cosh(v), np.sinh(v), 1.0)
 
 
@@ -895,7 +969,7 @@ def power(a: Jet, exponent) -> Jet:
         for _ in range(k - 1):
             acc = acc * a
         return acc
-    if np.count_nonzero(a.value <= 0.0):
+    if np.count_nonzero(_value_row(a) <= 0.0):
         raise JetDomainError(
             f"power with non-integer exponent {exponent} of non-positive value"
         )

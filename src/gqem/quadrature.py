@@ -9,7 +9,9 @@ integral bitwise reproducible.
 Integral identities are only meaningful on compact models, so grids reject
 non-sphere charts and `run_integral_suite` rejects non-compact structures.
 Each suite call makes one chunked pass over the nodes for every integrand its
-identities read; nothing is cached between calls.
+identities read; nothing is cached between calls. A chunk that covers whole
+slabs of the leading angle goes to its frame as a tensor block (`_chunks`),
+so jets store each row only along the angles it varies on.
 """
 
 from __future__ import annotations
@@ -68,14 +70,26 @@ def make_sphere_grid(chart: Chart, resolution) -> QuadratureGrid:
         weights = weights * m.reshape(-1)
     # metric volume factor, chunked to bound memory
     vol = np.empty(nodes.shape[0])
-    for lo in range(0, nodes.shape[0], _CHUNK):
-        chunk = nodes[lo : lo + _CHUNK]
-        g = ChartFrame(chart, chunk).metric_values()
-        det = np.linalg.det(g)
+    for lo, chunk in _chunks(nodes, resolution):
+        det = np.linalg.det(ChartFrame(chart, chunk).metric_values().reshape(-1, n, n))
         if np.any(det <= 0):
             raise DegenerateMetricError("metric degenerate at a quadrature node")
         vol[lo : lo + _CHUNK] = np.sqrt(det)
     return QuadratureGrid(chart, nodes, weights * vol, resolution)
+
+
+def _chunks(nodes: np.ndarray, resolution: tuple):
+    """(lo, chunk) for consecutive chunks of at most `_CHUNK` nodes from node lo.
+
+    A chunk that covers whole slabs of the leading angle is a tensor block of
+    shape ``(k, *resolution[1:], n)``; any other stays flat, ``(nodes, n)``.
+    """
+    slab = math.prod(resolution[1:])
+    for lo in range(0, nodes.shape[0], _CHUNK):
+        chunk = nodes[lo : lo + _CHUNK]
+        if lo % slab == 0 and len(chunk) % slab == 0:
+            chunk = chunk.reshape((-1,) + resolution[1:] + chunk.shape[-1:])
+        yield lo, chunk
 
 
 def sphere_area(dim: int, radius: float = 1.0) -> float:
@@ -115,12 +129,9 @@ def _locate_node_failure(chunk, lo, phi, exc):
 def stokes_sanity(grid: QuadratureGrid, phi: ScalarField) -> float:
     """Integral of lap(phi), which must vanish on a closed manifold."""
     total = 0.0
-    for lo in range(0, grid.nodes.shape[0], _CHUNK):
-        chunk = grid.nodes[lo : lo + _CHUNK]
-        frame = ChartFrame(grid.chart, chunk)
-        total += float(
-            np.sum(grid.weights[lo : lo + _CHUNK] * frame.laplacian(phi, 0).value)
-        )
+    for lo, chunk in _chunks(grid.nodes, grid.resolution):
+        lap = ChartFrame(grid.chart, chunk).laplacian(phi, 0).value.reshape(-1)
+        total += float(np.sum(grid.weights[lo : lo + _CHUNK] * lap))
     return total
 
 
@@ -135,24 +146,25 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
     )
     fields = [("f", s.f)] + ([("u", s.require_u())] if s.m_finite else [])
     acc = {k: [] for k in names}
-    for lo in range(0, grid.nodes.shape[0], _CHUNK):
-        chunk = grid.nodes[lo : lo + _CHUNK]
+    for _, chunk in _chunks(grid.nodes, grid.resolution):
         fr = StructureFrame(s, chunk)
-        g = fr.metric_values()
-        ric = fr.ricci_values()
-        ginv = fr.metric_inv_values()
+        # node axis first, as a flat chunk gives them, so everything below runs as on one
+        flat = lambda values, d=chunk.ndim - 1: values.reshape((-1,) + values.shape[d:])
+        g = flat(fr.metric_values())
+        ric = flat(fr.ricci_values())
+        ginv = flat(fr.metric_inv_values())
         for x, phi in fields:
-            hess = fr.hessian_values(phi)
-            lap = fr.laplacian(phi, 0).value
-            grad = fr.grad_values(phi)
+            hess = flat(fr.hessian_values(phi))
+            lap = flat(fr.laplacian(phi, 0).value)
+            grad = flat(fr.grad_values(phi))
             traceless = hess - (lap / n)[..., None, None] * g
             acc[f"traceless2_{x}"].append(tensor2_norm2_g(ginv, traceless))
             acc[f"lap{x}2"].append(lap**2)
             acc[f"ric_{x}{x}"].append(np.einsum("...ij,...i,...j->...", ric, grad, grad))
-            acc[f"gn2{x}_lap{x}"].append(fr.grad_norm2(phi, 0).value * lap)
+            acc[f"gn2{x}_lap{x}"].append(flat(fr.grad_norm2(phi, 0).value) * lap)
             if x == "f":
-                dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
-                dlam = fr.partials_of_jet(fr.lam_jet(1))
+                dR = flat(fr.partials_of_jet(fr.scalar_curvature_jet(1)))
+                dlam = flat(fr.partials_of_jet(fr.lam_jet(1)))
                 acc["hess2_f"].append(tensor2_norm2_g(ginv, hess))
                 acc["gf_dot_gR"].append(np.einsum("...i,...i->...", grad, dR))
                 acc["gf_dot_glam"].append(np.einsum("...i,...i->...", grad, dlam))
