@@ -15,7 +15,6 @@ sphere satisfy Ric = (n-1) g and R = n(n-1).
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,8 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .jets import (_BIG_BATCH, Jet, OrderCapabilityError, JetDomainError, MAX_ORDER, _ZeroJet,
-                   seed_point)
+from .jets import Jet, OrderCapabilityError, JetDomainError, MAX_ORDER, _ZeroJet, seed_point
 
 
 class DegenerateMetricError(ArithmeticError):
@@ -489,9 +487,10 @@ class ChartFrame:
         return _values(self.metric(0))
 
     def metric_inv_values(self) -> np.ndarray:
-        """g^-1 values. Read after the jet requests that need the inverse at a
-        higher order, this truncates the cached jets; read first, it builds an
-        order-0 inverse of its own and adds jet products."""
+        """g^-1 values, whose batch axes broadcast to the frame's batch, as every
+        `*_values` result's do (`_values`). Read after the jet requests that need
+        the inverse at a higher order, this truncates the cached jets; read first,
+        it builds an order-0 inverse of its own and adds jet products."""
         return _values(self.metric_inv(0))
 
     def ricci_values(self) -> np.ndarray:
@@ -522,9 +521,20 @@ def _quadratic_form(a: np.ndarray, x) -> Jet:
 
 
 def _values(js) -> np.ndarray:
-    """Values of a list or object array of jets: batch axes first, tensor axes last."""
+    """Values of a list or object array of jets: batch axes first, tensor axes last.
+
+    Each component is its stored value row (`jets._value_row`), so the batch
+    axes broadcast to the jets' batch: below `_BIG_BATCH` nodes they are the
+    batch, from `_BIG_BATCH` on a row may be cut to length 1 along any axis.
+    Rows of different shapes are broadcast to their common shape, never
+    further, so every value has the bits of its node's.
+    """
     comp = np.asarray(js, dtype=object)
-    vals = np.stack([j.value for j in comp.flat], axis=-1)
+    rows = [jets._value_row(j) for j in comp.flat]
+    if any(r.shape != rows[0].shape for r in rows):
+        shape = np.broadcast_shapes(*(r.shape for r in rows))
+        rows = [np.broadcast_to(r, shape) for r in rows]
+    vals = np.stack(rows, axis=-1)
     return vals.reshape(vals.shape[:-1] + comp.shape)
 
 
@@ -543,28 +553,8 @@ def norm_g(g: np.ndarray, a: np.ndarray):
 
 
 def tensor2_norm2_g(ginv: np.ndarray, t: np.ndarray):
-    """|T|^2_g = g^ik g^jl T_ij T_kl for a (0,2) tensor of values; batch axes lead.
-
-    From `_BIG_BATCH` nodes on (in either operand), the n^4 terms are summed
-    over contiguous batch rows in einsum's (i, j, k, l) order, each product
-    taken left to right: this gave `np.einsum`'s bits at n = 2..5 on numpy 2.4
-    in a fraction of its time. Below that, einsum's lower per-call overhead
-    wins, so it is kept.
-    """
-    n = t.shape[-1]
-    if max(ginv.size, t.size) < _BIG_BATCH * n * n:
-        return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
-    shape = np.broadcast_shapes(ginv.shape, t.shape)
-    rows_g, rows_t = (np.moveaxis(np.broadcast_to(x, shape), (-2, -1), (0, 1)).copy()
-                      for x in (ginv, t))
-    out = np.zeros(shape[:-2])
-    term = np.empty(shape[:-2])
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        np.multiply(rows_g[i, k], rows_g[j, l], out=term)
-        term *= rows_t[i, j]
-        term *= rows_t[k, l]
-        out += term
-    return out
+    """|T|^2_g = g^ik g^jl T_ij T_kl for a (0,2) tensor of values; batch axes lead and broadcast."""
+    return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ integral bitwise reproducible.
 Integral identities are only meaningful on compact models, so grids reject
 non-sphere charts and `run_integral_suite` rejects non-compact structures.
 Each suite call makes one chunked pass over the nodes for every integrand its
-identities read; nothing is cached between calls. A chunk that covers whole
-slabs of the leading angle goes to its frame as a tensor block (`_chunks`),
-so jets store each row only along the angles it varies on.
+identities read; nothing is cached between calls. Every chunk is a tensor
+block of whole slabs (`_chunks`), whose jets and node values keep only the
+angles they vary on until each value is put back node-major.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Chart, ChartFrame, DegenerateMetricError, ScalarField, tensor2_norm2_g
-from .jets import JetDomainError
+from .jets import JetDomainError, _value_row
 from .qem import QemStructure, StructureFrame
 
 _CHUNK = 16384
@@ -69,27 +69,28 @@ def make_sphere_grid(chart: Chart, resolution) -> QuadratureGrid:
     for m in wmesh:
         weights = weights * m.reshape(-1)
     # metric volume factor, chunked to bound memory
-    vol = np.empty(nodes.shape[0])
-    for lo, chunk in _chunks(nodes, resolution):
-        det = np.linalg.det(ChartFrame(chart, chunk).metric_values().reshape(-1, n, n))
+    vol = []
+    for _, chunk in _chunks(nodes, resolution):
+        det = np.linalg.det(ChartFrame(chart, chunk).metric_values())
         if np.any(det <= 0):
             raise DegenerateMetricError("metric degenerate at a quadrature node")
-        vol[lo : lo + _CHUNK] = np.sqrt(det)
-    return QuadratureGrid(chart, nodes, weights * vol, resolution)
+        vol.append(np.broadcast_to(np.sqrt(det), chunk.shape[:-1]).reshape(-1))
+    return QuadratureGrid(chart, nodes, weights * np.concatenate(vol), resolution)
 
 
 def _chunks(nodes: np.ndarray, resolution: tuple):
-    """(lo, chunk) for consecutive chunks of at most `_CHUNK` nodes from node lo.
+    """(lo, block) for consecutive tensor blocks of at most `_CHUNK` nodes from node lo.
 
-    A chunk that covers whole slabs of the leading angle is a tensor block of
-    shape ``(k, *resolution[1:], n)``; any other stays flat, ``(nodes, n)``.
+    With `a` the first axis whose slab ``resolution[a+1:]`` fits in `_CHUNK`, each block
+    is a contiguous ``(k, *resolution[a+1:], n)`` view at one index of every axis before a.
     """
-    slab = math.prod(resolution[1:])
-    for lo in range(0, nodes.shape[0], _CHUNK):
-        chunk = nodes[lo : lo + _CHUNK]
-        if lo % slab == 0 and len(chunk) % slab == 0:
-            chunk = chunk.reshape((-1,) + resolution[1:] + chunk.shape[-1:])
-        yield lo, chunk
+    a = next(a for a in range(len(resolution)) if math.prod(resolution[a + 1 :]) <= _CHUNK)
+    slab = math.prod(resolution[a + 1 :])
+    k = _CHUNK // slab
+    grid = nodes.reshape(resolution + nodes.shape[-1:])
+    for j, head in enumerate(np.ndindex(resolution[:a])):
+        for i in range(0, resolution[a], k):
+            yield (j * resolution[a] + i) * slab, grid[head + (slice(i, i + k),)]
 
 
 def sphere_area(dim: int, radius: float = 1.0) -> float:
@@ -131,7 +132,7 @@ def stokes_sanity(grid: QuadratureGrid, phi: ScalarField) -> float:
     total = 0.0
     for lo, chunk in _chunks(grid.nodes, grid.resolution):
         lap = ChartFrame(grid.chart, chunk).laplacian(phi, 0).value.reshape(-1)
-        total += float(np.sum(grid.weights[lo : lo + _CHUNK] * lap))
+        total += float(np.sum(grid.weights[lo : lo + lap.size] * lap))
     return total
 
 
@@ -148,26 +149,24 @@ def _node_quantities(grid: QuadratureGrid, s: QemStructure) -> dict:
     acc = {k: [] for k in names}
     for _, chunk in _chunks(grid.nodes, grid.resolution):
         fr = StructureFrame(s, chunk)
-        # node axis first, as a flat chunk gives them, so everything below runs as on one
-        flat = lambda values, d=chunk.ndim - 1: values.reshape((-1,) + values.shape[d:])
-        g = flat(fr.metric_values())
-        ric = flat(fr.ricci_values())
-        ginv = flat(fr.metric_inv_values())
+        # each value at the shape its jet rows are stored in, put back node-major on append
+        add = lambda key, v: acc[key].append(np.broadcast_to(v, chunk.shape[:-1]).reshape(-1))
+        g, ric, ginv = fr.metric_values(), fr.ricci_values(), fr.metric_inv_values()
         for x, phi in fields:
-            hess = flat(fr.hessian_values(phi))
-            lap = flat(fr.laplacian(phi, 0).value)
-            grad = flat(fr.grad_values(phi))
+            hess = fr.hessian_values(phi)
+            lap = _value_row(fr.laplacian(phi, 0))
+            grad = fr.grad_values(phi)
             traceless = hess - (lap / n)[..., None, None] * g
-            acc[f"traceless2_{x}"].append(tensor2_norm2_g(ginv, traceless))
-            acc[f"lap{x}2"].append(lap**2)
-            acc[f"ric_{x}{x}"].append(np.einsum("...ij,...i,...j->...", ric, grad, grad))
-            acc[f"gn2{x}_lap{x}"].append(flat(fr.grad_norm2(phi, 0).value) * lap)
+            add(f"traceless2_{x}", tensor2_norm2_g(ginv, traceless))
+            add(f"lap{x}2", lap**2)
+            add(f"ric_{x}{x}", np.einsum("...ij,...i,...j->...", ric, grad, grad))
+            add(f"gn2{x}_lap{x}", _value_row(fr.grad_norm2(phi, 0)) * lap)
             if x == "f":
-                dR = flat(fr.partials_of_jet(fr.scalar_curvature_jet(1)))
-                dlam = flat(fr.partials_of_jet(fr.lam_jet(1)))
-                acc["hess2_f"].append(tensor2_norm2_g(ginv, hess))
-                acc["gf_dot_gR"].append(np.einsum("...i,...i->...", grad, dR))
-                acc["gf_dot_glam"].append(np.einsum("...i,...i->...", grad, dlam))
+                dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
+                dlam = fr.partials_of_jet(fr.lam_jet(1))
+                add("hess2_f", tensor2_norm2_g(ginv, hess))
+                add("gf_dot_gR", np.einsum("...i,...i->...", grad, dR))
+                add("gf_dot_glam", np.einsum("...i,...i->...", grad, dlam))
     return {k: np.concatenate(parts) if parts else None for k, parts in acc.items()}
 
 

@@ -323,17 +323,31 @@ def test_tensor_norms(sphere_stereo):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_tensor_norm_agrees_with_einsum_on_both_sides_of_the_batch_threshold(n):
+def test_contractions_of_broadcast_operands_have_the_bits_of_materialised_ones(n):
+    # quadrature forms |T|²_g, Ric(∇φ, ∇φ) and ⟨∇φ, ∇ψ⟩ on values stored along the angles
+    # they vary on; each node's result must not depend on the shapes its operands are stored in
     rng = np.random.default_rng(n)
-    for batch in (1, 100, jets._BIG_BATCH - 1, jets._BIG_BATCH, 16384):
-        a = rng.normal(size=(batch, n, n))
-        ginv = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(n)  # SPD, not diagonal
-        t = rng.normal(size=(batch, n, n))
-        want = np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)
-        scale = np.einsum("...ik,...jl,...ij,...kl->...", *map(np.abs, (ginv, ginv, t, t)))
-        got = tensor2_norm2_g(ginv, t)
-        assert got.shape == (batch,)
-        assert np.all(np.abs(got - want) <= 2 * np.spacing(scale))
+    full = (8, 32, 64)
+
+    def stored(shape, *tensor):
+        return rng.normal(size=shape + tensor)
+
+    a = stored((8, 32, 1), n, n)
+    ginv = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(n)  # SPD, not diagonal
+    cases = [
+        (tensor2_norm2_g, (ginv, stored((8, 1, 1), n, n))),
+        (tensor2_norm2_g, (ginv, stored(full, n, n))),
+        (lambda r, x, y: np.einsum("...ij,...i,...j->...", r, x, y),
+         (stored((8, 32, 1), n, n), stored(full, n), stored((8, 1, 1), n))),
+        (lambda x, y: np.einsum("...i,...i->...", x, y), (stored(full, n), stored((8, 1, 1), n))),
+    ]
+    for contract, operands in cases:
+        got = contract(*operands)
+        assert got.shape == np.broadcast_shapes(*(x.shape[:3] for x in operands))
+        want = contract(*(np.ascontiguousarray(np.broadcast_to(x, full + x.shape[3:]))
+                          for x in operands))
+        assert want.shape == full
+        assert np.array_equal(np.broadcast_to(got, full).view(np.int64), want.view(np.int64))
 
 
 def test_riemann_symmetries(sphere_stereo, ball2):

@@ -1,12 +1,14 @@
 """Quadrature chunks as tensor blocks, and jet rows stored only along the axes they vary on.
 
-A quadrature chunk that covers whole slabs of the leading angle goes to its
-frame as a ``(k, *resolution[1:], n)`` block (`quadrature._chunks`). From
-`jets._BIG_BATCH` nodes on, a coordinate's value row and a constant's row
-are cut to length 1 along every batch axis on which they are constant
-(`jets._compact`), and `jets._row_mul` keeps the broadcast shapes of its
-operand rows. Every value must keep its bits: a block and the same nodes as
-one flat chunk give the same jets, node quantities and integral rows.
+Every quadrature chunk goes to its frame as a ``(k, *resolution[a+1:], n)``
+block of whole slabs of the first axis `a` whose slab fits in a chunk
+(`quadrature._chunks`). From `jets._BIG_BATCH` nodes on, a coordinate's
+value row and a constant's row are cut to length 1 along every batch axis
+on which they are constant (`jets._compact`), `jets._row_mul` keeps the
+broadcast shapes of its operand rows, and the frame's ``*_values`` arrays
+keep the common shape of their components' rows. Every value must keep its
+bits: a block and the same nodes as one flat chunk give the same jets, node
+quantities and integral rows.
 
 Bits are compared through ``view(np.int64)``, which tells apart everything
 ``float.hex`` does and NaN payloads besides. The block side evaluates numpy's
@@ -23,7 +25,8 @@ import pytest
 from gqem import jets
 from gqem import quadrature as quad
 from gqem.jets import Jet, jet_table
-from gqem.models import ModelSpec, example_structure
+from gqem.geometry import check_metric_spd
+from gqem.models import ModelSpec, example_structure, sample_points
 from gqem.qem import StructureFrame
 from test_jets import assert_same_values, full_sum, fully_kept, sphere_control
 
@@ -74,9 +77,13 @@ def test_compact_cuts_each_constant_axis():
     assert y._rows[0].shape == (1, 1, 1) and x.value.shape == (4, 3, 50)
 
 
+def s3_structure():
+    return example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0, chart_kind="polar"))
+
+
 def s3_block():
     """The first chunk of S³ 16×32×64 on the polar chart: 8 whole slabs of the leading angle."""
-    s = example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0, chart_kind="polar"))
+    s = s3_structure()
     res = (16, 32, 64)
     nodes = quad.make_sphere_grid(s.chart, res).nodes
     (lo, block), (lo2, block2) = quad._chunks(nodes, res)
@@ -104,9 +111,65 @@ def test_chunks_are_blocks_only_where_they_cover_whole_slabs():
 
     assert shapes((64, 128)) == [(64, 128, 2)]
     assert shapes((16, 32, 64)) == [(8, 32, 64, 3)] * 2
-    # 27,648 nodes: 16,384 is not a whole number of 1,152-node slabs, nor is the rest
-    assert shapes((24, 24, 48)) == [(16384, 3), (11264, 3)]
+    # 27,648 nodes: 14 slabs of 1,152 nodes fit in 16,384, and 10 are left
+    assert shapes((24, 24, 48)) == [(14, 24, 48, 3), (10, 24, 48, 3)]
     assert shapes((37, 53)) == [(37, 53, 2)]
+    # a leading slab of 18,432 nodes does not fit, so blocks are slabs of the azimuth
+    assert shapes((12, 192, 96)) == [(170, 96, 3), (22, 96, 3)] * 12
+
+
+def test_chunks_past_the_leading_slab_lie_on_the_flat_chunks_boundaries(monkeypatch):
+    monkeypatch.setattr(quad, "_CHUNK", 512)
+    res = (4, 16, 64)  # a leading slab of 1,024 nodes
+    nodes = np.arange(math.prod(res) * 3.0).reshape(-1, 3)
+    chunks = list(quad._chunks(nodes, res))
+    assert [(lo, block.shape) for lo, block in chunks] == [(512 * i, (8, 64, 3)) for i in range(8)]
+    for (lo, block), (lo2, flat) in zip(chunks, flat_chunks(nodes, res)):
+        assert lo == lo2 and np.shares_memory(block, nodes)
+        assert same_bits(block.reshape(flat.shape), flat)
+
+
+# -- value arrays at the shapes their rows are stored in -----------------------------
+
+
+def dense_values(js) -> np.ndarray:
+    """Every component's value at every node, batch axes first: the full-size reference."""
+    comp = np.asarray(js, dtype=object)
+    vals = np.stack([j.value for j in comp.flat], axis=-1)
+    return vals.reshape(vals.shape[:-1] + comp.shape)
+
+
+def assert_values_broadcast_to_the_batch(fr, phi) -> dict:
+    """Each `*_values` array broadcasts to the frame's batch with the bits of `dense_values`."""
+    batch = fr.f_jet(0).batch_shape
+    got = {
+        "metric": (fr.metric_values(), fr.metric(0)),
+        "inverse metric": (fr.metric_inv_values(), fr.metric_inv(0)),
+        "Ricci": (fr.ricci_values(), fr.ricci(0)),
+        "gradient": (fr.grad_values(phi), fr.grad(phi, 0)),
+        "Hessian": (fr.hessian_values(phi), fr.hessian(phi, 0)),
+    }
+    for name, (values, js) in got.items():
+        want = dense_values(js)
+        assert want.shape[: len(batch)] == batch, name
+        assert same_bits(np.broadcast_to(values, want.shape), want), name
+    return {name: values.shape for name, (values, _) in got.items()}
+
+
+def test_values_of_flat_euclidean_points_broadcast_to_the_batch():
+    s = example_structure(ModelSpec("euclidean", 3, tau=1.0, m=2.0))
+    pts = sample_points(s.chart, 600, seed=11)
+    shapes = assert_values_broadcast_to_the_batch(StructureFrame(s, pts), s.f)
+    assert shapes["metric"] == shapes["inverse metric"] == (1, 3, 3)  # every row compacts to (1,)
+    assert shapes["gradient"] == (600, 3)
+    assert check_metric_spd(s.chart, pts) == 1.0
+
+
+def test_values_of_an_s3_block_broadcast_to_the_batch():
+    s, block = s3_block()
+    shapes = assert_values_broadcast_to_the_batch(StructureFrame(s, block), s.f)
+    assert shapes["metric"] == shapes["Ricci"] == (8, 32, 1, 3, 3)
+    assert shapes["gradient"] == (8, 1, 1, 3)  # f and g¹¹ vary along θ₁ only
 
 
 # -- the row product on rows of different shapes -----------------------------------
@@ -162,12 +225,15 @@ def test_row_product_of_two_0d_rows_keeps_its_leibniz_factor():
 
 # -- a tensor block against the same nodes as one flat chunk ---------------------------
 
+# name: (structure, resolution, `_CHUNK`, first block's shape)
 CASES = {
-    "S2 64x128": lambda: (example_structure(ModelSpec("sphere", 2, tau=1.5, m=2.0,
-                                                      chart_kind="polar")), (64, 128)),
-    "S2 64x128 control": lambda: (sphere_control(5), (64, 128)),
-    "S3 16x32x64": lambda: (example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0,
-                                                        chart_kind="polar")), (16, 32, 64)),
+    "S2 64x128": (lambda: example_structure(ModelSpec("sphere", 2, tau=1.5, m=2.0,
+                                                      chart_kind="polar")),
+                  (64, 128), quad._CHUNK, (64, 128, 2)),
+    "S2 64x128 control": (lambda: sphere_control(5), (64, 128), quad._CHUNK, (64, 128, 2)),
+    "S3 16x32x64": (s3_structure, (16, 32, 64), quad._CHUNK, (8, 32, 64, 3)),
+    # blocks of azimuth slabs, as where the leading slab exceeds `_CHUNK`
+    "S3 4x16x64, chunks of 512": (s3_structure, (4, 16, 64), 512, (8, 64, 3)),
 }
 
 
@@ -188,11 +254,12 @@ def assert_same_jets(block_jets, flat_jets, name: str) -> None:
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_a_block_gives_the_bits_of_the_flat_chunk(case, monkeypatch):
-    s, res = CASES[case]()
-    n = len(res)
+    make, res, chunk, shape = CASES[case]
+    monkeypatch.setattr(quad, "_CHUNK", chunk)
+    s, n = make(), len(res)
     grid = quad.make_sphere_grid(s.chart, res)
     (_, block), *_ = quad._chunks(grid.nodes, res)
-    assert block.ndim == n + 1
+    assert block.shape == shape
     fb, ff = StructureFrame(s, block), StructureFrame(s, block.reshape(-1, n))
     layers = {
         "metric (order 3)": lambda fr: fr.metric(3),
