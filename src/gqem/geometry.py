@@ -306,21 +306,23 @@ class ChartFrame:
     def riemann(self, order: int) -> np.ndarray:
         """Curvature tensor R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma.Gamma."""
         n = self.n
-        gam = self.gamma(order + 1)
+        # nested lists: a list lookup costs less than an object array's 3-index one
+        gam = self.gamma(order + 1).tolist()
         gam0 = _trunc_tree(gam, order)
         out = np.empty((n, n, n, n), dtype=object)
-        zero = Jet.constant(np.zeros(gam[0, 0, 0].batch_shape), n, order)
+        zero = Jet.constant(np.zeros(gam[0][0][0].batch_shape), n, order)
         for i in range(n):
+            gi, gi0 = gam[i], gam0[i]
             for j in range(n):
                 for k in range(n):
                     out[i, j, k, k] = zero
                     for l in range(k + 1, n):
-                        term = gam[i, l, j].derive(k) - gam[i, k, j].derive(l)
+                        term = gi[l][j].derive(k) - gi[k][j].derive(l)
                         for mm in range(n):
-                            plus = gam0[i, k, mm] * gam0[mm, l, j]
+                            plus = gi0[k][mm] * gam0[mm][l][j]
                             if plus.__class__ is not _ZeroJet:
                                 term = term + plus
-                            minus = gam0[i, l, mm] * gam0[mm, k, j]
+                            minus = gi0[l][mm] * gam0[mm][k][j]
                             if minus.__class__ is not _ZeroJet:
                                 term = term - minus
                         out[i, j, k, l] = term

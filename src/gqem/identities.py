@@ -644,9 +644,11 @@ def run_pointwise_suite(
             res_max = max(prof.max_residual, prof.c_spread)
             res_mean = res_max
         else:
-            res = np.concatenate([
-                np.abs(info.runner(StructureFrame(s, chunk))).reshape(len(chunk), -1).max(axis=-1)
-                for chunk in batches])
+            res = []
+            for chunk in batches:
+                r = np.abs(info.runner(StructureFrame(s, chunk)))  # may only broadcast to the chunk
+                res.append(np.broadcast_to(r, (len(chunk),) + r.shape[1:]).reshape(len(chunk), -1).max(axis=-1))
+            res = np.concatenate(res)
             res_max = float(np.max(res))
             res_mean = float(np.mean(res))
         out.append(

@@ -64,6 +64,9 @@ def _grade(dim: int, total: int):
             yield (first,) + rest
 
 
+_TABLES: dict = {}  # (dim, order) -> each table `jet_table` built, and it builds every lower order
+
+
 @lru_cache(maxsize=None)
 def jet_table(dim: int, order: int) -> "_Table":
     """Dense multi-index table for jets in `dim` variables up to `order`."""
@@ -107,8 +110,9 @@ def jet_table(dim: int, order: int) -> "_Table":
             )
             for ax in range(dim)
         )
-    return _Table(dim, order, tuple(alphas), index, size, grade_sizes, ii, tuple(triples),
-                  layers, derive_src)
+    table = _TABLES[dim, order] = _Table(dim, order, tuple(alphas), index, size, grade_sizes, ii,
+                                         tuple(triples), layers, derive_src)
+    return table
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -369,14 +373,18 @@ class Jet:
         if other.dim != dim or other.order != order:
             self._coerce(other)  # raises on the mismatch
         if a.shape == b.shape and a.size < _BIG_BATCH * len(a):
-            # the common case, two dense operands of one shape: a zero (a mark,
-            # or found zero) times a finite operand is that zero
-            if self.__class__ is _ZeroJet or self._is_zero():
-                if other._is_finite():
+            # the common case, two dense operands of one shape: a zero (a mark, or
+            # found zero) times a finite operand is that zero; a flag is computed if None
+            if self._zero or self._zero is None and self._is_zero():
+                if other._finite or other._finite is None and other._is_finite():
                     return self
-            elif other._is_zero() and self._is_finite():
+            elif (other._zero or other._zero is None and other._is_zero()) and (
+                    self._finite or self._finite is None and self._is_finite()):
                 return other
-            return _jet(dim, order, _mul_gather(a, b, jet_table(dim, order)))
+            j = _new(Jet)  # as `_jet` builds it, without the call
+            j._c = _mul_gather(a, b, _TABLES[dim, order])
+            j.dim, j.order, j._zero, j._finite = dim, order, None, None
+            return j
         batch = np.broadcast_shapes(a.shape[1:], b.shape[1:])
         if math.prod(batch) >= _BIG_BATCH:
             return _row_mul(self, other)
@@ -695,7 +703,9 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
     - Order 0 and 1: every factor is 1 and an output has at most two terms,
       ``a0*bk`` then ``ak*b0`` in table order, so the direct forms below need
       no gather.
-    - Order 2 on: slice additions of whole layers of terms (`_Layers`).
+    - Order 2 on: the right terms multiply into the gathered left ones (a
+      broadcast pair into a fresh array), then the factors, and whole layers of
+      terms (`_Layers`) add in place into a view of layer 0; no operand is written.
     """
     if a.ndim != b.ndim:
         a, b = _lift(a, b.ndim), _lift(b, a.ndim)
@@ -703,13 +713,19 @@ def _mul_gather(a: np.ndarray, b: np.ndarray, t: _Table) -> np.ndarray:
         return a * b
     if t.order == 1:
         out = a[:1] * b
-        out[1:] += a[1:] * b[:1]
+        tail = out[1:]
+        tail += a[1:] * b[:1]
         return out
     lay = t.layers
-    prod = a.take(lay.ii, axis=0) * b.take(lay.jj, axis=0)
+    prod = a.take(lay.ii, axis=0)
+    if a.shape == b.shape:
+        prod *= b.take(lay.jj, axis=0)
+    else:
+        prod = prod * b.take(lay.jj, axis=0)
     prod *= lay.fc if prod.ndim == 2 else _lift(lay.ff, prod.ndim)
     for dst, src in lay.adds:
-        prod[dst] += prod[src]
+        layer0 = prod[dst]
+        layer0 += prod[src]
     return prod.take(lay.inv, axis=0)
 
 

@@ -396,8 +396,7 @@ def test_chunked_suite_equals_one_batch(monkeypatch):
 
 
 def test_is_gqem_equals_the_defining_row_past_one_chunk():
-    # 600 points are three chunks; one frame over them all would run the
-    # large-batch product and give other bits
+    # 600 points are three chunks, whose per-point residuals both reductions join
     s = example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0))
     pts = sample_points(s.chart, 600, seed=4)
     (row,) = idt.run_pointwise_suite(s, pts, TOLS, ids=["defining_equation"])
@@ -405,6 +404,23 @@ def test_is_gqem_equals_the_defining_row_past_one_chunk():
     assert chk.n_points == row.n_points == 600
     assert chk.sup_residual.hex() == row.max_residual.hex()
     assert chk.mean_residual.hex() == row.mean_residual.hex()
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "hyperbolic"])
+def test_a_chunk_of_the_large_batch_size_keeps_every_row(family, monkeypatch):
+    # at 600 points a frame holds row-form jets, and a runner may return a
+    # residual that only broadcasts to the batch (contracted_bianchi on the
+    # flat chart returns shape (1,)); every row keeps the default chunks' bits
+    s = example_structure(ModelSpec(family, 3, tau=1.5, m=2.0))
+    pts = sample_points(s.chart, 600, seed=4)
+    bits = lambda entries: [
+        (e.identity_id, e.n_points, e.max_residual.hex(), e.mean_residual.hex(), e.passed)
+        for e in entries]
+    chunked = bits(idt.run_pointwise_suite(s, pts, TOLS))
+    monkeypatch.setattr(qem, "_CHUNK", 600)
+    assert len(qem.chunks(pts)) == 1 and 600 >= jets._BIG_BATCH
+    assert bits(idt.run_pointwise_suite(s, pts, TOLS)) == chunked
+    assert len(chunked) == len(idt.CATALOG) == 18
 
 
 def test_joined_profile_equals_the_whole_sample():

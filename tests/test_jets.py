@@ -1119,6 +1119,68 @@ def test_gather_kernels_equal_the_reduceat_sum_bit_for_bit(dim, order):
                 assert canonical_nan(got).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_dense_products_keep_the_table_order_bits_and_leave_their_operands(dim, order):
+    # a same-shape product multiplies into its gather of the left terms and adds
+    # layers in place; a broadcast pair takes a fresh product. Both sum in table
+    # order (against `full_sum`, which shares no code with `_mul_gather`), and
+    # neither writes an operand's array, a squared jet's included
+    rng = np.random.default_rng(300 * dim + order)
+    t = jet_table(dim, order)
+    shapes = [((), ()), ((1,), (1,)), ((7,), (7,)), ((100,), (100,)),
+              ((), (100,)), ((100,), ()), ((1,), (100,)), ((7,), (1,)), ((3, 1), (1, 7))]
+    pairs = []
+    for sa, sb in shapes:
+        a, b = (Jet(dim, order, with_special_values(rng.normal(size=s + (t.size,)), rng))
+                for s in (sa, sb))
+        pairs += [(a, b), (a, a)] if sa == sb else [(a, b)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, b in pairs:
+            kept = a._c.tobytes(), b._c.tobytes()
+            want = canonical_nan(full_sum(a.coeffs, b.coeffs, t))
+            for got in ((a * b).coeffs, gather(a.coeffs, b.coeffs, t)):
+                assert got.shape == want.shape
+                assert canonical_nan(got).tobytes() == want.tobytes()
+            assert (a._c.tobytes(), b._c.tobytes()) == kept
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (100,)])
+def test_dense_dispatch_reads_each_flag_once_and_keeps_its_returns(batch):
+    # `Jet.__mul__` reads `_zero` and `_finite` from their slots and computes
+    # one only where it is None: a mark or a found zero times a finite operand
+    # is that zero itself, and zero times NaN or ±inf runs the kernel
+    rng = np.random.default_rng(41 + len(batch))
+    dim, order = 3, 2
+    t = jet_table(dim, order)
+    finite = Jet(dim, order, rng.normal(size=batch + (t.size,)))
+    mark = Jet.constant(np.zeros(batch), dim, order)
+    assert type(mark) is jets._ZeroJet and mark._zero is mark._finite is True
+    assert mark * finite is mark and finite * mark is mark
+    assert finite._finite is True and finite._zero is False
+    found = Jet(dim, order, np.zeros(batch + (t.size,)))
+    assert type(found) is Jet and found._zero is None
+    assert finite * found is found
+    assert type(found) is jets._ZeroJet and found._zero is found._finite is True
+    negative = np.zeros(batch + (t.size,))
+    negative[..., ::2] = -0.0
+    c = rng.normal(size=batch + (t.size,))
+    c[..., 2] = np.nan
+    c[..., 4] = np.inf
+    for zero_first in (True, False):
+        zero, bad = Jet(dim, order, negative), Jet(dim, order, c)
+        x, y = (zero, bad) if zero_first else (bad, zero)
+        with np.errstate(invalid="ignore"):
+            got = x * y
+            want = full_sum(x.coeffs, y.coeffs, t)
+        assert type(got) is Jet and got is not x and got is not y
+        assert type(zero) is jets._ZeroJet and bad._finite is False
+        assert np.isnan(want).any()
+        for mask in (np.isnan, np.isposinf, np.isneginf):
+            assert np.array_equal(mask(got.coeffs), mask(want))
+        assert np.array_equal(got.coeffs, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("batch", [(), (1,), (2, 3), (100,)])
 @pytest.mark.parametrize("dim,order", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 4)])
 def test_derive_gathers_the_coefficients_bit_for_bit(batch, dim, order):
