@@ -15,6 +15,8 @@ sphere satisfy Ric = (n-1) g and R = n(n-1).
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -175,39 +177,55 @@ def _trunc_tree(obj, order: int):
     return obj
 
 
+def _object_array(nested: list, shape: tuple) -> np.ndarray:
+    """The object array of `shape` holding the jets of `nested`, lists as deep as `shape`.
+
+    `np.fromiter` stores each jet as it is; `np.array` would first probe every
+    element for the array and sequence protocols, at several times the cost.
+    """
+    flat = nested
+    for _ in shape[1:]:
+        flat = itertools.chain.from_iterable(flat)
+    return np.fromiter(flat, dtype=object, count=math.prod(shape)).reshape(shape)
+
+
 # `invert_jet_matrix`, `gamma` and `riemann`, whose loops meet most zero marks, form
 # every product but add none that is a mark: x + mark and x - mark are x for a mark of x's batch.
+# They and `ricci` loop over nested lists (`.tolist()`), whose lookups cost less than an
+# object array's multi-index ones, and build their object array once at the end.
 
 
 def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite jet matrix (Gauss-Jordan, no pivoting)."""
     n = g.shape[0]
-    a = [[g[i, j] for j in range(n)] for i in range(n)]
-    proto = g[0, 0]
+    a = g.tolist()
+    proto = a[0][0]
     # one unit and one zero mark serve every entry: no jet is written once built
     one = Jet.constant(np.ones(proto.batch_shape), proto.dim, proto.order)
     zero = Jet.constant(np.zeros(proto.batch_shape), proto.dim, proto.order)
     eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
+        acol, ecol = a[col], eye[col]
         try:
-            inv_piv = jets.reciprocal(a[col][col])
+            inv_piv = jets.reciprocal(acol[col])
         except JetDomainError as exc:
             raise DegenerateMetricError(f"singular metric: {exc}") from exc
         for j in range(n):
-            a[col][j] = a[col][j] * inv_piv
-            eye[col][j] = eye[col][j] * inv_piv
+            acol[j] = acol[j] * inv_piv
+            ecol[j] = ecol[j] * inv_piv
         for row in range(n):
             if row == col:
                 continue
-            factor = a[row][col]
+            arow, erow = a[row], eye[row]
+            factor = arow[col]
             for j in range(n):
-                term = factor * a[col][j]
+                term = factor * acol[j]
                 if term.__class__ is not _ZeroJet:
-                    a[row][j] = a[row][j] - term
-                term = factor * eye[col][j]
+                    arow[j] = arow[j] - term
+                term = factor * ecol[j]
                 if term.__class__ is not _ZeroJet:
-                    eye[row][j] = eye[row][j] - term
-    return np.array(eye, dtype=object)
+                    erow[j] = erow[j] - term
+    return _object_array(eye, (n, n))
 
 
 def _memoized(method):
@@ -216,7 +234,9 @@ def _memoized(method):
     Fields hash by identity, so two fields with the same label get separate
     entries. A cached result of the requested order is returned itself (no
     caller writes into a returned list or array); one of higher order is
-    reused by exact truncation.
+    reused by exact truncation, made once per order and kept beside it until a
+    higher order replaces it, so each lower-order hit returns the same jets
+    and their flags are scanned once.
     """
     name = method.__name__
 
@@ -226,9 +246,15 @@ def _memoized(method):
         key = (name, *fields)
         hit = self._cache.get(key)
         if hit is not None and hit[0] >= order:
-            return hit[1] if hit[0] == order else _trunc_tree(hit[1], order)
+            top, val, lower = hit
+            if top == order:
+                return val
+            low = lower.get(order)
+            if low is None:
+                low = lower[order] = _trunc_tree(val, order)
+            return low
         val = method(self, *args)
-        self._cache[key] = (order, val)
+        self._cache[key] = (order, val, {})
         return val
 
     return wrapper
@@ -282,66 +308,62 @@ class ChartFrame:
     def gamma(self, order: int) -> np.ndarray:
         """Christoffel symbols Gamma^k_{ij} as jets of the given order."""
         n = self.n
-        g = self.metric(order + 1)
-        gi = self.metric_inv(order)
-        dg = [[[g[a, b].derive(c) for b in range(n)] for a in range(n)]
-              for c in range(n)]  # dg[c][a][b] = d_c g_ab
-        out = np.empty((n, n, n), dtype=object)
+        g = self.metric(order + 1).tolist()
+        gi = self.metric_inv(order).tolist()
+        dg = [[[gab.derive(c) for gab in ga] for ga in g] for c in range(n)]  # d_c g_ab
+        out = [[[None] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
+            dgi = dg[i]
             for j in range(i, n):
-                brackets = [
-                    dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)
-                ]
-                for kk in range(n):
-                    acc = gi[kk, 0] * brackets[0]
+                dgj, dgij = dg[j], dgi[j]
+                brackets = [dgij[l] + dgj[i][l] - dg[l][i][j] for l in range(n)]
+                for gik, outk in zip(gi, out):
+                    acc = gik[0] * brackets[0]
                     for l in range(1, n):
-                        term = gi[kk, l] * brackets[l]
+                        term = gik[l] * brackets[l]
                         if term.__class__ is not _ZeroJet:
                             acc = acc + term
-                    out[kk, i, j] = acc * 0.5
-                    out[kk, j, i] = out[kk, i, j]
-        return out
+                    outk[i][j] = outk[j][i] = acc * 0.5
+        return _object_array(out, (n,) * 3)
 
     @_memoized
     def riemann(self, order: int) -> np.ndarray:
         """Curvature tensor R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma.Gamma."""
         n = self.n
-        # nested lists: a list lookup costs less than an object array's 3-index one
         gam = self.gamma(order + 1).tolist()
-        gam0 = _trunc_tree(gam, order)
-        out = np.empty((n, n, n, n), dtype=object)
+        gam0 = self.gamma(order).tolist()
+        gt = [[[gm[l][j] for gm in gam0] for j in range(n)] for l in range(n)]  # Γ^m_lj at [l][j][m]
         zero = Jet.constant(np.zeros(gam[0][0][0].batch_shape), n, order)
-        for i in range(n):
-            gi, gi0 = gam[i], gam0[i]
-            for j in range(n):
+        out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for gi, gi0, outi in zip(gam, gam0, out):
+            for j, outij in enumerate(outi):
                 for k in range(n):
-                    out[i, j, k, k] = zero
+                    gik0, gtk, gikj = gi0[k], gt[k][j], gi[k][j]
                     for l in range(k + 1, n):
-                        term = gi[l][j].derive(k) - gi[k][j].derive(l)
-                        for mm in range(n):
-                            plus = gi0[k][mm] * gam0[mm][l][j]
+                        term = gi[l][j].derive(k) - gikj.derive(l)
+                        for x, y, u, v in zip(gik0, gt[l][j], gi0[l], gtk):
+                            plus = x * y
                             if plus.__class__ is not _ZeroJet:
                                 term = term + plus
-                            minus = gi0[l][mm] * gam0[mm][k][j]
+                            minus = u * v
                             if minus.__class__ is not _ZeroJet:
                                 term = term - minus
-                        out[i, j, k, l] = term
-                        out[i, j, l, k] = -term
-        return out
+                        outij[k][l] = term
+                        outij[l][k] = -term
+        return _object_array(out, (n,) * 4)
 
     @_memoized
     def ricci(self, order: int) -> np.ndarray:
         n = self.n
-        rm = self.riemann(order)
-        out = np.empty((n, n), dtype=object)
+        rm = self.riemann(order).tolist()
+        out = [[None] * n for _ in range(n)]
         for j in range(n):
             for l in range(j, n):
-                acc = rm[0, j, 0, l]
+                acc = rm[0][j][0][l]
                 for i in range(1, n):
-                    acc = acc + rm[i, j, i, l]
-                out[j, l] = acc
-                out[l, j] = acc
-        return out
+                    acc = acc + rm[i][j][i][l]
+                out[j][l] = out[l][j] = acc
+        return _object_array(out, (n, n))
 
     @_memoized
     def scalar_curvature_jet(self, order: int) -> Jet:

@@ -39,6 +39,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+try:  # the C-level count, without the argument handling of numpy's Python wrapper
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    _count_nonzero = np.count_nonzero
+
 MAX_ORDER = 4
 
 # Broadcast batch size from which jets store a tuple of rows and `Jet.__mul__`
@@ -230,12 +235,12 @@ class Jet:
         size = jet_table(dim, order).size
         if value.size >= _BIG_BATCH:
             row = _compact(value)
-            rows = (np.array(row) if np.count_nonzero(row) else None,) + (None,) * (size - 1)
+            rows = (np.array(row) if _count_nonzero(row) else None,) + (None,) * (size - 1)
             return _from_rows(dim, order, rows, value.shape)
         coeffs = np.zeros((size,) + value.shape)
         coeffs[0] = value
         out = _jet(dim, order, coeffs)
-        return out if np.count_nonzero(value) else _mark_zero(out)
+        return out if _count_nonzero(value) else _mark_zero(out)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -285,7 +290,7 @@ class Jet:
             return self
         if not 0 <= order < self.order:
             raise ValueError(f"cannot truncate order-{self.order} jet to order {order}")
-        size = jet_table(self.dim, self.order).grade_sizes[order]
+        size = _TABLES[self.dim, self.order].grade_sizes[order]
         try:
             return _jet(self.dim, order, self._c[:size])
         except AttributeError:
@@ -307,7 +312,7 @@ class Jet:
             raise ValueError("cannot derive an order-0 jet")
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        return jet_table(self.dim, self.order).derive_src[axis]
+        return _TABLES[self.dim, self.order].derive_src[axis]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -334,7 +339,9 @@ class Jet:
             return _row_sum(self, other, False)
         if a.ndim != b.ndim:
             a, b = _lift(a, b.ndim), _lift(b, a.ndim)
-        return _jet(self.dim, self.order, a + b)
+        c, j = a + b, _new(Jet)  # as `_jet` builds it (the array first), without the call
+        j._c, j.dim, j.order, j._zero, j._finite = c, self.dim, self.order, None, None
+        return j
 
     __radd__ = __add__
 
@@ -347,7 +354,9 @@ class Jet:
             return _row_sum(self, other, True)
         if a.ndim != b.ndim:
             a, b = _lift(a, b.ndim), _lift(b, a.ndim)
-        return _jet(self.dim, self.order, a - b)
+        c, j = a - b, _new(Jet)
+        j._c, j.dim, j.order, j._zero, j._finite = c, self.dim, self.order, None, None
+        return j
 
     def __rsub__(self, other):
         # not ``constant - self``, which for a mark would call this method again
@@ -355,12 +364,17 @@ class Jet:
 
     def __neg__(self):
         try:
-            return _jet(self.dim, self.order, -self._c)
+            c = -self._c
         except AttributeError:
             return _from_rows(self.dim, self.order,
                               tuple(None if r is None else -r for r in self._rows), self._batch)
+        j = _new(Jet)
+        j._c, j.dim, j.order, j._zero, j._finite = c, self.dim, self.order, None, None
+        return j
 
     def __mul__(self, other):
+        if isinstance(other, float):  # np.float64 too
+            return _scale(self, np.asarray(other, dtype=np.float64))
         try:
             a, b = self._c, other._c
         except AttributeError:
@@ -424,7 +438,7 @@ class Jet:
         A jet found to be zero is marked (`_mark_zero`).
         """
         if self._zero is None:
-            if np.count_nonzero(self._c):
+            if _count_nonzero(self._c):
                 self._zero = False
             else:
                 _mark_zero(self)
@@ -434,7 +448,7 @@ class Jet:
         """Whether every coefficient is finite, computed on first use and cached."""
         if self._finite is None:
             c = self._c
-            self._finite = bool(np.count_nonzero(np.isfinite(c)) == c.size)
+            self._finite = bool(_count_nonzero(np.isfinite(c)) == c.size)
         return self._finite
 
 
@@ -458,12 +472,12 @@ class _ZeroJet(Jet):
     __slots__ = ()
 
     def _same_shape(self, other) -> bool:
-        if not (isinstance(other, Jet) and other.dim == self.dim and other.order == self.order):
-            return False
+        # the shape first: only a jet has `_c`, and most operands are dense
         try:
-            return other._c.shape == self._c.shape
+            same = other._c.shape == self._c.shape
         except AttributeError:
-            return other.batch_shape == self.batch_shape
+            same = isinstance(other, Jet) and other.batch_shape == self.batch_shape
+        return same and other.dim == self.dim and other.order == self.order
 
     # A subclass's reflected methods run before the left operand's own, so
     # `x + zero` and `x - zero` land here without a check in `Jet.__add__`.
@@ -787,7 +801,7 @@ def _seed(i: int, x: CoordinateValues, dim: int, order: int) -> Jet:
         rows = [None] * t.size
         if order:
             rows[0], rows[unit] = x0, _ONE
-        elif np.count_nonzero(x0):
+        elif _count_nonzero(x0):
             rows[0] = x0
         j = _from_rows(dim, order, tuple(rows), x.shape)
     elif order:
@@ -861,7 +875,7 @@ def _compose(a: Jet, taylor):
         zeros = (None,) * (len(a._rows) - 1)
 
         def constant(v):
-            return _from_rows(dim, order, (v if np.count_nonzero(v) else None,) + zeros, a._batch)
+            return _from_rows(dim, order, (v if _count_nonzero(v) else None,) + zeros, a._batch)
     else:
         rem_coeffs[0] = 0.0
         rem = _jet(dim, order, rem_coeffs)
@@ -891,7 +905,7 @@ def exp(a: Jet) -> Jet:
 
 def log(a: Jet) -> Jet:
     v = _value_row(a)
-    if np.count_nonzero(v <= 0.0):
+    if _count_nonzero(v <= 0.0):
         raise JetDomainError(f"log of non-positive value (min value {np.min(v)})")
     taylor = [np.log(v)]
     for k in range(1, a.order + 1):
@@ -912,14 +926,14 @@ def _binomial(a: Jet, exponent: float) -> Jet:
 
 def sqrt(a: Jet) -> Jet:
     v = _value_row(a)
-    if np.count_nonzero(v <= 0.0):
+    if _count_nonzero(v <= 0.0):
         raise JetDomainError(f"sqrt of non-positive value (min value {np.min(v)})")
     return _binomial(a, 0.5)
 
 
 def reciprocal(a: Jet) -> Jet:
     v = _value_row(a)
-    if np.count_nonzero(v == 0.0):
+    if _count_nonzero(v == 0.0):
         raise JetDomainError("division by zero value coefficient")
     return _compose(a, [(-1.0) ** k * v ** (-(k + 1)) for k in range(a.order + 1)])
 
@@ -985,7 +999,7 @@ def power(a: Jet, exponent) -> Jet:
         for _ in range(k - 1):
             acc = acc * a
         return acc
-    if np.count_nonzero(_value_row(a) <= 0.0):
+    if _count_nonzero(_value_row(a) <= 0.0):
         raise JetDomainError(
             f"power with non-integer exponent {exponent} of non-positive value"
         )

@@ -1,5 +1,7 @@
 """Curvature operators and differential-operator identities on model charts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gqem import jets
 from gqem.geometry import ScalarField, VectorField, tensor2_norm2_g
 from gqem.models import ModelSpec, example_structure, height_field, make_chart, sample_points
 from gqem.qem import StructureFrame
+from test_charts import warped_chart
 
 
 @pytest.fixture(scope="module")
@@ -586,3 +589,67 @@ def test_object_array_sums_multiply_left_to_right_and_add_from_the_first_term():
         "+(a12*b12))+(a20*b20))+(a21*b21))+(a22*b22))")
     assert (a * b).sum().text == np.dot(a.ravel(), b.ravel()).text
     assert a.trace().text == "((a00+a11)+a22)"
+
+
+# -- golden bits of the frame layers ------------------------------------------------
+
+
+def _golden_points(case):
+    if case == "warped3":
+        return warped_chart(3), np.random.default_rng(34).uniform(-0.6, 0.6, size=(100, 3))
+    chart = make_chart(ModelSpec("sphere", 4, tau=1.5, m=2.0, chart_kind="stereographic"))
+    return chart, sample_points(chart, 100, seed=34)
+
+
+def _bits_digest(layer) -> str:
+    """The first 16 hex digits of a sha256 over `float.hex` of every coefficient, entry by entry."""
+    h = hashlib.sha256()
+    for j in layer.flat if isinstance(layer, np.ndarray) else (layer,):
+        h.update(" ".join(map(float.hex, j.coeffs.ravel().tolist())).encode() + b";")
+    return h.hexdigest()[:16]
+
+
+GOLDEN_LAYERS = ("metric_inv", "gamma", "riemann", "ricci", "scalar_curvature_jet")
+GOLDEN_BITS = {
+    ("warped3", 1): {"metric_inv": "bfd66c8db8251791", "gamma": "6c506dfe94e71243",
+                     "riemann": "01fa2ad130c62221", "ricci": "eca9766675fb365c",
+                     "scalar_curvature_jet": "0d08613ed421c747"},
+    ("warped3", 100): {"metric_inv": "c367ad103d124eb9", "gamma": "6ef62ff77e5cc87a",
+                       "riemann": "c01564630fb8630a", "ricci": "997ee53d4bd32a0a",
+                       "scalar_curvature_jet": "8ae23668e75255ad"},
+    ("stereo4", 1): {"metric_inv": "2d8d42fae3d3daf9", "gamma": "74e44beed6b27d0b",
+                     "riemann": "5c21cc54b56ab58c", "ricci": "a040150512fbc7e6",
+                     "scalar_curvature_jet": "5c191be786225601"},
+    ("stereo4", 100): {"metric_inv": "4d0cbe33bd78989e", "gamma": "192059997ffa2834",
+                       "riemann": "782287e78e6bc274", "ricci": "6d460ff920ac6daa",
+                       "scalar_curvature_jet": "9fc1ebb35b9e44d4"},
+}
+
+
+@pytest.mark.parametrize("batch", [1, 100])
+@pytest.mark.parametrize("case", ["warped3", "stereo4"])
+def test_frame_layers_keep_their_bits(case, batch):
+    # g^-1, Γ, Riemann, Ricci and R at order 2, requested in that order on one
+    # frame, so Riemann reads Γ truncated from the order-3 one it builds. The
+    # digests were recorded before the frame loops were rewritten over nested
+    # lists; any change of a product's operands or of a sum's order shows here
+    chart, pts = _golden_points(case)
+    fr = geo.ChartFrame(chart, pts[:batch])
+    got = {name: _bits_digest(getattr(fr, name)(2)) for name in GOLDEN_LAYERS}
+    assert got == GOLDEN_BITS[case, batch]
+
+
+def test_a_memoized_layer_keeps_one_truncation_per_lower_order(sphere_stereo):
+    fr = geo.ChartFrame(sphere_stereo, sample_points(sphere_stereo, 5, seed=3))
+    top = fr.gamma(2)
+    low = fr.gamma(1)
+    assert fr.gamma(1) is low and fr.gamma(0) is fr.gamma(0)
+    assert all(j.order == 1 for j in low.flat)
+    assert _bits_digest(low) == _bits_digest(geo._trunc_tree(top, 1))
+    # a higher order recomputes the layer and drops the truncations of the old one
+    higher = fr.gamma(3)
+    assert higher is not top and all(j.order == 3 for j in higher.flat)
+    assert fr._cache["gamma",][2] == {}
+    again = fr.gamma(1)
+    assert again is not low and fr.gamma(1) is again
+    assert _bits_digest(again) == _bits_digest(geo._trunc_tree(higher, 1)) == _bits_digest(low)
