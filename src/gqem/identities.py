@@ -626,14 +626,21 @@ def run_pointwise_suite(
     pointwise row's residual is reduced to |value|, or the largest |component|
     of a tensor, per point. The entries are those of one batch holding every
     point. A selection of which no row applies to `s` raises a `ValueError`
-    that names the skipped ids, so that a run that checks nothing cannot pass.
+    that names the skipped ids, so that a run that checks nothing cannot pass;
+    an unknown id, or a row's order class without a tolerance, raises one too.
     """
     batches = chunks(points)
+    unknown = [i for i in ids or () if i not in CATALOG_BY_ID]
+    if unknown:
+        raise ValueError(f"unknown identity id(s): {', '.join(map(repr, unknown))}")
     selected = list(CATALOG) if ids is None else [CATALOG_BY_ID[i] for i in ids]
     rows = [info for info in selected if applicable(info, s)]
     if not rows:
         raise ValueError(f"no selected identity applies to {s.label}; skipped: "
                          + ", ".join(info.identity_id for info in selected))
+    missing = sorted({info.order_class for info in rows} - tolerances.keys())
+    if missing:
+        raise ValueError(f"no tolerance for order class(es) {missing}")
     out = []
     for info in rows:
         tol = tolerances[info.order_class]

@@ -21,7 +21,8 @@ rows an operand stores (see `_row_mul`). `Jet.coeffs` gives the batch-major
 ``(*batch, size)`` array for callers outside the engine. A jet known to be
 zero at every coefficient and node, at any batch size, is a `_ZeroJet`: sums,
 differences and products with it return an operand or a mark instead of
-running over zeros (see `_ZeroJet`).
+running over zeros (see `_ZeroJet`); `Jet.__mul__` states that rule once,
+for both forms, before it picks a kernel.
 
 Every product sums each output's terms left to right in table order, so a
 node's result does not depend on the batch it is computed in. Below
@@ -179,11 +180,11 @@ class Jet:
     all-zero row as ``None``.
 
     Neither form may be written once the jet has taken part in an operation.
-    A jet caches flags of its coefficients on first use: all zero
-    (`_is_zero`), all finite (`_is_finite`) and each row's finiteness
-    (`_flags`, for the row product), and may become a `_ZeroJet`. Every
-    constructor sets `_zero` and `_finite` to ``None`` (not yet computed); a
-    mark sets both to ``True``. Gathers of rows, in `derive` and the dense
+    A jet caches two flags of its coefficients: all zero (`_is_zero`) and
+    all finite (`_is_finite`), and may become a `_ZeroJet`. Every
+    constructor sets `_finite` to ``None`` (not yet computed) and `_zero` to
+    ``None`` for a dense jet and ``False`` for a row-form one that stores a
+    row; a mark sets both to ``True``. Gathers of rows, in `derive` and the dense
     product, go through ``ndarray.take(..., axis=0)``, which costs less per
     call than fancy indexing and gives the same bytes. Results
     share what they can: `truncated` of a dense jet and `derive` of a dense
@@ -193,8 +194,7 @@ class Jet:
     also holds `_x`, the `CoordinateValues` its value came from.
     """
 
-    __slots__ = ("dim", "order", "_c", "_rows", "_batch", "_flags", "_zero", "_finite", "_x",
-                 "_lower")
+    __slots__ = ("dim", "order", "_c", "_rows", "_batch", "_zero", "_finite", "_x", "_lower")
 
     # numpy defers every operator with an ndarray operand to the jet, so that
     # ``array * jet`` is `__rmul__`, a product over the batch, and not an
@@ -219,7 +219,9 @@ class Jet:
             return
         self._rows = tuple(np.array(r) if r.any() else None for r in rows)
         self._batch = coeffs.shape[:-1]
-        if not any(r is not None for r in self._rows):
+        if any(r is not None for r in self._rows):
+            self._zero = False
+        else:
             _mark_zero(self)
 
     # -- construction -------------------------------------------------
@@ -373,45 +375,30 @@ class Jet:
         return j
 
     def __mul__(self, other):
-        if isinstance(other, float):  # np.float64 too
+        if not isinstance(other, Jet):
             return _scale(self, np.asarray(other, dtype=np.float64))
-        try:
-            a, b = self._c, other._c
-        except AttributeError:
-            if not isinstance(other, Jet):
-                return _scale(self, np.asarray(other, dtype=np.float64))
-            if other.dim != self.dim or other.order != self.order:
-                self._coerce(other)  # raises on the mismatch
-            return _row_mul(self, other)
         dim, order = self.dim, self.order
         if other.dim != dim or other.order != order:
             self._coerce(other)  # raises on the mismatch
-        if a.shape == b.shape and a.size < _BIG_BATCH * len(a):
-            # the common case, two dense operands of one shape: a zero (a mark, or
-            # found zero) times a finite operand is that zero; a flag is computed if None
-            if self._zero or self._zero is None and self._is_zero():
-                if other._finite or other._finite is None and other._is_finite():
-                    return self
-            elif (other._zero or other._zero is None and other._is_zero()) and (
-                    self._finite or self._finite is None and self._is_finite()):
-                return other
-            j = _new(Jet)  # as `_jet` builds it, without the call
-            j._c = _mul_gather(a, b, _TABLES[dim, order])
-            j.dim, j.order, j._zero, j._finite = dim, order, None, None
-            return j
-        batch = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        if math.prod(batch) >= _BIG_BATCH:
+        # the zero rule, for both forms: a zero (a mark, or a dense jet found zero)
+        # times a finite operand is a zero of the product's batch; a flag is computed if None
+        if self._zero or self._zero is None and self._is_zero():
+            if other._finite or other._finite is None and other._is_finite():
+                return _zero_product(self, other)
+        elif (other._zero or other._zero is None and other._is_zero()) and (
+                self._finite or self._finite is None and self._is_finite()):
+            return _zero_product(other, self)
+        try:
+            a, b = self._c, other._c
+        except AttributeError:
             return _row_mul(self, other)
-        # a term is left unless one operand is all zero and the other finite
-        if not ((self._is_zero() and other._is_finite())
-                or (other._is_zero() and self._is_finite())):
-            return _jet(dim, order, _mul_gather(a, b, jet_table(dim, order)))
-        # no term left, every one is ±0 at every node: skip the kernel
-        if self.__class__ is _ZeroJet and a.shape[1:] == batch:
-            return self
-        if other.__class__ is _ZeroJet and b.shape[1:] == batch:
-            return other
-        return _mark_zero(_jet(dim, order, np.zeros((len(a),) + batch)))
+        if a.shape != b.shape or a.size >= _BIG_BATCH * len(a):  # a broadcast or a large pair
+            if math.prod(_broadcast(a.shape[1:], b.shape[1:])) >= _BIG_BATCH:
+                return _row_mul(self, other)
+        j = _new(Jet)  # as `_jet` builds it, without the call
+        j._c = _mul_gather(a, b, _TABLES[dim, order])
+        j.dim, j.order, j._zero, j._finite = dim, order, None, None
+        return j
 
     __rmul__ = __mul__
 
@@ -429,13 +416,13 @@ class Jet:
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 
-    # The two flags below serve the dense product; a row-form jet computes
-    # neither, and its flags stay None unless it is a mark.
+    # The two flags below serve the zero rule of `__mul__` and `_row_mul`'s row skip.
 
     def _is_zero(self) -> bool:
         """Whether every coefficient is ±0, computed on first use and cached.
 
-        A jet found to be zero is marked (`_mark_zero`).
+        A jet found to be zero is marked (`_mark_zero`). A row-form jet is set
+        when it is built: a mark if it stores no row, else False.
         """
         if self._zero is None:
             if _count_nonzero(self._c):
@@ -445,10 +432,15 @@ class Jet:
         return self._zero
 
     def _is_finite(self) -> bool:
-        """Whether every coefficient is finite, computed on first use and cached."""
+        """Whether every coefficient is finite (each stored row, in row form), computed on first use and cached."""
         if self._finite is None:
-            c = self._c
-            self._finite = bool(_count_nonzero(np.isfinite(c)) == c.size)
+            try:
+                c = self._c
+            except AttributeError:
+                self._finite = all(r is None or _count_nonzero(np.isfinite(r)) == r.size
+                                   for r in self._rows)
+            else:
+                self._finite = bool(_count_nonzero(np.isfinite(c)) == c.size)
         return self._finite
 
 
@@ -458,11 +450,10 @@ class _ZeroJet(Jet):
     All-zero constants, products with no term left, jets that `_is_zero`
     finds all zero, row-form jets whose every row is ``None``, and `derive`,
     `truncated`, negation and finite scalar multiples of a mark carry it, with
-    `_zero` and `_finite` set. A product with no term left (below
-    `_BIG_BATCH` a zero times a finite operand, from `_BIG_BATCH` on one
-    whose stored rows leave no term) returns a marked operand of the
-    product's shape, at any batch size, and a fresh mark otherwise, such as
-    for a broadcast one. A sum or difference with an operand of the same
+    `_zero` and `_finite` set. A zero times a finite operand, in either form,
+    returns before any kernel (`_zero_product`): the marked operand where its
+    batch is the product's, and a fresh mark otherwise, such as for a
+    broadcast one. A sum or difference with an operand of the same
     shape returns that operand (or its negation) instead of adding zeros.
     Each value equals the full operation's (`==`); only the sign of a zero
     can differ (x + (+0) is +0 where x is -0). Zero times NaN or ±inf runs
@@ -539,9 +530,10 @@ def _from_rows(dim: int, order: int, rows: tuple, batch: tuple) -> Jet:
     j.order = order
     j._rows = rows
     j._batch = batch
-    j._zero = j._finite = None
+    j._finite = None
     for row in rows:
         if row is not None:
+            j._zero = False
             return j
     return _mark_zero(j)
 
@@ -555,16 +547,15 @@ def _rows_of(j: Jet) -> tuple:
     return tuple(r if r.any() else None for r in c), c.shape[1:]
 
 
-def _finite_rows(j: Jet, rows: tuple) -> tuple:
-    """Per row of `j` (as `_rows_of` gives them): finite at every node; cached in `_flags`.
-
-    A ``None`` row is finite; each stored row is scanned once per jet.
-    """
-    try:
-        return j._flags
+def _zero_product(zero: _ZeroJet, other: Jet) -> _ZeroJet:
+    """``zero * other`` for a finite `other`: `zero` if it has the product's batch, else a fresh mark."""
+    try:  # the common case first: two dense jets of one shape
+        if zero._c.shape == other._c.shape:
+            return zero
     except AttributeError:
-        j._flags = tuple(r is None or bool(np.isfinite(r).all()) for r in rows)
-        return j._flags
+        pass
+    batch = _broadcast(zero.batch_shape, other.batch_shape)
+    return zero if batch == zero.batch_shape else Jet.constant(np.zeros(batch), zero.dim, zero.order)
 
 
 def _compact(x: np.ndarray) -> np.ndarray:
@@ -643,14 +634,15 @@ def _row_mul(a: Jet, b: Jet) -> Jet:
     """Leibniz product from `_BIG_BATCH` nodes on, each output summed term by term in table order.
 
     A dense operand is read row by row (`_rows_of`). A term is skipped where
-    one row is ``None`` and the other is ``None`` or finite at every node
-    (`_finite_rows`, scanned only for such pairs): it is ±0 at every node. A
-    ``None`` row against a non-finite one is read as zeros, so NaN and ±inf
-    land where they would. Every output equals the full sum up to the sign of
-    a zero; one with no term left is ``None``. Each output is summed in table
-    order, as `_mul_gather` sums it, so a node's result does not depend on the
-    batch it is computed in. With no term left at all the product returns a
-    marked operand of its shape, as below `_BIG_BATCH`, or a fresh mark.
+    one row is ``None`` and the other is ``None`` or finite at every node: it
+    is ±0 at every node. The other row is finite if its jet `_is_finite`
+    (asked only for such pairs), and is scanned itself only where that jet
+    is not. A ``None`` row against a non-finite one is read as zeros, so NaN
+    and ±inf land where they would. Every output equals the
+    full sum up to the sign of a zero; one with no term left is ``None``, and
+    a product with none left at all is a fresh mark. Each output is summed in
+    table order, as `_mul_gather` sums it, so a node's result does not depend
+    on the batch it is computed in.
 
     Rows keep the shapes they are stored in: each term, and the output row it
     starts, is allocated at the broadcast shape of its two rows, and a later
@@ -671,14 +663,14 @@ def _row_mul(a: Jet, b: Jet) -> Jet:
             if y is None:
                 continue
             if fb is None:
-                fb = _finite_rows(b, rb)
-            if fb[j]:
+                fb = b._is_finite()
+            if fb or np.isfinite(y).all():
                 continue
             x = _ZERO
         elif y is None:
             if fa is None:
-                fa = _finite_rows(a, ra)
-            if fa[i]:
+                fa = a._is_finite()
+            if fa or np.isfinite(x).all():
                 continue
             y = _ZERO
         shape = x.shape if x.shape == y.shape else _broadcast(x.shape, y.shape)
@@ -699,11 +691,6 @@ def _row_mul(a: Jet, b: Jet) -> Jet:
             if factor != 1.0:
                 dst *= factor
             last = k
-    if last < 0:
-        if a.__class__ is _ZeroJet and batch_a == batch:
-            return a
-        if b.__class__ is _ZeroJet and batch_b == batch:
-            return b
     return _from_rows(a.dim, a.order, tuple(out), batch)
 
 
@@ -935,7 +922,8 @@ def reciprocal(a: Jet) -> Jet:
     v = _value_row(a)
     if _count_nonzero(v == 0.0):
         raise JetDomainError("division by zero value coefficient")
-    return _compose(a, [(-1.0) ** k * v ** (-(k + 1)) for k in range(a.order + 1)])
+    powers = [v ** -(k + 1) for k in range(a.order + 1)]
+    return _compose(a, [-t if k % 2 else t for k, t in enumerate(powers)])  # (-1)^k v^-(k+1)
 
 
 def _cyclic(a: Jet, f: np.ndarray, df: np.ndarray, sign: float) -> Jet:

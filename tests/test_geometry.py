@@ -653,3 +653,26 @@ def test_a_memoized_layer_keeps_one_truncation_per_lower_order(sphere_stereo):
     again = fr.gamma(1)
     assert again is not low and fr.gamma(1) is again
     assert _bits_digest(again) == _bits_digest(geo._trunc_tree(higher, 1)) == _bits_digest(low)
+
+
+def test_tensor_value_refuses_a_rank_that_disagrees_with_its_valence():
+    geo.TensorValue(np.zeros((2, 2)), con=1, cov=1)
+    for con, cov in ((1, 0), (1, 2), (0, 3)):
+        with pytest.raises(ValueError, match="valence says"):
+            geo.TensorValue(np.zeros((2, 2)), con=con, cov=cov)
+
+
+def test_point_operators_refuse_a_batch(sphere_polar):
+    batch = sample_points(sphere_polar, 3, seed=2)
+    for op in (geo.christoffel, geo.riemann, geo.ricci, geo.scalar_curvature):
+        op(sphere_polar, batch[0])
+        with pytest.raises(ValueError, match="single point"):
+            op(sphere_polar, batch)
+
+
+def test_truncating_a_tree_returns_a_non_jet_leaf_unchanged():
+    x = jets.seed_point(np.array([0.3, 0.4]), 3)[0]
+    leaf = object()
+    got = geo._trunc_tree([x, (leaf, 2.5)], 1)
+    assert got[0].order == 1 and got[1][0] is leaf and got[1][1] == 2.5
+    assert geo._trunc_tree(leaf, 1) is leaf

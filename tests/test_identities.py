@@ -19,6 +19,7 @@ from gqem.models import (
     trivial_structure,
 )
 from gqem.qem import StructureFrame, is_gqem, make_structure
+from test_charts import warped_chart
 
 TOLS = {2: 1e-8, 3: 1e-7, 4: 1e-6}
 
@@ -470,3 +471,37 @@ def test_empty_sample_is_rejected_by_name(ids):
     s3 = example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0))
     with pytest.raises(ValueError, match="^empty sample$"):
         idt.run_pointwise_suite(s3, np.empty((0, 3)), TOLS, ids=ids)
+
+
+def test_rows_that_need_a_model_family_are_skipped_on_a_chart_with_none():
+    s = make_structure(warped_chart(3), ScalarField.from_coords(3, lambda *x: x[0] * x[1], "f"), m=2.0)
+    assert s.chart.family is None and s.m_finite
+    for row in ("u_conformality", "einstein_hessian"):
+        assert idt.CATALOG_BY_ID[row].needs_einstein_base
+        assert not idt.applicable(idt.CATALOG_BY_ID[row], s)
+    family = make_structure(make_chart(ModelSpec("euclidean", 3, tau=1.0, m=2.0)), s.f, m=2.0)
+    assert idt.applicable(idt.CATALOG_BY_ID["u_conformality"], family)
+
+
+def no_frames(monkeypatch):
+    """Fails the test if `run_pointwise_suite` builds a frame."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(idt, "StructureFrame", refuse)
+
+
+def test_an_unknown_id_is_a_value_error_before_any_frame(sphere22, monkeypatch):
+    no_frames(monkeypatch)
+    pts = sample_points(sphere22.chart, 3, seed=15)
+    with pytest.raises(ValueError, match="unknown identity id.*'nope'"):
+        idt.run_pointwise_suite(sphere22, pts, TOLS, ids=["defining_equation", "nope"])
+
+
+def test_a_missing_tolerance_class_is_a_value_error_before_any_frame(sphere22, monkeypatch):
+    no_frames(monkeypatch)
+    pts = sample_points(sphere22.chart, 3, seed=15)
+    ids = [info.identity_id for info in idt.CATALOG if info.order_class == 3][:1]
+    assert ids
+    with pytest.raises(ValueError, match=r"no tolerance for order class\(es\) \[3\]"):
+        idt.run_pointwise_suite(sphere22, pts, {2: 1e-8, 4: 1e-6}, ids=ids)

@@ -1,6 +1,9 @@
 """Unit tests for the truncated Taylor arithmetic."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -102,6 +105,23 @@ def test_domain_errors_name_the_operation():
         one / zero
 
 
+def test_table_and_partial_refuse_bad_arguments():
+    for dim, order in ((0, 2), (-1, 2), (2, -1), (2, jets.MAX_ORDER + 1)):
+        with pytest.raises(ValueError, match="jet dimension|jet order"):
+            jet_table(dim, order)
+    x = seed_variable(0, 1.0, dim=2, order=2)
+    for alpha in ((1,), (1, 0, 0), (-1, 1), (0, -1)):
+        with pytest.raises(ValueError, match="bad multi-index"):
+            x.partial(alpha)
+
+
+@pytest.mark.parametrize("batch", [(), (100,), (600,)])
+def test_truncating_to_its_own_order_returns_the_jet_and_repr_names_it(batch):
+    x = seed_point(np.full(batch + (2,), 0.5), 3)[0]
+    assert type(x) is Jet and x.truncated(3) is x
+    assert repr(x).startswith("Jet(dim=2, order=3, value=") and "0.5" in repr(x)
+
+
 def test_mismatched_jets_refused():
     a = Jet.constant(1.0, dim=1, order=2)
     b = Jet.constant(1.0, dim=2, order=2)
@@ -109,6 +129,17 @@ def test_mismatched_jets_refused():
     d = Jet.constant(1.0, dim=2, order=1)  # the same table size as `a`
     for op in (lambda: a + b, lambda: a - b, lambda: b - a, lambda: a * c, lambda: c * a,
                lambda: a + d, lambda: a - d, lambda: d * a, lambda: a * d):
+        with pytest.raises(ValueError, match="jet mismatch"):
+            op()
+
+
+def test_mismatched_row_form_jets_refused():
+    rng = np.random.default_rng(3)
+    a = Jet(2, 2, rng.normal(size=(600, jet_table(2, 2).size)))
+    b = Jet(2, 3, rng.normal(size=(600, jet_table(2, 3).size)))
+    small = Jet(2, 3, rng.normal(size=(100, jet_table(2, 3).size)))
+    assert not hasattr(a, "_c") and not hasattr(b, "_c")
+    for op in (lambda: a * b, lambda: b * a, lambda: a * small, lambda: small * a):
         with pytest.raises(ValueError, match="jet mismatch"):
             op()
 
@@ -533,6 +564,30 @@ def test_row_skip_with_a_batchless_constant():
             assert_matches_gather(a, b, got)
 
 
+def test_dense_operands_whose_broadcast_batch_is_large_take_the_row_product(monkeypatch):
+    rng = np.random.default_rng(14)
+    t = jet_table(2, 3)
+    ca, cb = rng.normal(size=(20, 1, t.size)), rng.normal(size=(1, 30, t.size))
+    a, b = Jet(2, 3, ca), Jet(2, 3, cb)
+    assert hasattr(a, "_c") and hasattr(b, "_c")  # 20 and 30 nodes, each below `_BIG_BATCH`
+    calls = []
+    row_mul = jets._row_mul
+    monkeypatch.setattr(jets, "_row_mul", lambda x, y: calls.append(1) or row_mul(x, y))
+    for got, want in ((a * b, full_sum(ca, cb, t)), (b * a, full_sum(cb, ca, t))):
+        assert not hasattr(got, "_c") and got.batch_shape == (20, 30)
+        assert got.coeffs.tobytes() == want.tobytes()
+    assert len(calls) == 2
+
+
+def test_an_array_with_more_axes_than_the_batch_lifts_the_jet():
+    rng = np.random.default_rng(13)
+    c = rng.normal(size=(3, jet_table(2, 2).size))
+    x, arr = Jet(2, 2, c), rng.normal(size=(2, 3))
+    for got in (arr * x, x * arr):
+        assert got.batch_shape == (2, 3)
+        assert got.coeffs.tobytes() == (c[None] * arr[..., None]).tobytes()
+
+
 def test_coeff_major_product_feeds_the_next_product():
     rng = np.random.default_rng(14)
     t = jet_table(3, 3)
@@ -570,9 +625,9 @@ def test_constant_layout_follows_the_batch():
         assert np.all(j.value == 3.0) and not j.coeffs[..., 1:].any()
 
 
-def test_row_flags_are_computed_once_per_jet():
+def test_row_flags_are_computed_once_per_jet(monkeypatch):
     # an all-zero row is stored as None; the finiteness of the other operand's
-    # stored rows is scanned when a None row first meets them, then cached
+    # stored rows is scanned when a None row first meets them, then cached in `_finite`
     rng = np.random.default_rng(16)
     size = jet_table(2, 2).size
     c = rng.normal(size=(600, size))
@@ -580,13 +635,21 @@ def test_row_flags_are_computed_once_per_jet():
     a = Jet(2, 2, c)
     b = Jet(2, 2, rng.normal(size=(600, size)))
     assert [r is None for r in a._rows] == [i == 3 for i in range(size)]
-    assert not hasattr(a, "_flags") and not hasattr(b, "_flags")
+    assert a._finite is None and b._finite is None
+    scanned = []
+    isfinite = np.isfinite
+
+    def spy(r, *args, **kwargs):
+        scanned.append(r)
+        return isfinite(r, *args, **kwargs)
+
+    monkeypatch.setattr(jets.np, "isfinite", spy)
     a * b
-    flags = b._flags
-    assert flags == tuple(bool(np.isfinite(r).all()) for r in b._rows) == (True,) * size
+    assert b._finite is True
+    assert len(scanned) == size and all(r is row for r, row in zip(scanned, b._rows))
     b * a
-    assert b._flags is flags
-    assert not hasattr(a, "_flags")  # b stores every row, so no term needs a's finiteness
+    assert len(scanned) == size  # one scan per jet
+    assert a._finite is None  # b stores every row, so no term needs a's finiteness
 
 
 @pytest.mark.parametrize("special", [None, -0.0, np.nan, np.inf, -np.inf])
@@ -905,11 +968,11 @@ def test_a_mark_builds_each_lower_order_mark_once(batch, source):
 
 
 def assert_flags_unset_or_marked(j: Jet) -> None:
-    """A fresh jet's `_zero` and `_finite` are None; a mark's are both True."""
+    """A fresh jet's `_finite` is None, and its `_zero` None, or False in row form; a mark's are both True."""
     if isinstance(j, jets._ZeroJet):
         assert j._zero is True and j._finite is True
     else:
-        assert j._zero is None and j._finite is None
+        assert j._zero is (None if hasattr(j, "_c") else False) and j._finite is None
 
 
 @pytest.mark.parametrize("batch", [(), (1,), (100,), (600,)])
@@ -949,8 +1012,60 @@ def test_every_way_to_build_a_jet_leaves_its_flags_unset_or_marked(batch):
 def test_seed_at_the_origin_of_a_large_batch_is_not_marked(shape):
     x, y = seed_point(np.zeros(shape + (2,)), 3)
     for j in (x, y):
-        assert type(j) is Jet and j._zero is None
+        assert type(j) is Jet and j._zero is (None if hasattr(j, "_c") else False)
     assert np.all((x * y).partial((1, 1)) == 1.0)
+
+
+# -- the zero rule, before either kernel ---------------------------------------
+
+
+def kernel_calls(monkeypatch) -> list:
+    """Records the name of each call of `_row_mul` or `_mul_gather`."""
+    calls = []
+    for name in ("_row_mul", "_mul_gather"):
+        kernel = getattr(jets, name)
+        monkeypatch.setattr(jets, name,
+                            lambda *args, _kernel=kernel, _name=name: calls.append(_name) or _kernel(*args))
+    return calls
+
+
+@pytest.mark.parametrize("batch", [(1,), (100,), (600,), (2, 32, 64)])
+def test_a_zero_times_a_finite_jet_returns_before_either_kernel(batch, monkeypatch):
+    # (2, 32, 64) is a quadrature tensor block, whose seeds store short rows
+    rng = np.random.default_rng(51 + len(batch))
+    dim, order = 3, 3
+    size = jet_table(dim, order).size
+    finite = Jet(dim, order, rng.normal(size=batch + (size,)))
+    seed = seed_point(rng.normal(size=batch + (dim,)), order)[1]
+    calls = kernel_calls(monkeypatch)
+    for zero in (Jet.constant(np.zeros(batch), dim, order),
+                 Jet(dim, order, np.zeros(batch + (size,)))):  # a mark, or a dense jet found zero
+        for x in (finite, seed):
+            assert zero * x is zero and x * zero is zero
+        assert isinstance(zero, jets._ZeroJet)
+    assert calls == []
+    finite * seed  # a product with a term left reaches its kernel
+    assert calls == ["_row_mul" if math.prod(batch) >= jets._BIG_BATCH else "_mul_gather"]
+
+
+@pytest.mark.parametrize("batch", [(100,), (jets._BIG_BATCH - 1,), (jets._BIG_BATCH,), (2, 600)])
+def test_a_broadcast_zero_times_a_finite_jet_is_a_fresh_mark_of_the_product_batch(batch, monkeypatch):
+    rng = np.random.default_rng(52)
+    dim, order = 2, 3
+    size = jet_table(dim, order).size
+    finite = Jet(dim, order, rng.normal(size=batch + (size,)))
+    zeros = [Jet.constant(0.0, dim, order), Jet.constant(np.zeros((1,) * len(batch)), dim, order)]
+    if len(batch) > 1:
+        zeros.append(Jet.constant(np.zeros((1,) + batch[1:]), dim, order))  # a row-form mark
+    calls = kernel_calls(monkeypatch)
+    for zero in zeros:
+        assert isinstance(zero, jets._ZeroJet) and zero.batch_shape != batch
+        for got in (zero * finite, finite * zero):
+            assert isinstance(got, jets._ZeroJet) and got is not zero
+            assert got.batch_shape == batch
+            assert hasattr(got, "_c") == (math.prod(batch) < jets._BIG_BATCH)
+            assert got.coeffs.shape == batch + (size,) and not got.coeffs.any()
+    assert calls == []
 
 
 # -- small-batch zero-operand short-circuit -----------------------------------
@@ -1082,6 +1197,40 @@ def test_seeds_at_the_origin_are_not_zero_jets(shape):
     assert np.all((x * x).partial((2, 0)) == 2.0)
     assert np.all((x * y).partial((1, 1)) == 1.0)
     assert not (x * y).coeffs[..., :3].any()
+
+
+@pytest.mark.parametrize("batch", [(1,), (100,), (600,)])
+def test_reciprocal_coefficients_keep_the_bits_of_the_signed_power(batch, monkeypatch):
+    # (-1)^k v^-(k+1) as one power, negated for odd k, against (-1.0)**k times the power
+    rng = np.random.default_rng(61 + sum(batch))
+    taylors = []
+    compose = jets._compose
+    monkeypatch.setattr(jets, "_compose", lambda a, taylor: taylors.append(taylor) or compose(a, taylor))
+    for order in range(jets.MAX_ORDER + 1):
+        a = Jet(2, order, rng.normal(size=batch + (jet_table(2, order).size,)))
+        v = jets._value_row(a)
+        got = jets.reciprocal(a)
+        want = [(-1.0) ** k * v ** (-(k + 1)) for k in range(order + 1)]
+        assert len(taylors[-1]) == len(want)
+        for t, w in zip(taylors[-1], want):
+            assert list(map(float.hex, np.ravel(t).tolist())) == list(map(float.hex, np.ravel(w).tolist()))
+        assert got.coeffs.tobytes() == compose(a, want).coeffs.tobytes()
+
+
+def test_the_numpy_1_import_path_binds_numpys_count_nonzero():
+    # numpy < 2 has no `numpy._core`; blocking the module takes the fallback import
+    code = "\n".join([
+        "import sys, numpy as np",
+        "sys.modules['numpy._core.multiarray'] = None",
+        "from gqem import jets",
+        "assert jets._count_nonzero is np.count_nonzero",
+        "for n in (3, 600):",
+        "    assert type(jets.Jet.constant(np.zeros(n), 2, 2)) is jets._ZeroJet",
+        "    assert type(jets.Jet.constant(np.ones(n), 2, 2)) is jets.Jet",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jets.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 # -- small-batch gather kernel ------------------------------------------------

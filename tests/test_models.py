@@ -234,3 +234,34 @@ def test_sampling_gives_up_when_the_box_misses_the_domain():
     with pytest.raises(ValueError, match="'empty domain'"):
         sample_points(empty, 10, seed=1)
     assert draws == [20] * models._MAX_DRAW_ROUNDS
+
+
+def test_model_spec_refuses_an_unknown_family_and_a_non_positive_radius():
+    with pytest.raises(ValueError, match="unknown family"):
+        ModelSpec("torus", 2, tau=1.5, m=2.0)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            ModelSpec("sphere", 2, tau=1.5, m=2.0, radius=radius)
+
+
+def test_validation_refuses_a_non_positive_u(monkeypatch):
+    spec = ModelSpec("sphere", 2, tau=1.5, m=2.0)
+    s = example_structure(spec, validate=False)
+    models._validate_structure(s, spec)
+    monkeypatch.setattr(s.u, "_jet_fn", lambda coords: -1.0 * coords[0] * coords[0])
+    with pytest.raises(ValueError, match="must stay positive"):
+        models._validate_structure(s, spec)
+
+
+def test_sampling_refuses_a_chart_with_no_sampling_box():
+    chart = geo.Chart(2, lambda coords: None, lambda p: np.full(p.shape[:-1], True), "no box")
+    with pytest.raises(ValueError, match="no sampling box"):
+        sample_points(chart, 5, seed=1)
+
+
+def test_polar_to_stereographic_refuses_the_projection_pole():
+    spec = ModelSpec("sphere", 2, tau=1.5, m=2.0, chart_kind="polar")
+    pole = np.array([[np.pi / 2, np.pi / 2]])  # ambient (0, 0, r): the last axis's pole
+    with pytest.raises(ValueError, match="projection pole"):
+        polar_to_stereographic(spec, pole)
+    assert np.isfinite(polar_to_stereographic(spec, pole + 0.1)).all()

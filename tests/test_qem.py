@@ -203,3 +203,10 @@ def test_conformal_gradient_with_finite_m_forces_zero():
 def test_make_structure_rejects_bad_m(euclid2):
     with pytest.raises(ValueError, match="m must be positive"):
         make_structure(euclid2, ScalarField.constant(2, 0.0), m=0.0)
+
+
+def test_require_u_refuses_infinite_m():
+    s = gaussian_soliton(2)
+    assert not s.m_finite and s.u is None
+    with pytest.raises(jets.OrderCapabilityError, match="m = inf"):
+        s.require_u()

@@ -253,3 +253,16 @@ def test_suite_rows_normalize_every_gap_but_stokes():
     assert stokes["rhs"] == 0.0 and stokes["relative_gap"] == abs(stokes["lhs"])
     assert abs(stokes["lhs"]) > 1e-6  # so |lhs| and |lhs|/(1 + |lhs|) differ
     assert max(r["relative_gap"] for r in rows[:-1]) > 1e-3
+
+
+def test_grid_resolution_entries_below_two_are_refused(s2_structure):
+    for bad in ((1, 32), (16, 1), (0, 0)):
+        with pytest.raises(ValueError, match="must be >= 2"):
+            quad.make_sphere_grid(s2_structure.chart, bad)
+
+
+def test_node_failure_search_reraises_the_chunk_error_when_every_node_passes():
+    exc = jets.JetDomainError("log of non-positive value in the chunk")
+    with pytest.raises(jets.JetDomainError) as info:
+        quad._locate_node_failure(np.zeros((3, 2)), 5, lambda node: 1.0, exc)
+    assert info.value is exc
