@@ -88,7 +88,7 @@ class Field:
     @staticmethod
     def constant(dim: int, c: float, label: str = "") -> "Field":
         jet_fn = lambda coords: Jet.constant(
-            np.full(coords[0].batch_shape, float(c)), dim, coords[0].order)
+            np.full(coords[0].batch_shape, float(c)), coords[0].dim, coords[0].order)
         return Field(dim, jet_fn, label or f"{c}")
 
     def jet(self, coords):

@@ -976,10 +976,9 @@ def cosh(a: Jet) -> Jet:
 
 
 def power(a: Jet, exponent) -> Jet:
-    """a ** exponent; integer exponents work for any value, real ones need value > 0."""
-    if isinstance(exponent, (int, np.integer)) or (
-        isinstance(exponent, float) and exponent.is_integer()
-    ):
+    """a ** exponent; integral exponents of any real type (numpy's float32 too) work for any
+    value, others need value > 0."""
+    if isinstance(exponent, (int, np.integer)) or float(exponent).is_integer():
         k = int(exponent)
         if k < 0:
             return reciprocal(power(a, -k))
@@ -991,4 +990,4 @@ def power(a: Jet, exponent) -> Jet:
         raise JetDomainError(
             f"power with non-integer exponent {exponent} of non-positive value"
         )
-    return _binomial(a, exponent)
+    return _binomial(a, float(exponent))

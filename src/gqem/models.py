@@ -105,7 +105,7 @@ def make_chart(spec: ModelSpec) -> Chart:
     if spec.family == "euclidean":
 
         def metric_fn(coords):
-            one = Jet.constant(np.ones(coords[0].batch_shape), n, coords[0].order)
+            one = Jet.constant(np.ones(coords[0].batch_shape), coords[0].dim, coords[0].order)
             return _diagonal([one] * n)
 
         embedding_fn = lambda coords: list(coords)
@@ -132,7 +132,8 @@ def make_chart(spec: ModelSpec) -> Chart:
     elif spec.chart_kind == "polar":
         # coordinates (theta_1 .. theta_{n-1}, phi); metric r^2 diag(1, sin^2 th_1, ...)
         def metric_fn(coords):
-            diag = [Jet.constant(np.full(coords[0].batch_shape, r * r), n, coords[0].order)]
+            diag = [Jet.constant(np.full(coords[0].batch_shape, r * r), coords[0].dim,
+                                 coords[0].order)]
             for c in coords[:-1]:
                 s = jets.sin(c)
                 diag.append(diag[-1] * s * s)
@@ -140,7 +141,7 @@ def make_chart(spec: ModelSpec) -> Chart:
 
         def embedding_fn(coords):
             amb = []
-            prod = Jet.constant(np.full(coords[0].batch_shape, r), n, coords[0].order)
+            prod = Jet.constant(np.full(coords[0].batch_shape, r), coords[0].dim, coords[0].order)
             for c in coords:
                 sin_c, cos_c = jets.sincos(c)
                 amb.append(prod * cos_c)

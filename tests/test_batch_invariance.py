@@ -1,9 +1,10 @@
 """A point's jets and residual rows do not depend on the batch it is computed in.
 
 Every jet product sums each output in table order at every batch size
-(`gqem.jets`), in the dense product and on both sides of `jets._BIG_BATCH`,
-so one point gives the same bits alone, in a pointwise chunk and in a batch
-large enough for the row form.
+(`gqem.jets`), in the dense product and on both sides of the row-form batch
+`ROW_BATCH`, so one point gives the same bits alone, in a pointwise chunk
+and in a batch large enough for the row form. `tests/test_jets.py` checks
+each jet operation against a reference that computes every node alone.
 """
 
 import numpy as np
@@ -14,16 +15,17 @@ from gqem.geometry import ChartFrame
 from gqem.models import ModelSpec, example_structure, sample_points
 from gqem.qem import StructureFrame
 from test_charts import chart_runners, warped_chart
+from test_jet_internals import ROW_BATCH
 
-BATCHES = (1, 63, 64, 100, 511, 512, 600)
+BATCHES = (1, 63, 64, 100, ROW_BATCH - 1, ROW_BATCH, 600)
 
 
 def bits(values) -> list:
     """`float.hex` of every entry.
 
-    The sign of a zero is compared too. The row product (`jets._row_mul`) and
-    operations with a zero mark (`jets._ZeroJet`) promise only `==` with the
-    full operation, which would allow a ±0 difference, but none arises here.
+    The sign of a zero is compared too. The row product and operations with a
+    zero mark promise only `==` with the full operation, which would allow a
+    ±0 difference, but none arises here.
     """
     return [v.hex() for v in np.asarray(values, dtype=np.float64).ravel().tolist()]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gqem import identities as idt
-from gqem import jets, qem
+from gqem import qem
 from gqem import quadrature as quad
 from gqem.geometry import Chart, ChartFrame, Field, ScalarField, grad_field
 from gqem.models import (
@@ -20,6 +20,7 @@ from gqem.models import (
 )
 from gqem.qem import StructureFrame, is_gqem, make_structure
 from test_charts import warped_chart
+from test_jet_internals import ROW_BATCH
 
 TOLS = {2: 1e-8, 3: 1e-7, 4: 1e-6}
 
@@ -419,7 +420,7 @@ def test_a_chunk_of_the_large_batch_size_keeps_every_row(family, monkeypatch):
         for e in entries]
     chunked = bits(idt.run_pointwise_suite(s, pts, TOLS))
     monkeypatch.setattr(qem, "_CHUNK", 600)
-    assert len(qem.chunks(pts)) == 1 and 600 >= jets._BIG_BATCH
+    assert len(qem.chunks(pts)) == 1 and 600 >= ROW_BATCH
     assert bits(idt.run_pointwise_suite(s, pts, TOLS)) == chunked
     assert len(chunked) == len(idt.CATALOG) == 18
 

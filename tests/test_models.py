@@ -265,3 +265,21 @@ def test_polar_to_stereographic_refuses_the_projection_pole():
     with pytest.raises(ValueError, match="projection pole"):
         polar_to_stereographic(spec, pole)
     assert np.isfinite(polar_to_stereographic(spec, pole + 0.1)).all()
+
+
+@pytest.mark.parametrize("family,kind", [("euclidean", ""), ("sphere", "stereographic"),
+                                         ("sphere", "polar"), ("hyperbolic", "")])
+def test_charts_and_constant_fields_take_coordinates_of_a_larger_jet_dimension(family, kind):
+    # a warped-product lift evaluates a chart on the first n of n + 2 coordinate jets; every
+    # coefficient with no derivative along the two extra coordinates keeps the n-dimensional bits
+    chart = make_chart(ModelSpec(family, 3, tau=1.0, m=1.0, chart_kind=kind))
+    pts = sample_points(chart, 5, seed=3)
+    lifted = np.concatenate([pts, np.full((5, 2), 0.25)], axis=-1)
+    for order in (0, 2):
+        base = jets.seed_point(pts, order)
+        wide = jets.seed_point(lifted, order)[:3]
+        keep = [k for k, a in enumerate(jets.jet_table(5, order).alphas) if a[3:] == (0, 0)]
+        pairs = list(zip(chart.metric_jets(base).ravel(), chart.metric_jets(wide).ravel()))
+        pairs.append((geo.Field.constant(3, 2.5).jet(base), geo.Field.constant(3, 2.5).jet(wide)))
+        for b, w in pairs:
+            assert w.dim == 5 and w.coeffs[..., keep].tobytes() == b.coeffs.tobytes()

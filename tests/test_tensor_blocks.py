@@ -2,11 +2,11 @@
 
 Every quadrature chunk goes to its frame as a ``(k, *resolution[a+1:], n)``
 block of whole slabs of the first axis `a` whose slab fits in a chunk
-(`quadrature._chunks`). From `jets._BIG_BATCH` nodes on, a coordinate's
-value row and a constant's row are cut to length 1 along every batch axis
-on which they are constant (`jets._compact`), `jets._row_mul` keeps the
-broadcast shapes of its operand rows, and the frame's ``*_values`` arrays
-keep the common shape of their components' rows. Every value must keep its
+(`quadrature._chunks`). From the row-form batch on, a coordinate's value
+row and a constant's row are cut to length 1 along every batch axis on
+which they are constant, the row product keeps the broadcast shapes of its
+operand rows, and the frame's ``*_values`` arrays keep the common shape of
+their components' rows. Every value must keep its
 bits: a block and the same nodes as one flat chunk give the same jets, node
 quantities and integral rows.
 
@@ -22,24 +22,21 @@ import math
 import numpy as np
 import pytest
 
+import jet_reference as R
 from gqem import jets
 from gqem import quadrature as quad
 from gqem.jets import Jet, jet_table
 from gqem.geometry import check_metric_spd
 from gqem.models import ModelSpec, example_structure, sample_points
 from gqem.qem import StructureFrame
-from test_jets import assert_same_values, full_sum, fully_kept, sphere_control
-
-BIG = jets._BIG_BATCH
+from jet_reference import assert_matches
+from test_jet_internals import ROW_BATCH, from_rows, is_dense, row_shapes, stored_rows
+from test_jets import ref, sphere_control
 
 
 def same_bits(a, b) -> bool:
     a, b = (np.ascontiguousarray(x, dtype=np.float64) for x in (a, b))
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def row_shapes(j: Jet) -> set:
-    return {np.shape(r) for r in j._rows if r is not None}
 
 
 # -- the compression helper -------------------------------------------------------
@@ -48,33 +45,31 @@ def row_shapes(j: Jet) -> set:
 def test_compact_keeps_signed_zeros_and_nan_payloads_apart():
     zeros = np.zeros(600)
     zeros[-1] = -0.0
-    assert jets._compact(zeros) is zeros
+    assert jets.CoordinateValues(zeros).values.shape == (600,)
     nans = np.full((2, 300), np.nan)
     nans.view(np.int64)[1] ^= 1  # the second row's NaNs carry another payload
-    assert np.isnan(nans).all() and jets._compact(nans).shape == (2, 1)
-    negative = jets._compact(np.full(600, -0.0))
+    assert np.isnan(nans).all() and jets.CoordinateValues(nans).values.shape == (2, 1)
+    negative = jets.CoordinateValues(np.full(600, -0.0)).values
     assert negative.shape == (1,) and np.signbit(negative).all()
     c = Jet.constant(nans, 2, 2)
-    assert c._rows[0].shape == (2, 1) and same_bits(c.coeffs[..., 0], nans)
+    assert row_shapes(c) == {(2, 1)} and same_bits(c.coeffs[..., 0], nans)
 
 
 def test_compact_leaves_small_batches_and_distinct_values_alone():
-    for x in (np.full(BIG - 1, 3.0), np.full((1, BIG - 1), 3.0), np.arange(600.0),
+    for x in (np.full(ROW_BATCH - 1, 3.0), np.full((1, ROW_BATCH - 1), 3.0), np.arange(600.0),
               np.arange(600.0).reshape(2, 300)):
-        assert jets._compact(x) is x
-    small = Jet.constant(np.full(BIG - 1, 3.0), 2, 2)
-    assert small._c.shape == (6, BIG - 1)
-    x = jets.CoordinateValues(np.full(BIG - 1, 0.5))
-    assert x.shape == x.values.shape == (BIG - 1,)
+        assert jets.CoordinateValues(x).values.shape == x.shape
+    assert is_dense(Jet.constant(np.full(ROW_BATCH - 1, 3.0), 2, 2))
 
 
 def test_compact_cuts_each_constant_axis():
     grid = np.add.outer(np.arange(4.0), np.zeros((3, 50)))  # varies along axis 0 only
-    assert jets._compact(grid).shape == (4, 1, 1)
-    assert jets._compact(np.full((4, 3, 50), 2.0)).shape == (1, 1, 1)
+    assert jets.CoordinateValues(grid).values.shape == (4, 1, 1)
+    assert jets.CoordinateValues(np.full((4, 3, 50), 2.0)).values.shape == (1, 1, 1)
     x, y = jets.seed_point(np.stack([grid, np.full_like(grid, 1.5)], axis=-1), 2)
-    assert x.batch_shape == (4, 3, 50) and x._rows[0].shape == (4, 1, 1)
-    assert y._rows[0].shape == (1, 1, 1) and x.value.shape == (4, 3, 50)
+    assert x.batch_shape == (4, 3, 50) and stored_rows(x)[0].shape == (4, 1, 1)
+    assert stored_rows(y)[0].shape == (1, 1, 1) and x.value.shape == (4, 3, 50)
+    assert same_bits(x.value, grid) and (y.value == 1.5).all()
 
 
 def s3_structure():
@@ -179,28 +174,25 @@ SHAPES = [None, (), (4, 1), (1, 150), (4, 150)]
 
 def shaped_jet(rng, dim: int, order: int, shapes: list) -> Jet:
     rows = tuple(None if sh is None else rng.normal(size=sh) for sh in shapes)
-    return jets._from_rows(dim, order, rows, (4, 150))
+    return from_rows(dim, order, rows, (4, 150))
 
 
 @pytest.mark.parametrize("dim,order", [(1, 4), (2, 2), (2, 3), (3, 2)])
 def test_row_product_of_broadcast_rows_equals_the_dense_product(dim, order):
     rng = np.random.default_rng(40 + 10 * dim + order)
-    t = jet_table(dim, order)
+    size = jet_table(dim, order).size
     for _ in range(6):
-        a, b = (shaped_jet(rng, dim, order, [SHAPES[i] for i in rng.integers(5, size=t.size)])
+        a, b = (shaped_jet(rng, dim, order, [SHAPES[i] for i in rng.integers(5, size=size)])
                 for _ in range(2))
         for x, y in ((a, b), (b, a), (a, a)):
             got = x * y
-            want = full_sum(x.coeffs, y.coeffs, t)
             assert got.batch_shape == (4, 150)
-            # a skipped term is ±0, so only an output that skips none has every dense bit
-            assert_same_values(got.coeffs, want)
-            kept = fully_kept(x, y)
-            assert same_bits(got.coeffs[..., kept], want[..., kept])
-            for k, row in enumerate(got._rows):
-                terms = [(x._rows[i], y._rows[j]) for kk, i, j, _ in t.mul_triples if kk == k]
-                kept = [np.broadcast_shapes(np.shape(p), np.shape(q))
-                        for p, q in terms if p is not None and q is not None]
+            # a skipped term is ±0, so the values are the reference's up to the sign of a zero
+            assert_matches(got, ref(x) * ref(y), exact=False)
+            rx, ry = stored_rows(x), stored_rows(y)
+            for row, terms in zip(stored_rows(got), R.terms(dim, order)):
+                kept = [np.broadcast_shapes(np.shape(rx[i]), np.shape(ry[j]))
+                        for i, j, _ in terms if rx[i] is not None and ry[j] is not None]
                 assert np.shape(row) == (np.broadcast_shapes(*kept) if kept else ())
                 assert (row is None) == (not kept)
 
@@ -209,18 +201,17 @@ def test_row_product_of_two_0d_rows_keeps_its_leibniz_factor():
     # x² at order 2 has d²/dx² = 2 · x₁ · x₁ from two 0-d unit rows: np.multiply of two
     # 0-d arrays is a numpy scalar, so an in-place factor on it would be lost
     x = jets.seed_variable(0, np.linspace(0.1, 1.0, 600), 2, 2)
-    assert x._rows[1].shape == ()
+    assert stored_rows(x)[1].shape == ()
     sq = x * x
-    t = jet_table(2, 2)
-    k = t.index[(2, 0)]
-    assert sq._rows[k].shape == () and float(sq._rows[k]) == 2.0
+    k = jet_table(2, 2).index[(2, 0)]
+    assert stored_rows(sq)[k].shape == () and float(stored_rows(sq)[k]) == 2.0
     assert (sq.partial((2, 0)) == 2.0).all() and (sq.partial((1, 0)) == 2 * x.value).all()
-    assert same_bits(sq.coeffs, full_sum(x.coeffs, x.coeffs, t))
+    assert_matches(sq, ref(x) * ref(x))
     # and a later 0-d term into a 0-d output
     y = jets.seed_variable(1, np.full(600, 0.5), 2, 2)
     xy = (x + y) * (x + y)
-    assert same_bits(xy.coeffs, full_sum((x + y).coeffs, (x + y).coeffs, t))
-    assert float(xy._rows[t.index[(1, 1)]]) == 2.0
+    assert_matches(xy, ref(x + y) * ref(x + y))
+    assert float(stored_rows(xy)[jet_table(2, 2).index[(1, 1)]]) == 2.0
 
 
 # -- a tensor block against the same nodes as one flat chunk ---------------------------
