@@ -26,7 +26,6 @@ from .geometry import (  # noqa: F401
     VectorField,
     christoffel,
     ricci,
-    riemann,
     scalar_curvature,
 )
 from .qem import (  # noqa: F401

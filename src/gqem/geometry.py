@@ -613,12 +613,6 @@ def christoffel(chart: Chart, p) -> TensorValue:
     return TensorValue(comp, con=1, cov=2)
 
 
-def riemann(chart: Chart, p) -> TensorValue:
-    p = _scalar_point(chart, p)
-    comp = _values(ChartFrame(chart, p).riemann(0))
-    return TensorValue(comp, con=1, cov=3)
-
-
 def ricci(chart: Chart, p) -> TensorValue:
     p = _scalar_point(chart, p)
     return TensorValue(ChartFrame(chart, p).ricci_values(), con=0, cov=2)

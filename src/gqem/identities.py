@@ -1,15 +1,16 @@
 """Pointwise verifiers for the structural identities of quasi-Einstein metrics.
 
-Every verifier returns the residual of an identity that vanishes identically
-on an exact structure; running them on deliberately broken structures
-(negative controls) confirms they can fail. The catalog at the bottom lists
-each verifier with the formula it checks and the jet orders it consumes.
+Every verifier checks an identity that holds exactly on an exact structure;
+running them on deliberately broken structures (negative controls) confirms
+they can fail. The catalog at the bottom lists each verifier with the formula
+it checks and the jet orders it consumes.
 
 Each verifier takes the frame it reads: a `StructureFrame` for identities of
 a structure, any `ChartFrame` for the chart-level ones, built at a single
-point of shape (n,) or a batch of shape (..., n). It returns a matching float
-or array. `run_pointwise_suite` builds a catalog row's frame and reduces the
-row to a per-point magnitude.
+point of shape (n,) or a batch of shape (..., n). It returns the identity's
+two sides as tuples of signed terms, `(lhs, rhs)`, followed by the metric it
+read when its residual is a norm. `qem.residual` forms and reduces every
+residual; `run_pointwise_suite` takes its largest component per point.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .geometry import (
     ScalarField,
     VectorField,
     _quadratic_form,
+    _sum_jets,
     _values,
     grad_field,
     norm_g,
@@ -34,6 +36,7 @@ from .qem import (
     StructureFrame,
     chunks,
     radial_identity_values,
+    residual,
     trace_divergence_values,
     u_laplacian_values,
     u_transform_values,
@@ -54,7 +57,7 @@ def trace_gradient_residual(fr: StructureFrame):
     dgn2 = fr.partials_of_jet(fr.grad_norm2(s.f, 1))
     dlam = fr.partials_of_jet(fr.lam_jet(1))
     pair = lambda w: np.einsum("...i,...i->...", gf, w)
-    return np.abs(pair(dR) + pair(dlap) - s.inv_m * pair(dgn2) - fr.n * pair(dlam))
+    return (pair(dR), pair(dlap), -s.inv_m * pair(dgn2)), (fr.n * pair(dlam),)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +68,6 @@ def trace_gradient_residual(fr: StructureFrame):
 def gradient_norm_laplacian_residual(fr: StructureFrame):
     """(1/2) lap|grad f|^2 = |hess f|^2 - Ric(grad f, grad f) + (2/m)|grad f|^2 lap f - (n-2)<grad lam, grad f>."""
     s = fr.s
-    n = fr.n
     fr.metric_values()  # an order-0 metric build that the pinned product counts include
     lhs = 0.5 * fr.laplacian_of_jet(fr.grad_norm2(s.f, 2))
     hess = fr.hess_f_values()
@@ -76,8 +78,7 @@ def gradient_norm_laplacian_residual(fr: StructureFrame):
     lapf = fr.laplacian(s.f, 0).value
     dlam = fr.partials_of_jet(fr.lam_jet(1))
     lam_f = np.einsum("...i,...i->...", gf, dlam)
-    rhs = hess2 - ric_ff + 2.0 * s.inv_m * gn2 * lapf - (n - 2) * lam_f
-    return np.abs(lhs - rhs)
+    return (lhs,), (hess2, -ric_ff, 2.0 * s.inv_m * gn2 * lapf, -(fr.n - 2) * lam_f)
 
 
 # seeded fixed vectors that the curvature-gradient residual is also contracted with
@@ -88,8 +89,9 @@ _Z_SEED = 0
 def curvature_gradient_residual(fr: StructureFrame):
     """(1/2) grad R = ((m-1)/m) Ric(grad f) + (1/m)(R - (n-1)lam) grad f + (n-1) grad lam.
 
-    Returns the g-norm of the vector residual, folded with the worst of
-    `_Z_CHECKS` seeded contractions of the same identity against fixed vectors.
+    Returns the terms of the vector identity and g, then `_Z_CHECKS` seeded
+    contractions of its covariant form with fixed vectors, which `residual`
+    folds into the g-norm.
     """
     s = fr.s
     n = fr.n
@@ -103,18 +105,13 @@ def curvature_gradient_residual(fr: StructureFrame):
     rr = fr.scalar_curvature_value()
     lam = fr.lam_jet(0).value
     coef = (rr - (n - 1) * lam) * s.inv_m
-    rhs = (
-        (1.0 - s.inv_m) * ric_gf
-        + coef[..., None] * gf
-        + (n - 1) * np.einsum("...ij,...j->...i", ginv, dlam)
-    )
+    rhs = ((1.0 - s.inv_m) * ric_gf, coef[..., None] * gf,
+           (n - 1) * np.einsum("...ij,...j->...i", ginv, dlam))
     lhs = 0.5 * np.einsum("...ij,...j->...i", ginv, dR)
-    res = norm_g(g, lhs - rhs)
     # the covariant form pairs directly with vectors
-    w = 0.5 * dR - np.einsum("...ij,...j->...i", g, rhs)
-    for z in np.random.default_rng(_Z_SEED).normal(size=(_Z_CHECKS, n)):
-        res = np.maximum(res, np.abs(np.einsum("...i,i->...", w, z)))
-    return res
+    w = 0.5 * dR - np.einsum("...ij,...j->...i", g, _sum_jets(rhs))
+    z = np.random.default_rng(_Z_SEED).normal(size=(_Z_CHECKS, n))
+    return (lhs,), rhs, g, [np.einsum("...i,i->...", w, zk) for zk in z]
 
 
 def hamilton_gradient_residual(fr: StructureFrame):
@@ -134,10 +131,8 @@ def hamilton_gradient_residual(fr: StructureFrame):
     lam = fr.lam_jet(0).value
     gn2 = fr.grad_norm2(s.f, 0).value
     lapf = fr.laplacian(s.f, 0).value
-    rhs = 2.0 * lam[..., None] * gf + 2.0 * s.inv_m * (
-        conv + (gn2 - lapf)[..., None] * gf
-    )
-    return norm_g(g, lhs - rhs)
+    rhs = (2.0 * lam[..., None] * gf, 2.0 * s.inv_m * (conv + (gn2 - lapf)[..., None] * gf))
+    return (lhs,), rhs, g
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +191,16 @@ def curvature_laplacian_residual(fr: StructureFrame, fd_step: Optional[float] = 
     dlap = fr.partials_of_jet(fr.laplacian(s.f, 1))
     lam = fr.lam_jet(0).value
     rhs = (
-        -traceless2
-        - (1.0 / n + s.inv_m) * lapf**2
-        - 0.5 * n * pair(dlam)
-        + pair(dR)
-        + (0.5 - s.inv_m) * pair(dlap)
-        + s.inv_m * _convective_divergence(fr, s.f)
-        + (n - 1) * fr.laplacian_of_jet(fr.lam_jet(2))
-        + lam * lapf
+        -traceless2,
+        -(1.0 / n + s.inv_m) * lapf**2,
+        -0.5 * n * pair(dlam),
+        pair(dR),
+        (0.5 - s.inv_m) * pair(dlap),
+        s.inv_m * _convective_divergence(fr, s.f),
+        (n - 1) * fr.laplacian_of_jet(fr.lam_jet(2)),
+        lam * lapf,
     )
-    return np.abs(lhs - rhs)
+    return (lhs,), rhs
 
 
 def _fd_laplacian_scalar_curvature(fr: StructureFrame, step: float):
@@ -237,18 +232,12 @@ def _fd_laplacian_scalar_curvature(fr: StructureFrame, step: float):
 
 
 def conformality_residual(fr: ChartFrame, X: VectorField):
-    """g-norm of (1/2) L_X g - (div X / n) g."""
+    """(1/2) L_X g = (div X / n) g, with g^-1 for its g-norm."""
     n = fr.n
     g = fr.metric_values()
     lie = _values(fr.lie_metric(X, 0))
     div = fr.div_vector(X, 0).value
-    res = 0.5 * lie - (div / n)[..., None, None] * g
-    return np.sqrt(np.maximum(tensor2_norm2_g(fr.metric_inv_values(), res), 0.0))
-
-
-def u_conformality_residual(fr: StructureFrame):
-    """Conformality defect of grad u; vanishes exactly when the base is Einstein."""
-    return conformality_residual(fr, grad_field(fr.chart, fr.s.require_u()))
+    return (0.5 * lie,), ((div / n)[..., None, None] * g,), fr.metric_inv_values()
 
 
 def lie_divergence_residual(fr: ChartFrame, X: VectorField):
@@ -266,8 +255,7 @@ def lie_divergence_residual(fr: ChartFrame, X: VectorField):
     ric_xx = np.einsum("...ij,...i,...j->...", fr.ricci_values(), xv, xv)
     ddiv = fr.partials_of_jet(fr.div_vector(X, 1))
     d_x_div = np.einsum("...i,...i->...", xv, ddiv)
-    rhs = 0.5 * lap_norm2 - nabla_x2 + ric_xx + d_x_div
-    return np.abs(lhs - rhs)
+    return (lhs,), (0.5 * lap_norm2, -nabla_x2, ric_xx, d_x_div)
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +264,25 @@ def lie_divergence_residual(fr: ChartFrame, X: VectorField):
 
 
 def contracted_bianchi_residual(fr: ChartFrame):
-    """g-norm of grad R - 2 div Ric (covariant form)."""
+    """grad R = 2 div Ric (covariant form), with g^-1 for its g-norm."""
     dR = fr.partials_of_jet(fr.scalar_curvature_jet(1))
     # a frame of its own, not `fr`: perfbench/tests pins the products it adds
-    w = dR - 2.0 * _values(fr.div_tensor2(ChartFrame(fr.chart, fr.p).ricci(1)))
-    return norm_g(fr.metric_inv_values(), w)
+    div_ric = _values(fr.div_tensor2(ChartFrame(fr.chart, fr.p).ricci(1)))
+    return (dR,), (2.0 * div_ric,), fr.metric_inv_values()
 
 
 def div_hessian_residual(fr: ChartFrame, phi: ScalarField):
-    """g-norm of div hess phi - Ric(grad phi) - grad lap phi (covariant form)."""
+    """div hess phi = Ric(grad phi) + grad lap phi (covariant form), with g^-1 for its g-norm."""
     # a frame of its own, not `fr`: perfbench/tests pins the products it adds
     div_h = _values(fr.div_tensor2(ChartFrame(fr.chart, fr.p).hessian(phi, 1)))
     gphi = fr.grad_values(phi)
     ric_flat = np.einsum("...ij,...j->...i", fr.ricci_values(), gphi)
     dlap = fr.partials_of_jet(fr.laplacian(phi, 1))
-    return norm_g(fr.metric_inv_values(), div_h - ric_flat - dlap)
+    return (div_h, -ric_flat), (dlap,), fr.metric_inv_values()
 
 
 def div_outer_grad_residual(fr: ChartFrame, phi: ScalarField):
-    """g-norm of div(dphi (x) dphi) - lap phi dphi - hess phi(grad phi, .)."""
+    """div(dphi (x) dphi) = lap phi dphi + hess phi(grad phi, .), with g^-1 for its g-norm."""
     # phi.jet, not fr.field_jet: perfbench/tests pins products a memo hit drops
     fj = phi.jet(fr.coords(2))
     df = [fj.derive(i) for i in range(fr.n)]
@@ -307,7 +295,7 @@ def div_outer_grad_residual(fr: ChartFrame, phi: ScalarField):
     dphi = fr.partials_of_jet(fr.field_jet(phi, 1))
     gphi = fr.grad_values(phi)
     conv_flat = np.einsum("...jk,...k->...j", fr.hessian_values(phi), gphi)
-    return norm_g(fr.metric_inv_values(), div_t - lap[..., None] * dphi - conv_flat)
+    return (div_t, -lap[..., None] * dphi), (conv_flat,), fr.metric_inv_values()
 
 
 def bochner_residual(fr: ChartFrame, phi: ScalarField):
@@ -319,8 +307,7 @@ def bochner_residual(fr: ChartFrame, phi: ScalarField):
     gphi = fr.grad_values(phi)
     dlap = fr.partials_of_jet(fr.laplacian(phi, 1))
     ric_ff = np.einsum("...ij,...i,...j->...", fr.ricci_values(), gphi, gphi)
-    rhs = hess2 + np.einsum("...i,...i->...", gphi, dlap) + ric_ff
-    return np.abs(lhs - rhs)
+    return (lhs,), (hess2, np.einsum("...i,...i->...", gphi, dlap), ric_ff)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +521,7 @@ CATALOG: tuple[IdentityInfo, ...] = (
         "pointwise",
         needs_finite_m=True,
         needs_einstein_base=True,
-        runner=u_conformality_residual,
+        runner=lambda fr: conformality_residual(fr, grad_field(fr.chart, fr.s.require_u())),
     ),
     IdentityInfo(
         "contracted_bianchi",
@@ -623,8 +610,8 @@ def run_pointwise_suite(
     """Evaluate every applicable catalog identity over the sample points.
 
     Each row's runner gets a frame of at most `qem._CHUNK` points at a time; a
-    pointwise row's residual is reduced to |value|, or the largest |component|
-    of a tensor, per point. The entries are those of one batch holding every
+    pointwise row's residual (`qem.residual`) is reduced to its largest
+    component per point. The entries are those of one batch holding every
     point. A selection of which no row applies to `s` raises a `ValueError`
     that names the skipped ids, so that a run that checks nothing cannot pass;
     an unknown id, or a row's order class without a tolerance, raises one too.
@@ -653,7 +640,7 @@ def run_pointwise_suite(
         else:
             res = []
             for chunk in batches:
-                r = np.abs(info.runner(StructureFrame(s, chunk)))  # may only broadcast to the chunk
+                r = residual(*info.runner(StructureFrame(s, chunk)))  # may only broadcast to the chunk
                 res.append(np.broadcast_to(r, (len(chunk),) + r.shape[1:]).reshape(len(chunk), -1).max(axis=-1))
             res = np.concatenate(res)
             res_max = float(np.max(res))

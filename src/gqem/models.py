@@ -37,7 +37,8 @@ class ModelSpec:
     """Parameters of one model structure.
 
     v_axis selects the ambient coordinate axis of the height function
-    (hyperbolic space only supports the apex axis 0).
+    (hyperbolic space only supports the apex axis 0). Only the sphere reads
+    radius; the Euclidean model reads neither, so it refuses both.
     """
 
     family: str
@@ -64,6 +65,8 @@ class ModelSpec:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.family == "hyperbolic" and self.radius != 1.0:
             raise ValueError("hyperbolic model is fixed at curvature -1 (radius 1)")
+        if self.family == "euclidean" and self.radius != 1.0:
+            raise ValueError(f"euclidean model has no radius (leave it at 1), got {self.radius}")
         if not (self.m > 0):
             raise ValueError(f"m must be positive (inf allowed), got {self.m}")
         n, tau, r = self.dim, self.tau, self.radius
@@ -79,6 +82,8 @@ class ModelSpec:
             raise ValueError(f"v_axis must be in 0..{self.dim}, got {self.v_axis}")
         if self.family == "hyperbolic" and self.v_axis != 0:
             raise ValueError("hyperbolic height functions only support v_axis = 0 (apex)")
+        if self.family == "euclidean" and self.v_axis != 0:
+            raise ValueError(f"euclidean model has no height function (v_axis must be 0), got {self.v_axis}")
 
 
 def _diagonal(entries):

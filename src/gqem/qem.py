@@ -25,6 +25,7 @@ from .geometry import (
     ScalarField,
     TensorValue,
     _scalar_point,
+    _sum_jets,
     dot_g,
     frame_at,
     tensor2_norm2_g,
@@ -129,17 +130,21 @@ class StructureFrame(ChartFrame):
     def hess_f_values(self):
         return self.hessian_values(self.s.f)
 
-    def bakry_emery_values(self) -> np.ndarray:
+    def bakry_emery_terms(self) -> tuple:
+        """Ric, hess f and -(1/m) df (x) df: the terms of the Bakry-Emery Ricci tensor."""
         ric = self.ricci_values()
         hess = self.hess_f_values()
         df = self.partials_of_jet(self.f_jet(1))
-        return ric + hess - self.s.inv_m * df[..., :, None] * df[..., None, :]
+        return ric, hess, -self.s.inv_m * df[..., :, None] * df[..., None, :]
 
-    def defining_values(self) -> np.ndarray:
-        return self.bakry_emery_values() - self.lam_jet(0).value[..., None, None] * self.metric_values()
+    def bakry_emery_values(self) -> np.ndarray:
+        return _sum_jets(self.bakry_emery_terms())
 
-    def traceless_values(self) -> np.ndarray:
-        """Residual of the trace-free form of the defining equation."""
+    def defining_values(self) -> tuple:
+        return self.bakry_emery_terms(), (self.lam_jet(0).value[..., None, None] * self.metric_values(),)
+
+    def traceless_values(self) -> tuple:
+        """The trace-free form of the defining equation."""
         n = self.n
         g = self.metric_values()
         hess = self.hess_f_values()
@@ -148,12 +153,24 @@ class StructureFrame(ChartFrame):
         gn2 = self.grad_norm2(self.s.f, 0).value
         ric = self.ricci_values()
         rr = self.scalar_curvature_value()
-        t = hess - (lap / n)[..., None, None] * g
-        t = t - self.s.inv_m * (
-            df[..., :, None] * df[..., None, :] - (gn2 / n)[..., None, None] * g
-        )
-        t = t + ric - (rr / n)[..., None, None] * g
-        return t
+        free_dfdf = df[..., :, None] * df[..., None, :] - (gn2 / n)[..., None, None] * g
+        lhs = (hess, -(lap / n)[..., None, None] * g, -self.s.inv_m * free_dfdf, ric)
+        return lhs, ((rr / n)[..., None, None] * g,)
+
+
+def residual(lhs, rhs, metric=None, checks=()):
+    """sum(lhs) - sum(rhs), each side summed left to right, as |.| (componentwise
+    for a tensor) or as the norm of the `metric` the row read: g for a vector, g^-1
+    for a covector or a (0,2) tensor (a gap of the metric's rank). The norm is
+    then folded by max with the magnitudes of the row's signed `checks`."""
+    gap = _sum_jets(lhs) - _sum_jets(rhs)
+    if metric is None:
+        return np.abs(gap)
+    norm2 = tensor2_norm2_g(metric, gap) if np.ndim(gap) == np.ndim(metric) else dot_g(metric, gap, gap)
+    res = np.sqrt(np.maximum(norm2, 0.0))
+    for check in checks:
+        res = np.maximum(res, np.abs(check))
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +185,14 @@ def bakry_emery_ricci(s: QemStructure, p) -> TensorValue:
 
 
 def defining_residual(s: QemStructure, p) -> TensorValue:
-    """Ric_f - lambda g at p; identically zero for an exact structure."""
+    """|Ric_f - lambda g| at p, componentwise; identically zero for an exact structure."""
     p = _scalar_point(s.chart, p)
-    return TensorValue(StructureFrame(s, p).defining_values(), 0, 2)
+    return TensorValue(residual(*StructureFrame(s, p).defining_values()), 0, 2)
 
 
 def traceless_residual(s: QemStructure, p) -> TensorValue:
     p = _scalar_point(s.chart, p)
-    return TensorValue(StructureFrame(s, p).traceless_values(), 0, 2)
+    return TensorValue(residual(*StructureFrame(s, p).traceless_values()), 0, 2)
 
 
 @dataclass
@@ -192,14 +209,13 @@ class GqemCheck:
 
 def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
     """Componentwise and g-invariant residual statistics over a sample set, in chunks."""
-    sup_comp, norm2 = [], []
+    sup_comp, gnorm = [], []
     for chunk in chunks(points):
         frame = StructureFrame(s, chunk)
-        res = frame.defining_values()
-        sup_comp.append(np.max(np.abs(res), axis=(-1, -2)))
-        norm2.append(tensor2_norm2_g(frame.metric_inv_values(), res))
-    sup_comp = np.concatenate(sup_comp)
-    gnorm = np.sqrt(np.maximum(np.concatenate(norm2), 0.0))
+        terms = frame.defining_values()
+        sup_comp.append(np.max(residual(*terms), axis=(-1, -2)))
+        gnorm.append(residual(*terms, frame.metric_inv_values()))
+    sup_comp, gnorm = np.concatenate(sup_comp), np.concatenate(gnorm)
     return GqemCheck(
         n_points=len(sup_comp),
         sup_residual=float(np.max(sup_comp)),
@@ -211,12 +227,12 @@ def is_gqem(s: QemStructure, points, tol: float) -> GqemCheck:
 
 
 def u_transform_residual(s: QemStructure, p) -> TensorValue:
-    """hess f - (1/m) df (x) df + (m/u) hess u; vanishes for any smooth f."""
+    """|hess f - (1/m) df (x) df + (m/u) hess u|, componentwise; vanishes for any smooth f."""
     p = _scalar_point(s.chart, p)
-    return TensorValue(u_transform_values(StructureFrame(s, p)), 0, 2)
+    return TensorValue(residual(*u_transform_values(StructureFrame(s, p))), 0, 2)
 
 
-def u_transform_values(frame: StructureFrame) -> np.ndarray:
+def u_transform_values(frame: StructureFrame) -> tuple:
     s = frame.s
     if not s.m_finite:
         raise jets.OrderCapabilityError("the u-transform requires finite m")
@@ -224,14 +240,11 @@ def u_transform_values(frame: StructureFrame) -> np.ndarray:
     hess_u = frame.hessian_values(s.require_u())
     df = frame.partials_of_jet(frame.f_jet(1))
     u_val = frame.u_jet(0).value
-    return (
-        hess_f
-        - s.inv_m * df[..., :, None] * df[..., None, :]
-        + (s.m / u_val)[..., None, None] * hess_u
-    )
+    lhs = (hess_f, -s.inv_m * df[..., :, None] * df[..., None, :])
+    return lhs, (-(s.m / u_val)[..., None, None] * hess_u,)
 
 
-def radial_identity_values(frame: StructureFrame) -> np.ndarray:
+def radial_identity_values(frame: StructureFrame) -> tuple:
     """Defining equation contracted twice with grad f."""
     s = frame.s
     g = frame.metric_values()
@@ -243,15 +256,15 @@ def radial_identity_values(frame: StructureFrame) -> np.ndarray:
     hff = np.einsum("...ij,...i,...j->...", hess, gf, gf)
     ric_ff = np.einsum("...ij,...i,...j->...", ric, gf, gf)
     lam = frame.lam_jet(0).value
-    return ric_ff + hff - s.inv_m * gn2 * gn2 - lam * gn2
+    return (ric_ff, hff, -s.inv_m * gn2 * gn2), (lam * gn2,)
 
 
 def radial_identity_residual(s: QemStructure, p) -> float:
     p = _scalar_point(s.chart, p)
-    return float(radial_identity_values(StructureFrame(s, p)))
+    return float(residual(*radial_identity_values(StructureFrame(s, p))))
 
 
-def u_laplacian_values(frame: StructureFrame) -> np.ndarray:
+def u_laplacian_values(frame: StructureFrame) -> tuple:
     """lap u - (u/m)(R - n lambda)."""
     s = frame.s
     if not s.m_finite:
@@ -260,10 +273,10 @@ def u_laplacian_values(frame: StructureFrame) -> np.ndarray:
     u_val = frame.u_jet(0).value
     rr = frame.scalar_curvature_value()
     lam = frame.lam_jet(0).value
-    return lap_u - (u_val / s.m) * (rr - s.chart.dim * lam)
+    return (lap_u,), ((u_val / s.m) * (rr - s.chart.dim * lam),)
 
 
-def trace_divergence_values(frame: StructureFrame) -> np.ndarray:
+def trace_divergence_values(frame: StructureFrame) -> tuple:
     """m div grad f - |grad f|^2 - m(n lambda - R)."""
     s = frame.s
     if not s.m_finite:
@@ -272,7 +285,7 @@ def trace_divergence_values(frame: StructureFrame) -> np.ndarray:
     gn2 = frame.grad_norm2(s.f, 0).value
     rr = frame.scalar_curvature_value()
     lam = frame.lam_jet(0).value
-    return s.m * lap_f - gn2 - s.m * (s.chart.dim * lam - rr)
+    return (s.m * lap_f, -gn2), (s.m * (s.chart.dim * lam - rr),)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import pytest
 from gqem import identities as idt
 from gqem.geometry import ChartFrame
 from gqem.models import ModelSpec, example_structure, sample_points
-from gqem.qem import StructureFrame
+from gqem.qem import StructureFrame, residual
 from test_charts import chart_runners, warped_chart
 from test_jet_internals import ROW_BATCH
 
@@ -49,7 +49,7 @@ def quantities(frame, runners: dict) -> dict:
         "inverse metric jets (order 2)": lambda p, q: jet_bits(frame(p).metric_inv(2), q),
     }
     for name, run in runners.items():
-        out[name] = lambda p, q, run=run: bits(run(frame(p))[q])
+        out[name] = lambda p, q, run=run: bits(residual(*run(frame(p)))[q])
     return out
 
 

@@ -12,6 +12,7 @@ from gqem import geometry as geo
 from gqem import identities as idt
 from gqem import jets
 from gqem.geometry import Chart, ChartFrame, ScalarField, grad_field
+from gqem.qem import residual
 
 A = 0.3  # warp strength
 ORDER = 1  # jet order at which the invariants are compared, every coefficient
@@ -109,7 +110,7 @@ def chart_runners(chart: Chart) -> dict:
 
 def chart_rows(chart: Chart, pts: np.ndarray) -> dict:
     """The worst residual of each chart-level catalog row, for the generic φ and X = grad φ."""
-    return {name: float(np.max(np.abs(run(ChartFrame(chart, pts)))))
+    return {name: float(np.max(residual(*run(ChartFrame(chart, pts)))))
             for name, run in chart_runners(chart).items()}
 
 

@@ -268,6 +268,20 @@ def test_v_axis_is_read_and_echoed(tmp_path):
     assert parse_config_text(pathlib.Path(cfg).read_text()).v_axis == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    ("r = 7", "euclidean model has no radius"),
+    ("v_axis = 3", "euclidean model has no height function"),
+])
+def test_euclidean_refuses_a_key_its_model_never_reads(tmp_path, capsys, line, message):
+    # the results would equal the defaults', yet the report would echo the key
+    cfg = write_config(tmp_path, f"family = euclidean\nn = 3\ntau = 1.0\nm = 2\npoints = 5\n{line}\n")
+    out = tmp_path / "never.out"
+    for command, flag in (("verify", "--json"), ("scan", "--csv")):
+        assert main([command, "--config", cfg, flag, str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+
 def test_scan_single_value_verify_requires_scalars(tmp_path, capsys):
     cfg = write_config(tmp_path, "family = sphere\nn = 2,3\ntau = 1.0\nm = 2\n")
     assert main(["verify", "--config", cfg]) == 2

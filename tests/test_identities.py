@@ -1,6 +1,7 @@
 """Lemma-level identity verifiers: positive cases, edge cases, negative controls."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from gqem.models import (
     sample_points,
     trivial_structure,
 )
-from gqem.qem import StructureFrame, is_gqem, make_structure
+from gqem.qem import StructureFrame, is_gqem, make_structure, residual
 from test_charts import warped_chart
 from test_jet_internals import ROW_BATCH
 
@@ -40,14 +41,16 @@ def test_gradient_norm_laplacian_on_models(sphere22):
                  ModelSpec("hyperbolic", 2, tau=0.5, m=1.0)):
         s = example_structure(spec)
         pts = sample_points(s.chart, 50, seed=0)
-        assert np.max(idt.gradient_norm_laplacian_residual(StructureFrame(s, pts))) < 1e-7
-    pts = sample_points(sphere22.chart, 50, seed=0)
-    assert np.max(idt.gradient_norm_laplacian_residual(StructureFrame(sphere22, pts))) < 1e-7
+        fr = StructureFrame(s, pts)
+        assert np.max(residual(*idt.gradient_norm_laplacian_residual(fr))) < 1e-7
+    fr = StructureFrame(sphere22, sample_points(sphere22.chart, 50, seed=0))
+    assert np.max(residual(*idt.gradient_norm_laplacian_residual(fr))) < 1e-7
 
 
 def test_gradient_norm_laplacian_constant_potential():
     s = trivial_structure("sphere", 2, m=2.0)
-    assert idt.gradient_norm_laplacian_residual(StructureFrame(s, np.array([0.3, 0.4]))) < 1e-13
+    fr = StructureFrame(s, np.array([0.3, 0.4]))
+    assert residual(*idt.gradient_norm_laplacian_residual(fr)) < 1e-13
 
 
 def test_gradient_norm_laplacian_negative_control(euclid2):
@@ -56,7 +59,7 @@ def test_gradient_norm_laplacian_negative_control(euclid2):
     # LHS = 54, RHS = 36 + 108 = 144
     f3 = ScalarField.from_coords(2, lambda x, y: x * x * x, "x^3")
     bad = make_structure(euclid2, f3, m=1.0)
-    res = idt.gradient_norm_laplacian_residual(StructureFrame(bad, np.array([1.0, 0.0])))
+    res = residual(*idt.gradient_norm_laplacian_residual(StructureFrame(bad, np.array([1.0, 0.0]))))
     assert res == pytest.approx(90.0, abs=1e-9)
 
 
@@ -66,34 +69,35 @@ def test_curvature_gradient_on_models():
                  ModelSpec("hyperbolic", 4, tau=0.5, m=2.0)):
         s = example_structure(spec)
         pts = sample_points(s.chart, 40, seed=1)
-        assert np.max(idt.curvature_gradient_residual(StructureFrame(s, pts))) < 1e-7
+        assert np.max(residual(*idt.curvature_gradient_residual(StructureFrame(s, pts)))) < 1e-7
 
 
 def test_curvature_gradient_trivial_cases():
     s = trivial_structure("sphere", 2, m=2.0)
-    assert idt.curvature_gradient_residual(StructureFrame(s, np.array([0.2, -0.3]))) < 1e-12
-    gs = gaussian_soliton(2)
-    assert idt.curvature_gradient_residual(StructureFrame(gs, np.array([0.5, 0.1]))) < 1e-13
+    fr = StructureFrame(s, np.array([0.2, -0.3]))
+    assert residual(*idt.curvature_gradient_residual(fr)) < 1e-12
+    fr = StructureFrame(gaussian_soliton(2), np.array([0.5, 0.1]))
+    assert residual(*idt.curvature_gradient_residual(fr)) < 1e-13
 
 
 def test_hamilton_gradient_on_models(sphere22):
     pts = sample_points(sphere22.chart, 40, seed=2)
-    assert np.max(idt.hamilton_gradient_residual(StructureFrame(sphere22, pts))) < 1e-7
+    assert np.max(residual(*idt.hamilton_gradient_residual(StructureFrame(sphere22, pts)))) < 1e-7
     s = example_structure(ModelSpec("euclidean", 2, tau=2.0, m=2.0))
     pts = sample_points(s.chart, 40, seed=2)
-    assert np.max(idt.hamilton_gradient_residual(StructureFrame(s, pts))) < 1e-7
+    assert np.max(residual(*idt.hamilton_gradient_residual(StructureFrame(s, pts)))) < 1e-7
 
 
 def test_hamilton_gradient_gaussian_soliton():
     # m = inf with constant lambda: grad(R + |grad f|^2) = 2 lambda grad f
     gs = gaussian_soliton(3)
     pts = sample_points(gs.chart, 20, seed=3)
-    assert np.max(idt.hamilton_gradient_residual(StructureFrame(gs, pts))) < 1e-12
+    assert np.max(residual(*idt.hamilton_gradient_residual(StructureFrame(gs, pts)))) < 1e-12
 
 
 def test_trace_gradient_identity(sphere22):
     pts = sample_points(sphere22.chart, 40, seed=4)
-    assert np.max(idt.trace_gradient_residual(StructureFrame(sphere22, pts))) < 1e-7
+    assert np.max(residual(*idt.trace_gradient_residual(StructureFrame(sphere22, pts)))) < 1e-7
 
 
 def test_einstein_hessian_profile_all_families():
@@ -130,22 +134,24 @@ def test_einstein_hessian_gates():
 
 def test_curvature_laplacian_on_models(sphere22):
     pts = sample_points(sphere22.chart, 25, seed=7)
-    assert np.max(idt.curvature_laplacian_residual(StructureFrame(sphere22, pts))) < 1e-6
+    assert np.max(residual(*idt.curvature_laplacian_residual(StructureFrame(sphere22, pts)))) < 1e-6
     s = example_structure(ModelSpec("euclidean", 2, tau=1.0, m=2.0))
     pts = sample_points(s.chart, 25, seed=7)
-    assert np.max(idt.curvature_laplacian_residual(StructureFrame(s, pts))) < 1e-6
+    assert np.max(residual(*idt.curvature_laplacian_residual(StructureFrame(s, pts)))) < 1e-6
 
 
 def test_curvature_laplacian_constant_potential():
     s = trivial_structure("sphere", 2, m=2.0)
-    assert idt.curvature_laplacian_residual(StructureFrame(s, np.array([0.6, 0.1]))) < 1e-11
+    fr = StructureFrame(s, np.array([0.6, 0.1]))
+    assert residual(*idt.curvature_laplacian_residual(fr)) < 1e-11
 
 
 def test_curvature_laplacian_jet_vs_finite_difference(sphere22):
     # same identity with lap R from second differences of the curvature field
     for p in sample_points(sphere22.chart, 5, seed=8):
-        r_jet = float(idt.curvature_laplacian_residual(StructureFrame(sphere22, p)))
-        r_fd = float(idt.curvature_laplacian_residual(StructureFrame(sphere22, p), fd_step=1e-3))
+        r_jet = float(residual(*idt.curvature_laplacian_residual(StructureFrame(sphere22, p))))
+        fd = idt.curvature_laplacian_residual(StructureFrame(sphere22, p), fd_step=1e-3)
+        r_fd = float(residual(*fd))
         assert abs(r_jet - r_fd) < 1e-4
 
 
@@ -153,11 +159,12 @@ def test_conformality_residual_cases(euclid2):
     s = example_structure(ModelSpec("euclidean", 2, tau=1.0, m=2.0))
     pts = sample_points(s.chart, 20, seed=9)
     # grad u has hess u = 2 g: conformal
-    assert np.max(idt.u_conformality_residual(StructureFrame(s, pts))) < 1e-12
+    u_conformality = idt.CATALOG_BY_ID["u_conformality"].runner
+    assert np.max(residual(*u_conformality(StructureFrame(s, pts)))) < 1e-12
     # grad(x^3) is not conformal away from x = 0
     phi = ScalarField.from_coords(2, lambda x, y: x * x * x, "x^3")
-    res = idt.conformality_residual(ChartFrame(euclid2, np.array([1.0, 0.0])),
-                                    grad_field(euclid2, phi))
+    res = residual(*idt.conformality_residual(ChartFrame(euclid2, np.array([1.0, 0.0])),
+                                              grad_field(euclid2, phi)))
     assert res > 1.0
 
 
@@ -329,8 +336,8 @@ def test_magnitude_rows_reduce_the_signed_residuals():
         "traceless_defining": lambda p: largest(qem.traceless_residual(s, p)),
         "u_transform": lambda p: largest(qem.u_transform_residual(s, p)),
         "radial_identity": lambda p: abs(qem.radial_identity_residual(s, p)),
-        "u_laplacian": lambda p: abs(float(qem.u_laplacian_values(at(p)))),
-        "trace_divergence": lambda p: abs(float(qem.trace_divergence_values(at(p)))),
+        "u_laplacian": lambda p: float(residual(*qem.u_laplacian_values(at(p)))),
+        "trace_divergence": lambda p: float(residual(*qem.trace_divergence_values(at(p)))),
     }
     pts = sample_points(chart, 4, seed=21)
     suite = lambda sample: {e.identity_id: e for e in
@@ -506,3 +513,84 @@ def test_a_missing_tolerance_class_is_a_value_error_before_any_frame(sphere22, m
     assert ids
     with pytest.raises(ValueError, match=r"no tolerance for order class\(es\) \[3\]"):
         idt.run_pointwise_suite(sphere22, pts, {2: 1e-8, 4: 1e-6}, ids=ids)
+
+
+GOLDEN_STRUCTURES = {
+    "sphere3": lambda: example_structure(ModelSpec("sphere", 3, tau=1.5, m=2.0)),
+    "hyperbolic4": lambda: example_structure(ModelSpec("hyperbolic", 4, tau=0.5, m=2.0)),
+    "cubic3": _cubic_control_n3,
+}
+GOLDEN_RESIDUALS = {
+    ("sphere3", 1): {"defining_equation": "c0dd107c521b0b8f",
+        "traceless_defining": "9c6e07570ed26eeb", "radial_identity": "58745e91e74c5ea8",
+        "trace_gradient": "1bed018becbbb173", "u_transform": "62809105adb03035",
+        "u_laplacian": "a2077e69a55c3809", "trace_divergence": "611ae5cc88cc102b",
+        "gradient_norm_laplacian": "c0205f840a0fcd71", "curvature_gradient": "eca3757060052aef",
+        "hamilton_gradient": "3349990a00d1bd31", "curvature_laplacian": "193d1016d2e64dc0",
+        "u_conformality": "7147a3c7d17634bb", "contracted_bianchi": "747908399b8a9d0c",
+        "div_hessian": "e8ed67c761ed1467", "div_outer_grad": "f5abdb9388840eb1",
+        "bochner": "d9f6cfdacce617be", "lie_divergence": "49b2ecd9eda00a42"},
+    ("sphere3", 100): {"defining_equation": "5c6ac0663a501a33",
+        "traceless_defining": "5c973978814d73c0", "radial_identity": "70d1e6c1e6e242af",
+        "trace_gradient": "127fa1dbb07dbdc5", "u_transform": "1b157553b0a2c844",
+        "u_laplacian": "2dd3e990b67ce750", "trace_divergence": "2d33b0ec44112a04",
+        "gradient_norm_laplacian": "b80d9994f4e9fc6b", "curvature_gradient": "a560a301e649dbca",
+        "hamilton_gradient": "1997ddf58a90b2eb", "curvature_laplacian": "df4246821bb78a66",
+        "u_conformality": "24df03f1201f9f30", "contracted_bianchi": "4f1177fea50e6436",
+        "div_hessian": "bce749dd265951ca", "div_outer_grad": "c2600676f0f71a00",
+        "bochner": "2cc23b240736c532", "lie_divergence": "1f6ce9b3feec10e3"},
+    ("hyperbolic4", 1): {"defining_equation": "3b4794948c65a4bc",
+        "traceless_defining": "64d06af51720dce4", "radial_identity": "2be77d78bc58f1a3",
+        "trace_gradient": "4102f856b71f883b", "u_transform": "5ff628b7f53b763b",
+        "u_laplacian": "92041327190fdcf7", "trace_divergence": "92041327190fdcf7",
+        "gradient_norm_laplacian": "a35110d86fd9e0dd", "curvature_gradient": "1b0af72df75ef20f",
+        "hamilton_gradient": "6b90b7e293e24291", "curvature_laplacian": "6714327557f6b790",
+        "u_conformality": "b97b348a53bd9718", "contracted_bianchi": "3f1e8fcfb015e560",
+        "div_hessian": "87bb2bb08eabbe26", "div_outer_grad": "b73eccd0fe00d56d",
+        "bochner": "e8821c48b596029a", "lie_divergence": "59159d6e3a15892c"},
+    ("hyperbolic4", 100): {"defining_equation": "77b136e1cc14f9a0",
+        "traceless_defining": "6072f69624886814", "radial_identity": "28768ce2aff55a88",
+        "trace_gradient": "6be25434b924fe7c", "u_transform": "b3f4cfe8bd1dd7c8",
+        "u_laplacian": "e77552daa3c78a64", "trace_divergence": "8b8ae21f14607cc5",
+        "gradient_norm_laplacian": "328efc7da56f453b", "curvature_gradient": "7a380f190db0ac62",
+        "hamilton_gradient": "e220867b5cb2d549", "curvature_laplacian": "1bc42b087661639d",
+        "u_conformality": "f2b89e21f8f4f1f4", "contracted_bianchi": "dcd3fff0ee0c8b3a",
+        "div_hessian": "dc822a24b20fe72b", "div_outer_grad": "ae2de41dd30f213f",
+        "bochner": "5bed9758935c0636", "lie_divergence": "ed19832a004fc2ec"},
+    ("cubic3", 1): {"defining_equation": "0521ab194f1cec18",
+        "traceless_defining": "4a242b2acdfc1e3d", "radial_identity": "90c0395e0fb030d8",
+        "trace_gradient": "59159d6e3a15892c", "u_transform": "cd6b6b3f89720349",
+        "u_laplacian": "9ebe86bf8c4147a0", "trace_divergence": "c3ed6470b21cc781",
+        "gradient_norm_laplacian": "53d5c5a3fed504bb", "curvature_gradient": "b76c286664b07761",
+        "hamilton_gradient": "e73eb3329a2e7ecd", "curvature_laplacian": "26b403519a13d4c9",
+        "u_conformality": "6df63b3964114e31", "contracted_bianchi": "9ebe86bf8c4147a0",
+        "div_hessian": "9ebe86bf8c4147a0", "div_outer_grad": "6bd3ab67d45a09e4",
+        "bochner": "59159d6e3a15892c", "lie_divergence": "59159d6e3a15892c"},
+    ("cubic3", 100): {"defining_equation": "0cdfe46069d02aa8",
+        "traceless_defining": "b1995b2665a19b56", "radial_identity": "58f1452d5531c90e",
+        "trace_gradient": "af17ebbcb5c007c9", "u_transform": "e4f53e0423c8059f",
+        "u_laplacian": "2d20c68f44e507c1", "trace_divergence": "660ccfa1e310380f",
+        "gradient_norm_laplacian": "c6a56d352af618d1", "curvature_gradient": "a0425a408b805fa3",
+        "hamilton_gradient": "81c5bcd1f833ae8b", "curvature_laplacian": "a19c384a125dee36",
+        "u_conformality": "d4f83d03edc69009", "contracted_bianchi": "25a9565d0048ee6e",
+        "div_hessian": "25a9565d0048ee6e", "div_outer_grad": "e422cc3818356928",
+        "bochner": "be6c6d27f99010e1", "lie_divergence": "595f2caf985fc373"},
+}
+
+
+@pytest.mark.parametrize("batch", [1, 100])
+@pytest.mark.parametrize("case", list(GOLDEN_STRUCTURES))
+def test_pointwise_residuals_keep_their_bits(case, batch):
+    # sha256 of `float.hex` of every row's residual, component by component and
+    # broadcast to the batch; recorded before the rows returned signed terms, so
+    # a moved term or a changed summation order shows here, labelled by its row
+    s = GOLDEN_STRUCTURES[case]()
+    pts = sample_points(s.chart, 100, seed=41)[:batch]
+    got = {}
+    for info in idt.CATALOG:
+        if info.kind == "pointwise" and idt.applicable(info, s):
+            res = residual(*info.runner(StructureFrame(s, pts)))
+            res = np.broadcast_to(res, (batch,) + np.shape(res)[1:])
+            got[info.identity_id] = hashlib.sha256(
+                " ".join(map(float.hex, res.ravel().tolist())).encode()).hexdigest()[:16]
+    assert got == GOLDEN_RESIDUALS[case, batch]
