@@ -13,10 +13,12 @@ on verify or integrate).
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 configuration or
 usage error, 3 numerical failure: a non-finite residual (written as null, its
 row marked ``"status": "nan"``) or an arithmetic error, which writes no report.
-No partial reports are written on exit 2. A comma list (``n``, ``tau``, ``m``,
-``grid``, ``suite``) with an empty entry exits 2, as does a repeated entry in
-``n``, ``tau``, ``m`` or ``suite`` (equal after parsing, so ``tau = 1.5,1.50``
-repeats), and a ``suite`` of which no row applies to a structure. An output path
+No partial reports are written on exit 2, and every model a command runs on is
+checked (`ModelSpec`) before the first structure is built. A comma list
+(``n``, ``tau``, ``m``, ``grid``, ``suite``) with an empty entry exits 2, as
+does a repeated entry in ``n``, ``tau``, ``m`` or ``suite`` (equal after
+parsing, so ``tau = 1.5,1.50`` repeats), and a ``suite`` of which no row
+applies to a structure. An output path
 that is empty, whose directory does not exist, or that is a directory exits 2
 before any structure is built; an ``OSError`` while writing the report exits 2
 and leaves no temporary file.
@@ -40,12 +42,7 @@ from typing import Optional
 from . import __version__
 from .identities import CATALOG, CATALOG_BY_ID, run_pointwise_suite
 from .jets import OrderCapabilityError
-from .models import (
-    CHART_KINDS,
-    ModelSpec,
-    example_structure,
-    sample_points,
-)
+from .models import ModelSpec, example_structure, sample_points
 from .quadrature import make_sphere_grid, run_integral_suite
 
 CONFIG_KEYS = {
@@ -54,7 +51,7 @@ CONFIG_KEYS = {
     "r": "sphere radius (default 1)",
     "chart": "chart kind (default: cartesian / stereographic / poincare_ball)",
     "tau": "potential parameter; comma list allowed for scan",
-    "m": "weight, positive real or 'inf'; comma list allowed for scan",
+    "m": "weight, positive and finite (f = -m log u); comma list allowed for scan",
     "v_axis": "ambient axis of the height function (default 0)",
     "suite": "comma list of identity ids or 'all' (default all)",
     "points": "random sample size (default 100)",
@@ -189,19 +186,8 @@ def parse_config_text(text: str) -> RunConfig:
         m_list=parse_list("m", parse_float),
         raw=dict(raw),
     )
-    if cfg.family not in CHART_KINDS:
-        raise ConfigError(
-            f"unknown family {cfg.family!r}; choose from {sorted(CHART_KINDS)}"
-        )
     if "r" in raw:
         cfg.r = parse_float(raw["r"])
-    for key, values in (("tau", cfg.tau_list), ("r", [cfg.r])):
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"'{key}' must be finite, got {raw[key]!r}")
-    if any(math.isnan(v) for v in cfg.m_list):
-        raise ConfigError(f"'m' must be a positive number or 'inf', got {raw['m']!r}")
-    if any(0 < v < math.inf and not math.isfinite(1.0 / v) for v in cfg.m_list):
-        raise ConfigError(f"'m' is too small: 1/m overflows, got {raw['m']!r}")
     if any(n > MAX_N for n in cfg.n_list):
         raise ConfigError(f"'n' must be at most {MAX_N}, got {raw['n']!r}")
     if "chart" in raw:
@@ -246,16 +232,19 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def _build_structure(cfg: RunConfig, n: int, tau: float, m: float):
-    spec = ModelSpec(
-        cfg.family,
-        n,
-        tau=tau,
-        m=m,
-        radius=cfg.r,
-        chart_kind=cfg.chart,
-        v_axis=cfg.v_axis,
-    )
+def _model_specs(cfg: RunConfig, command: str) -> list[ModelSpec]:
+    """Every model the command runs on, each checked by `ModelSpec`: one per
+    (n, m, tau) in CSV order for scan, the single one otherwise."""
+    if command == "scan":
+        combos = [(n, tau, m) for n in cfg.n_list for m in cfg.m_list for tau in cfg.tau_list]
+    else:
+        combos = [(cfg.single("n"), cfg.single("tau"), cfg.single("m"))]
+    return [ModelSpec(cfg.family, n, tau=tau, m=m, radius=cfg.r, chart_kind=cfg.chart,
+                      v_axis=cfg.v_axis) for n, tau, m in combos]
+
+
+def _build_structure(spec: ModelSpec):
+    """The one place a command builds a structure, after every spec is checked."""
     return example_structure(spec)
 
 
@@ -342,11 +331,9 @@ def _finish_report(report: dict, rows: list, json_path: Optional[str], start: fl
     return 3 if nonfinite else 0 if report["overall_pass"] else 1
 
 
-def cmd_verify(cfg: RunConfig, json_path: Optional[str], seed: int, tols: dict) -> int:
-    n = cfg.single("n")
-    tau = cfg.single("tau")
-    m = cfg.single("m")
-    s = _build_structure(cfg, n, tau, m)
+def cmd_verify(cfg: RunConfig, spec: ModelSpec, json_path: Optional[str], seed: int,
+               tols: dict) -> int:
+    s = _build_structure(spec)
     points = sample_points(s.chart, cfg.points, seed)
     start = time.perf_counter()
     entries = run_pointwise_suite(s, points, tols, ids=cfg.suite)
@@ -367,10 +354,9 @@ def cmd_verify(cfg: RunConfig, json_path: Optional[str], seed: int, tols: dict) 
     return _finish_report(report, report["pointwise"], json_path, start)
 
 
-def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tols: dict) -> int:
-    n = cfg.single("n")
-    tau = cfg.single("tau")
-    m = cfg.single("m")
+def cmd_integrate(cfg: RunConfig, spec: ModelSpec, json_path: Optional[str], seed: int,
+                  tols: dict) -> int:
+    n = spec.dim
     if cfg.family != "sphere":
         raise ConfigError(
             f"the integral suite needs a compact model (sphere); family is {cfg.family!r}"
@@ -383,7 +369,7 @@ def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tols: dic
         raise ConfigError(
             f"the integral suite runs on the polar chart; 'chart' is {cfg.chart!r}"
         )
-    s = _build_structure(replace(cfg, chart="polar"), n, tau, m)
+    s = _build_structure(replace(spec, chart_kind="polar"))
     start = time.perf_counter()
     grid = make_sphere_grid(s.chart, cfg.grid)
     rows = run_integral_suite(grid, s, tols["integral"])
@@ -393,20 +379,18 @@ def cmd_integrate(cfg: RunConfig, json_path: Optional[str], seed: int, tols: dic
     return _finish_report(report, report["integrals"], json_path, start)
 
 
-def cmd_scan(cfg: RunConfig, csv_path: Optional[str], seed: int, tols: dict) -> int:
-    combos = [
-        (n, m, tau) for n in cfg.n_list for m in cfg.m_list for tau in cfg.tau_list
-    ]
+def cmd_scan(cfg: RunConfig, specs: list[ModelSpec], csv_path: Optional[str], seed: int,
+             tols: dict) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "m", "tau", "identity", "max_residual", "pass"])
     all_pass, all_finite = True, True
-    for n, m, tau in combos:
-        s = _build_structure(cfg, n, tau, m)
+    for spec in specs:
+        s = _build_structure(spec)
         points = sample_points(s.chart, cfg.points, seed)
         for e in run_pointwise_suite(s, points, tols, ids=cfg.suite):
             writer.writerow(
-                [n, f"{m:g}", f"{tau:g}", e.identity_id,
+                [spec.dim, f"{spec.m:g}", f"{spec.tau:g}", e.identity_id,
                  f"{e.max_residual:.6e}", str(e.passed).lower()]
             )
             all_pass = all_pass and e.passed
@@ -478,11 +462,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if unread:
             raise ConfigError(f"config key '{unread[0]}' is not read by '{args.command}'")
         seed = cfg.seed if args.seed is None else args.seed
+        specs = _model_specs(cfg, args.command)
         if args.command == "verify":
-            return cmd_verify(cfg, args.json, seed, tols)
+            return cmd_verify(cfg, specs[0], args.json, seed, tols)
         if args.command == "integrate":
-            return cmd_integrate(cfg, args.json, seed, tols)
-        return cmd_scan(cfg, args.csv, seed, tols)
+            return cmd_integrate(cfg, specs[0], args.json, seed, tols)
+        return cmd_scan(cfg, specs, args.csv, seed, tols)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,7 +56,6 @@ class Chart:
     sample_lo: Optional[np.ndarray] = None
     sample_hi: Optional[np.ndarray] = None
     embedding_fn: Optional[Callable] = None
-    ambient_signature: Optional[tuple] = None
 
     def metric_jets(self, coords) -> np.ndarray:
         """g_ij as an (n, n) object array of jets, from a tuple of coordinate jets."""
@@ -476,23 +475,19 @@ class ChartFrame:
     # -- operators applied to already-computed jets ------------------------
 
     def laplacian_of_jet(self, sjet: Jet):
-        """Laplace-Beltrami of a scalar given as a jet of order >= 2 at this point."""
-        d1 = [sjet.derive(k) for k in range(self.n)]
-        return self.laplacian_from_partials(
-            [d.value for d in d1], lambda i, j: d1[i].derive(j).value
-        )
-
-    def laplacian_from_partials(self, d1, d2):
-        """g^ij (d2(i, j) - Gamma^k_ij d1[k]) from coordinate first and second partials."""
+        """Laplace-Beltrami g^ij (d_i d_j s - Gamma^k_ij d_k s) of a scalar given
+        as a jet of order >= 2 at this point."""
         n = self.n
+        d1 = [sjet.derive(k) for k in range(n)]
+        v1 = [d.value for d in d1]
         gi = self.metric_inv_values()
         gam = self.gamma(0)
         out = 0.0
         for i in range(n):
             for j in range(n):
-                term = d2(i, j)
+                term = d1[i].derive(j).value
                 for k in range(n):
-                    term = term - gam[k, i, j].value * d1[k]
+                    term = term - gam[k, i, j].value * v1[k]
                 out = out + gi[..., i, j] * term
         return out
 
@@ -570,10 +565,6 @@ def _values(js) -> np.ndarray:
 def dot_g(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     """<a, b>_g for contravariant vectors; batch axes lead."""
     return np.einsum("...ij,...i,...j->...", g, a, b)
-
-
-def norm_g(g: np.ndarray, a: np.ndarray):
-    return np.sqrt(np.maximum(dot_g(g, a, a), 0.0))
 
 
 def tensor2_norm2_g(ginv: np.ndarray, t: np.ndarray):

@@ -28,7 +28,6 @@ from .geometry import (
     _sum_jets,
     _values,
     grad_field,
-    norm_g,
     tensor2_norm2_g,
 )
 from .qem import (
@@ -164,22 +163,14 @@ def _convective_divergence(fr: StructureFrame, phi: ScalarField):
     return out
 
 
-def curvature_laplacian_residual(fr: StructureFrame, fd_step: Optional[float] = None):
-    """(1/2) lap R against its expansion in potential derivatives (needs metric jets of order 4).
-
-    With `fd_step` set, the left side uses second central differences of the
-    scalar curvature field instead of jets (cross-validation of the
-    fourth-order path).
-    """
+def curvature_laplacian_residual(fr: StructureFrame):
+    """(1/2) lap R against its expansion in potential derivatives (needs metric jets of order 4)."""
     s = fr.s
     if not s.m_finite:
         raise ValueError("the curvature-Laplacian identity is stated for finite m")
     n = fr.n
     g = fr.metric_values()
-    if fd_step is None:
-        lhs = 0.5 * fr.laplacian_of_jet(fr.scalar_curvature_jet(2))
-    else:
-        lhs = 0.5 * _fd_laplacian_scalar_curvature(fr, fd_step)
+    lhs = 0.5 * fr.laplacian_of_jet(fr.scalar_curvature_jet(2))
     hess = fr.hess_f_values()
     lapf = fr.laplacian(s.f, 0).value
     traceless = hess - (lapf / n)[..., None, None] * g
@@ -201,29 +192,6 @@ def curvature_laplacian_residual(fr: StructureFrame, fd_step: Optional[float] = 
         lam * lapf,
     )
     return (lhs,), rhs
-
-
-def _fd_laplacian_scalar_curvature(fr: StructureFrame, step: float):
-    """lap R with coordinate second differences of R (step h), curvature terms from jets."""
-    p = fr.p
-    e = step * np.eye(fr.n)
-
-    def r_at(q):
-        return ChartFrame(fr.chart, q).scalar_curvature_value()
-
-    def d2(i, j):
-        if i == j:
-            return (r_at(p + e[i]) - 2 * r0 + r_at(p - e[i])) / step**2
-        return (
-            r_at(p + e[i] + e[j])
-            - r_at(p + e[i] - e[j])
-            - r_at(p - e[i] + e[j])
-            + r_at(p - e[i] - e[j])
-        ) / (4 * step**2)
-
-    r0 = r_at(p)
-    d1 = [(r_at(p + e[i]) - r_at(p - e[i])) / (2 * step) for i in range(fr.n)]
-    return fr.laplacian_from_partials(d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +339,18 @@ def einstein_hessian_profile(fr: StructureFrame,
 
     hess_u = fr.hessian_values(u)
     target = (-rr / (n * (n - 1)) * u_val + c / s.m)[..., None, None] * g
-    hessian_residual = float(np.max(np.abs(hess_u - target)))
+    hessian_residual = float(np.max(residual((hess_u,), (target,))))
 
     lam = fr.lam_jet(0).value
-    lap_residual = float(np.max(np.abs(lap_u - (rr / s.m) * u_val + (n / s.m) * lam * u_val)))
+    lap_residual = float(np.max(residual((lap_u, -(rr / s.m) * u_val),
+                                         (-(n / s.m) * lam * u_val,))))
 
     lam_u = s.lam * u
     dlamu = fr.partials_of_jet(fr.field_jet(lam_u, 1))
     du = fr.partials_of_jet(fr.u_jet(1))
-    w = dlamu - (rr * (s.m + n - 1) / (n * (n - 1)))[..., None] * du
-    gradlam_residual = float(np.max(norm_g(fr.metric_inv_values(), w)))
+    coef = rr * (s.m + n - 1) / (n * (n - 1))
+    gradlam_residual = float(np.max(residual((dlamu,), (coef[..., None] * du,),
+                                             fr.metric_inv_values())))
     return EinsteinHessianProfile(c, float(np.min(c_per_point)), float(np.max(c_per_point)),
                                   hessian_residual, lap_residual, gradlam_residual)
 

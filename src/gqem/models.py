@@ -22,7 +22,7 @@ import numpy as np
 from . import jets
 from .jets import Jet
 from .geometry import Chart, ScalarField, _values, check_metric_spd
-from .qem import QemStructure, make_structure
+from .qem import QemStructure, check_weight, make_structure
 
 FAMILIES = ("euclidean", "sphere", "hyperbolic")
 CHART_KINDS = {
@@ -38,7 +38,9 @@ class ModelSpec:
 
     v_axis selects the ambient coordinate axis of the height function
     (hyperbolic space only supports the apex axis 0). Only the sphere reads
-    radius; the Euclidean model reads neither, so it refuses both.
+    radius; the Euclidean model reads neither, so it refuses both. tau and
+    radius must be finite, and m must pass `qem.check_weight` and be finite:
+    the model potentials f = -m log(u) are undefined for m = inf.
     """
 
     family: str
@@ -61,14 +63,22 @@ class ModelSpec:
                 f"chart kind {kind!r} not supported for family {self.family!r} "
                 f"(supported: {CHART_KINDS[self.family]})"
             )
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius 'r' must be finite, got {self.radius}")
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.family == "hyperbolic" and self.radius != 1.0:
             raise ValueError("hyperbolic model is fixed at curvature -1 (radius 1)")
         if self.family == "euclidean" and self.radius != 1.0:
             raise ValueError(f"euclidean model has no radius (leave it at 1), got {self.radius}")
-        if not (self.m > 0):
-            raise ValueError(f"m must be positive (inf allowed), got {self.m}")
+        check_weight(self.m)
+        if math.isinf(self.m):
+            raise ValueError(
+                "model potentials f = -m log(u) are undefined for m = inf; "
+                "use gaussian_soliton or trivial_structure"
+            )
+        if not math.isfinite(self.tau):
+            raise ValueError(f"'tau' must be finite, got {self.tau}")
         n, tau, r = self.dim, self.tau, self.radius
         if self.family == "sphere" and not tau > r / n:
             raise ValueError(
@@ -105,7 +115,6 @@ def _norm2(coords):
 def make_chart(spec: ModelSpec) -> Chart:
     n, r = spec.dim, spec.radius
     domain_fn = lambda p: np.full(p.shape[:-1], True)
-    signature = (1.0,) * (n if spec.family == "euclidean" else n + 1)
 
     if spec.family == "euclidean":
 
@@ -179,7 +188,6 @@ def make_chart(spec: ModelSpec) -> Chart:
         domain_fn = lambda p: np.sum(p * p, axis=-1) < 1.0
         label = f"H^{n} poincare ball"
         lo, hi = np.full(n, -0.55), np.full(n, 0.55)
-        signature = (-1.0,) + (1.0,) * n
 
     return Chart(
         dim=n,
@@ -192,7 +200,6 @@ def make_chart(spec: ModelSpec) -> Chart:
         sample_lo=lo,
         sample_hi=hi,
         embedding_fn=embedding_fn,
-        ambient_signature=signature,
     )
 
 
@@ -215,7 +222,7 @@ def height_field(spec: ModelSpec, chart: Chart, v_axis: Optional[int] = None) ->
     return ScalarField.from_coords(chart.dim, fn, f"h[{axis}]")
 
 
-def example_structure(spec: ModelSpec, validate: bool = True) -> QemStructure:
+def example_structure(spec: ModelSpec) -> QemStructure:
     """The model quasi-Einstein structure: u positive, f = -m log(u), closed-form lambda.
 
     sphere      u = tau - h_v/n     lambda = (n-1) - m (tau-u)/u   (unit radius)
@@ -223,13 +230,8 @@ def example_structure(spec: ModelSpec, validate: bool = True) -> QemStructure:
     hyperbolic  u = tau + h_v       lambda = -(n-1) - m (u-tau)/u
 
     For a sphere of radius != 1 lambda is trace-solved instead of closed form.
-    With m infinite the log potential is undefined; see `gaussian_soliton`.
+    The structure is checked on a fixed sample: g positive definite, u > 0.
     """
-    if math.isinf(spec.m):
-        raise ValueError(
-            "model potentials f = -m log(u) are undefined for m = inf; "
-            "use gaussian_soliton or trivial_structure"
-        )
     chart = make_chart(spec)
     n, tau, m = spec.dim, spec.tau, spec.m
 
@@ -253,15 +255,13 @@ def example_structure(spec: ModelSpec, validate: bool = True) -> QemStructure:
         chart, f, m, lam=lam, u=u,
         label=f"{spec.family} n={n} tau={tau:g} m={m:g} r={spec.radius:g} {spec.chart_kind}",
     )
-    if validate:
-        _validate_structure(s, spec)
+    _validate_structure(s, spec)
     return s
 
 
 def gaussian_soliton(dim: int) -> QemStructure:
     """Euclidean structure with f = |x|^2 / 2 and m = inf (lambda trace-solves to 1)."""
-    spec = ModelSpec("euclidean", dim, tau=1.0, m=math.inf)
-    chart = make_chart(spec)
+    chart = make_chart(ModelSpec("euclidean", dim, tau=1.0, m=1.0))
     f = ScalarField.from_coords(dim, lambda *c: _norm2(c) * 0.5, "|x|^2/2")
     return make_structure(chart, f, math.inf, label=f"gaussian soliton n={dim}")
 

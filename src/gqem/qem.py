@@ -1,8 +1,8 @@
 """Generalized m-quasi-Einstein structures and their defining-equation residuals.
 
-A structure bundles a chart, a potential f, the weight m (any positive real,
-infinity allowed with 1/m = 0 exactly) and a lambda field. When lambda is not
-supplied it is trace-solved pointwise from
+A structure bundles a chart, a potential f, the weight m (any positive real
+with a finite 1/m, infinity allowed with 1/m = 0 exactly) and a lambda field.
+When lambda is not supplied it is trace-solved pointwise from
 
     lambda = (R + lap f - (1/m)|grad f|^2) / n,
 
@@ -38,7 +38,6 @@ class QemStructure:
     f: ScalarField
     m: float
     lam: ScalarField
-    provenance: str = "closed_form"
     u: Optional[ScalarField] = None
     label: str = ""
 
@@ -56,6 +55,14 @@ class QemStructure:
                 "u = exp(-f/m) is undefined for m = inf"
             )
         return self.u
+
+
+def check_weight(m: float) -> None:
+    """Refuse a weight that is not positive (inf is allowed) or whose 1/m overflows."""
+    if not m > 0:
+        raise ValueError(f"'m' = {m}: m must be positive (inf allowed)")
+    if not math.isfinite(1.0 / m):
+        raise ValueError(f"'m' is too small: 1/m overflows, got {m}")
 
 
 def trace_lambda_field(chart: Chart, f: ScalarField, m: float) -> ScalarField:
@@ -82,9 +89,7 @@ def make_structure(
     label: str = "",
 ) -> QemStructure:
     """A structure with `lam` given in closed form, or trace-solved when it is None."""
-    if not m > 0:
-        raise ValueError(f"m must be positive (inf allowed), got {m}")
-    provenance = "closed_form" if lam is not None else "trace_solved"
+    check_weight(m)
     if lam is None:
         lam = trace_lambda_field(chart, f, m)
     if u is None and not math.isinf(m):
@@ -92,7 +97,7 @@ def make_structure(
         u = ScalarField(
             chart.dim, lambda coords: jets.exp(f.jet(coords) * (-inv_m)), "u"
         )
-    return QemStructure(chart, f, m, lam, provenance, u, label)
+    return QemStructure(chart, f, m, lam, u, label)
 
 
 # Sample points per frame in `run_pointwise_suite` and `is_gqem`. It bounds their
@@ -295,7 +300,7 @@ class RankOneDecision:
     eigen_gap: float
 
 
-def rank_one_proportionality(v, g, tol: float = 1e-12) -> RankOneDecision:
+def rank_one_proportionality(v, g) -> RankOneDecision:
     """Decide solvability of v (x) v = rho g for a metric g (dim >= 2).
 
     The flat pairing of v with itself is degenerate, so the only solution is
@@ -308,6 +313,6 @@ def rank_one_proportionality(v, g, tol: float = 1e-12) -> RankOneDecision:
     if n < 2:
         raise ValueError("rank-one proportionality needs dim >= 2")
     norm2 = float(v @ g @ v)
-    if norm2 < tol * tol:
+    if norm2 < 1e-24:  # |v|_g < 1e-12: the zero vector
         return RankOneDecision("zero", 0.0, 0.0)
     return RankOneDecision("impossible", None, norm2)

@@ -521,6 +521,24 @@ def test_m_whose_reciprocal_overflows_exits_two(tmp_path, capsys):
         assert "'m' is too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, m, message", [
+    ("3,2", "2", "tau > r/n"),  # n = 3 admits tau = 0.5; n = 2 does not (r/n = 0.5)
+    ("3", "2,inf", "undefined for m = inf"),
+])
+def test_scan_checks_every_model_before_it_builds_the_first(tmp_path, capsys, monkeypatch,
+                                                            n, m, message):
+    cfg = write_config(tmp_path, f"family = sphere\nn = {n}\ntau = 0.5\nm = {m}\npoints = 4\n")
+
+    def refuse(spec):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(cli, "example_structure", refuse)
+    out = tmp_path / "never.csv"
+    assert main(["scan", "--config", cfg, "--csv", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["n = 7", "n = 2, 7", "points = 0", "points = 1001"])
 def test_n_and_points_are_capped(tmp_path, capsys, line):
     keys = {"family": "sphere", "n": "2", "tau": "1.0", "m": "2", "points": "5"}

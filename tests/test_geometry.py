@@ -504,7 +504,7 @@ def test_contracted_bianchi_where_grad_r_is_order_one(conformal2):
     pts = sample_points(conformal2, 20, seed=16)
     frame = geo.ChartFrame(conformal2, pts)
     grad_R = frame.grad_values_of_jet(frame.scalar_curvature_jet(1))
-    grad_R_norm = geo.norm_g(frame.metric_values(), grad_R)
+    grad_R_norm = np.sqrt(geo.dot_g(frame.metric_values(), grad_R, grad_R))
     assert np.min(grad_R_norm) > 0.1 and np.max(grad_R_norm) > 1.0
     assert np.max(residual(*idt.contracted_bianchi_residual(frame))) < 1e-10
 

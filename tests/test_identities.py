@@ -20,6 +20,7 @@ from gqem.models import (
     trivial_structure,
 )
 from gqem.qem import StructureFrame, is_gqem, make_structure, residual
+from fd_oracle import curvature_laplacian_fd_terms
 from test_charts import warped_chart
 from test_jet_internals import ROW_BATCH
 
@@ -150,8 +151,7 @@ def test_curvature_laplacian_jet_vs_finite_difference(sphere22):
     # same identity with lap R from second differences of the curvature field
     for p in sample_points(sphere22.chart, 5, seed=8):
         r_jet = float(residual(*idt.curvature_laplacian_residual(StructureFrame(sphere22, p))))
-        fd = idt.curvature_laplacian_residual(StructureFrame(sphere22, p), fd_step=1e-3)
-        r_fd = float(residual(*fd))
+        r_fd = float(residual(*curvature_laplacian_fd_terms(StructureFrame(sphere22, p), 1e-3)))
         assert abs(r_jet - r_fd) < 1e-4
 
 
@@ -594,3 +594,21 @@ def test_pointwise_residuals_keep_their_bits(case, batch):
             got[info.identity_id] = hashlib.sha256(
                 " ".join(map(float.hex, res.ravel().tolist())).encode()).hexdigest()[:16]
     assert got == GOLDEN_RESIDUALS[case, batch]
+
+
+GOLDEN_PROFILES = {
+    ("sphere3", 1): "13cdc1dbc70ac2f8", ("sphere3", 100): "8490043b63745059",
+    ("hyperbolic4", 1): "e98fc18e2842df24", ("hyperbolic4", 100): "0c0bdf3d6b24372f",
+}
+
+
+@pytest.mark.parametrize("batch", [1, 100])
+@pytest.mark.parametrize("case", ["sphere3", "hyperbolic4"])
+def test_einstein_profile_keeps_its_bits(case, batch):
+    # sha256 of `float.hex` of the profile's six fields, recorded before the
+    # profile read its three gaps through `qem.residual`
+    s = GOLDEN_STRUCTURES[case]()
+    pts = sample_points(s.chart, 100, seed=41)[:batch]
+    profile = idt.einstein_hessian_profile(StructureFrame(s, pts))
+    fields = " ".join(map(float.hex, dataclasses.astuple(profile)))
+    assert hashlib.sha256(fields.encode()).hexdigest()[:16] == GOLDEN_PROFILES[case, batch]

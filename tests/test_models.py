@@ -73,15 +73,18 @@ def test_embeddings_land_on_the_model():
 
 
 def test_embedding_pullback_matches_metric():
-    # sum over ambient components of sign * d sigma_a (x) d sigma_a equals g
-    for family, kind in (("sphere", "stereographic"), ("sphere", "polar"),
-                         ("hyperbolic", "poincare_ball")):
+    # sum over ambient components of sign * d sigma_a (x) d sigma_a equals g;
+    # the hyperboloid's time axis comes first
+    for family, kind, signature in (("sphere", "stereographic", (1.0, 1.0, 1.0)),
+                                    ("sphere", "polar", (1.0, 1.0, 1.0)),
+                                    ("hyperbolic", "poincare_ball", (-1.0, 1.0, 1.0))):
         spec = ModelSpec(family, 2, tau=1.0, m=1.0, chart_kind=kind)
         chart = make_chart(spec)
         for p in sample_points(chart, 4, seed=2):
             amb = chart.embedding_fn(jets.seed_point(p, 1))
+            assert len(amb) == len(signature)
             pulled = np.zeros((2, 2))
-            for sign, a in zip(chart.ambient_signature, amb):
+            for sign, a in zip(signature, amb):
                 d = np.array([a.derive(i).value for i in range(2)])
                 pulled += sign * np.outer(d, d)
             assert np.allclose(pulled, geo.ChartFrame(chart, p).metric_values(), atol=1e-11)
@@ -164,7 +167,7 @@ def test_closed_form_lambda_matches_trace_formula():
 def test_sphere_radius_not_one_uses_trace_solver():
     spec = ModelSpec("sphere", 2, tau=1.5, m=2.0, radius=2.0)
     s = example_structure(spec)
-    assert s.provenance == "trace_solved"
+    assert s.lam.label == "lambda(trace)"
     pts = sample_points(s.chart, 50, seed=19)
     assert is_gqem(s, pts, 1e-8).passed
 
@@ -244,10 +247,25 @@ def test_model_spec_refuses_an_unknown_family_and_a_non_positive_radius():
             ModelSpec("sphere", 2, tau=1.5, m=2.0, radius=radius)
 
 
+@pytest.mark.parametrize("family, field, value, message", [
+    ("sphere", "tau", math.inf, "'tau' must be finite"),
+    ("sphere", "tau", -math.inf, "'tau' must be finite"),
+    ("hyperbolic", "tau", math.inf, "'tau' must be finite"),
+    ("sphere", "radius", math.inf, "'r' must be finite"),
+    ("sphere", "radius", math.nan, "'r' must be finite"),
+    ("sphere", "m", 1e-320, "'m' is too small"),
+    ("euclidean", "m", 1e-320, "'m' is too small"),
+])
+def test_model_spec_refuses_what_would_make_a_residual_nan(family, field, value, message):
+    # refused by name: a structure built with one reports NaN rows as missed tolerances
+    params = {"tau": 1.5, "m": 2.0, field: value}
+    with pytest.raises(ValueError, match=message):
+        ModelSpec(family, 3, **params)
+
+
 def test_validation_refuses_a_non_positive_u(monkeypatch):
     spec = ModelSpec("sphere", 2, tau=1.5, m=2.0)
-    s = example_structure(spec, validate=False)
-    models._validate_structure(s, spec)
+    s = example_structure(spec)  # validates it
     monkeypatch.setattr(s.u, "_jet_fn", lambda coords: -1.0 * coords[0] * coords[0])
     with pytest.raises(ValueError, match="must stay positive"):
         models._validate_structure(s, spec)

@@ -205,6 +205,11 @@ def test_make_structure_rejects_bad_m(euclid2):
         make_structure(euclid2, ScalarField.constant(2, 0.0), m=0.0)
 
 
+def test_make_structure_refuses_a_weight_whose_reciprocal_overflows(euclid2):
+    with pytest.raises(ValueError, match="'m' is too small"):
+        make_structure(euclid2, ScalarField.constant(2, 0.0), m=1e-320)
+
+
 def test_require_u_refuses_infinite_m():
     s = gaussian_soliton(2)
     assert not s.m_finite and s.u is None
