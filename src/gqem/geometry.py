@@ -72,12 +72,19 @@ class Field:
     `ChartFrame.coords` or `seed_point(p, order)` give them, to a `Jet` for a
     scalar field, or to a sequence of component jets for a contravariant
     vector field. The arithmetic operators combine scalar fields.
+
+    A field derived from the geometry or from other fields may also have
+    `frame_fn(frame, order)`: `ChartFrame.field_jet` then evaluates it on the
+    frame that asks, from that frame's memo. A combination with such a field
+    has one too; a combination of plain fields evaluates from coordinate jets.
     """
 
-    def __init__(self, dim: int, jet_fn: Callable, label: str = ""):
+    def __init__(self, dim: int, jet_fn: Callable, label: str = "",
+                 frame_fn: Optional[Callable] = None):
         self.dim = dim
         self._jet_fn = jet_fn
         self.label = label
+        self.frame_fn = frame_fn
 
     @staticmethod
     def from_coords(dim: int, fn: Callable, label: str = "") -> "Field":
@@ -100,11 +107,15 @@ class Field:
         """Field of op(self, other), labelled by `template` with {0} = self, {1} = other."""
         if isinstance(other, Field):
             fn = lambda coords: op(self.jet(coords), other.jet(coords))
+            on_frame = lambda fr, order: op(fr.field_jet(self, order), fr.field_jet(other, order))
+            derived = self.frame_fn or other.frame_fn
             label = template.format(self.label, other.label)
         else:
             fn = lambda coords: op(self.jet(coords), other)
+            on_frame = lambda fr, order: op(fr.field_jet(self, order), other)
+            derived = self.frame_fn
             label = template.format(self.label, other)
-        return Field(self.dim, fn, label)
+        return Field(self.dim, fn, label, on_frame if derived else None)
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b, "({0}+{1})")
@@ -129,7 +140,7 @@ class Field:
         return self._combine(other, lambda a, b: b / a, "({1}/{0})")
 
     def __neg__(self):
-        return Field(self.dim, lambda coords: -self.jet(coords), f"(-{self.label})")
+        return self._combine(None, lambda a, _: -a, "(-{0})")
 
 
 # the public API names a field by its kind; all three are this one class
@@ -377,6 +388,8 @@ class ChartFrame:
             raise OrderCapabilityError(
                 f"field {X.label!r} requested at jet order {order} > max {MAX_ORDER}"
             )
+        if X.frame_fn is not None:
+            return X.frame_fn(self, order)
         return X.jet(self.coords(order))
 
     @_memoized

@@ -70,14 +70,14 @@ def trace_lambda_field(chart: Chart, f: ScalarField, m: float) -> ScalarField:
     inv_m = 0.0 if math.isinf(m) else 1.0 / m
     n = chart.dim
 
-    def jet_fn(coords):
-        frame, order = frame_at(chart, coords), coords[0].order
+    def frame_fn(frame, order):
         r = frame.scalar_curvature_jet(order)
         lap = frame.laplacian(f, order)
         gn2 = frame.grad_norm2(f, order)
         return (r + lap - inv_m * gn2) * (1.0 / n)
 
-    return ScalarField(n, jet_fn, "lambda(trace)")
+    return ScalarField(n, lambda coords: frame_fn(frame_at(chart, coords), coords[0].order),
+                       "lambda(trace)", frame_fn)
 
 
 def make_structure(
@@ -95,7 +95,8 @@ def make_structure(
     if u is None and not math.isinf(m):
         inv_m = 1.0 / m
         u = ScalarField(
-            chart.dim, lambda coords: jets.exp(f.jet(coords) * (-inv_m)), "u"
+            chart.dim, lambda coords: jets.exp(f.jet(coords) * (-inv_m)), "u",
+            lambda frame, order: jets.exp(frame.field_jet(f, order) * (-inv_m)),
         )
     return QemStructure(chart, f, m, lam, u, label)
 

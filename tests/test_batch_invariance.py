@@ -70,6 +70,8 @@ def warped_case(n: int):
 CASES = {
     "sphere n=3": lambda: structure_case(ModelSpec("sphere", 3, tau=1.0, m=2.0)),
     "hyperbolic n=4": lambda: structure_case(ModelSpec("hyperbolic", 4, tau=0.5, m=2.0)),
+    # lambda trace-solved on the frame that asks for it
+    "sphere n=3 r=2": lambda: structure_case(ModelSpec("sphere", 3, tau=2.0, m=2.0, radius=2.0)),
     "warped n=3": lambda: warped_case(3),
 }
 

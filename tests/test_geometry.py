@@ -11,6 +11,7 @@ from gqem import jets
 from gqem.geometry import ScalarField, VectorField, tensor2_norm2_g
 from gqem.models import ModelSpec, example_structure, height_field, make_chart, sample_points
 from gqem.qem import StructureFrame, residual
+from fd_oracle import fd_laplacian_scalar_curvature
 from test_charts import warped_chart
 
 
@@ -498,6 +499,26 @@ def test_nonconstant_curvature_laplacian(conformal2):
     lap_R = frame.laplacian_of_jet(frame.scalar_curvature_jet(2))
     expected = -4.0 * A * em4phi * (16.0 * A * A * x * x + 4.0 * B * B - 4.0 * A)
     assert np.allclose(lap_R, expected, rtol=1e-9, atol=0.0)
+
+
+def test_curvature_laplacian_jet_vs_finite_difference_where_it_is_order_one(conformal2,
+                                                                             monkeypatch):
+    # the round-sphere cross-check sees a constant R; here |ΔR| >= 0.1 at every point
+    pts = sample_points(conformal2, 40, seed=17)
+    frame = geo.ChartFrame(conformal2, pts)
+    pts = pts[np.abs(frame.laplacian_of_jet(frame.scalar_curvature_jet(2))) >= 0.1]
+    assert len(pts) >= 20
+
+    def relative_gap():
+        frame = geo.ChartFrame(conformal2, pts)
+        lap_fd = fd_laplacian_scalar_curvature(frame, 1e-3)
+        return np.max(np.abs(frame.laplacian_of_jet(frame.scalar_curvature_jet(2)) - lap_fd)
+                      / np.abs(lap_fd))
+
+    assert relative_gap() < 1e-4  # 3.8e-6 measured: the O(step²) error of the differences
+    monkeypatch.setattr(geo.ChartFrame, "laplacian_of_jet",
+                        lambda self, sjet: np.zeros(len(self.p)))
+    assert relative_gap() > 1e-4  # a jet path that returned ΔR = 0 fails the bound
 
 
 def test_contracted_bianchi_where_grad_r_is_order_one(conformal2):

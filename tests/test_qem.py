@@ -215,3 +215,56 @@ def test_require_u_refuses_infinite_m():
     assert not s.m_finite and s.u is None
     with pytest.raises(jets.OrderCapabilityError, match="m = inf"):
         s.require_u()
+
+
+# ---------------------------------------------------------------------------
+# fields derived from the geometry are read on the frame that asks
+# ---------------------------------------------------------------------------
+
+SUITE_TOLS = {2: 1e-8, 3: 1e-7, 4: 1e-6}
+
+
+def cubic_control(n: int, m: float = 2.0):
+    """Flat space, f = sum_i c_i x_i^3, lambda trace-solved and u = exp(-f/m) by default."""
+    coef = (0.4, -0.5, 0.3, -0.6)[:n]
+    chart = make_chart(ModelSpec("euclidean", n, tau=1.0, m=m))
+    f = ScalarField.from_coords(n, lambda *x: sum(x[i] * x[i] * x[i] * coef[i] for i in range(n)),
+                                "cubic")
+    return make_structure(chart, f, m, label=f"cubic n={n}")
+
+
+def suite_frames(spy, s, count: int) -> int:
+    frames = spy(geo.ChartFrame, "__init__")
+    idt.run_pointwise_suite(s, sample_points(s.chart, count, seed=3), SUITE_TOLS)
+    return len(frames)
+
+
+def test_a_trace_solved_sphere_builds_the_frames_of_the_closed_form_one(spy):
+    closed = example_structure(ModelSpec("sphere", 3, tau=2.0, m=2.0))
+    traced = example_structure(ModelSpec("sphere", 3, tau=2.0, m=2.0, radius=2.0))
+    assert suite_frames(spy, traced, 100) == suite_frames(spy, closed, 100) == 25
+
+
+def test_a_cubic_control_builds_the_frames_of_the_euclidean_model(spy):
+    model = example_structure(ModelSpec("euclidean", 3, tau=1.0, m=2.0))
+    assert suite_frames(spy, cubic_control(3), 100) == suite_frames(spy, model, 100)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cubic_control(3),
+    lambda: example_structure(ModelSpec("sphere", 3, tau=2.0, m=2.0, radius=2.0)),
+], ids=["cubic control n=3", "sphere n=3 r=2"])
+@pytest.mark.parametrize("batch", [1, 100, 600])
+def test_derived_fields_read_on_a_frame_keep_their_bare_bits(make, batch, spy):
+    s = make()
+    fields = {"lambda": s.lam, "u": s.u, "lambda*u": s.lam * s.u}
+    pts = sample_points(s.chart, batch, seed=9)
+    shared = StructureFrame(s, pts)  # read from order 2 down: lower orders are truncations
+    for order in (2, 1, 0):
+        for name, field in fields.items():
+            fresh = StructureFrame(s, pts)
+            frames = spy(geo.ChartFrame, "__init__")
+            read = [fr.field_jet(field, order).coeffs.tobytes() for fr in (fresh, shared)]
+            assert frames == [], name  # no hidden frame behind a frame's read
+            bare = field.jet(fresh.coords(order)).coeffs.tobytes()
+            assert read == [bare, bare], (name, order)
